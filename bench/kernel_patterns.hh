@@ -17,10 +17,8 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/shard_queue.hh"
 
 namespace tsoper::bench
 {
@@ -139,76 +137,6 @@ patternMixedLatency(std::uint64_t events, unsigned chains = 32)
     for (unsigned c = 0; c < chains; ++c) {
         Actor a{&eq, &remaining, mix64(c + 1001), {}};
         eq.scheduleIn(c % 11, std::move(a));
-    }
-    eq.run();
-    return eq.executed();
-}
-
-/**
- * mixed-latency over the sharded kernel: the same event blend as
- * patternMixedLatency, partitioned across @p shards tiles.  Each shard
- * owns a quota of events and a set of actors; the NoC-trip slice of
- * the mix (25% of firings) migrates the actor to a neighbouring shard
- * with a delay that covers the lookahead, exercising the cross-shard
- * outbox path.  Actors re-bind to the destination shard's quota when
- * they migrate, so every counter is only ever touched by the worker
- * executing its shard — the pattern is race-free by construction and
- * runs clean under ThreadSanitizer.
- */
-inline std::uint64_t
-patternMixedLatencySharded(std::uint64_t events, unsigned shards,
-                           unsigned threads, Cycle lookahead = 3,
-                           unsigned chainsPerShard = 8)
-{
-    ShardedEventQueue eq(shards, threads, lookahead);
-    std::vector<std::uint64_t> quota(shards, events / shards);
-    struct Actor
-    {
-        ShardedEventQueue *eq;
-        std::vector<std::uint64_t> *quota;
-        unsigned shard;
-        unsigned shards;
-        Cycle la;
-        std::uint64_t state;
-        std::array<std::uint64_t, 8> words; // NVM-writeback payload.
-        void
-        operator()()
-        {
-            std::uint64_t &rem = (*quota)[shard];
-            if (rem == 0)
-                return;
-            --rem;
-            state = mix64(state ^ words[state & 7]);
-            words[state & 7] = state;
-            const unsigned kind = state % 100;
-            if (kind < 25) {
-                eq->post(shard, shard, 0, Actor{*this}); // waiter wakeup
-            } else if (kind < 70) {
-                eq->post(shard, shard, 1 + (state >> 8) % 16,
-                         Actor{*this}); // L1/SLC hop
-            } else if (kind < 95) {
-                // NoC + LLC trip to another tile: the actor hops to a
-                // pseudo-random peer shard and continues there.
-                Actor next{*this};
-                next.shard = static_cast<unsigned>(
-                    (shard + 1 + (state >> 16) % (shards > 1 ? shards - 1
-                                                             : 1)) %
-                    shards);
-                const Cycle delta = la + 40 + (state >> 8) % 200;
-                const unsigned dst = next.shard;
-                eq->post(shard, dst, delta, std::move(next));
-            } else {
-                eq->post(shard, shard, 2000 + (state >> 8) % 4000,
-                         Actor{*this}); // NVM completion
-            }
-        }
-    };
-    for (unsigned s = 0; s < shards; ++s) {
-        for (unsigned c = 0; c < chainsPerShard; ++c) {
-            Actor a{&eq,    &quota, s, shards, lookahead,
-                    mix64(s * 257 + c + 1001), {}};
-            eq.post(s, s, (s + c) % 11, std::move(a));
-        }
     }
     eq.run();
     return eq.executed();

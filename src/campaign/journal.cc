@@ -52,17 +52,6 @@ CampaignJournal::append(const CellReport &cell)
 }
 
 void
-CampaignJournal::appendAux(const Json &record)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (fd_ < 0)
-        return;
-    if (!record.isObject() || !record.find("event"))
-        return; // would be mistaken for a cell on load — refuse
-    writeLine(record.dump());
-}
-
-void
 CampaignJournal::writeLine(const std::string &line)
 {
     std::string buf = line;
@@ -129,10 +118,6 @@ loadJournal(const std::string &path, JournalIndex *out,
                        parseErr;
             return false;
         }
-        // Coordinator aux records (lease grants, worker events) share
-        // the journal but are not cells.
-        if (doc.find("event"))
-            continue;
         if (!sawHeader) {
             const Json *format = doc.find("format");
             if (!format || !format->isString() ||

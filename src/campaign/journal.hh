@@ -25,12 +25,6 @@
  * matched by id AND by their full request header: if the spec changed
  * under the journal, the stale entry is re-run rather than silently
  * reused.
- *
- * The distributed coordinator additionally journals *aux* records —
- * lease grants and worker arrivals/departures — as lines carrying an
- * "event" member.  They share the v1 format (the loader skips them),
- * so a journal written by a coordinator resumes under a plain local
- * run and vice versa.
  */
 
 #ifndef TSOPER_CAMPAIGN_JOURNAL_HH
@@ -83,14 +77,6 @@ class CampaignJournal
     /** Durably append one completed cell (no-op if not open). */
     void append(const CellReport &cell);
 
-    /**
-     * Durably append a coordinator aux record (lease grant, worker
-     * event).  @p record must carry an "event" member — that is what
-     * the loader keys the skip on; records without one are refused
-     * here rather than corrupting the resume index.
-     */
-    void appendAux(const Json &record);
-
     void close();
 
     bool isOpen() const { return fd_ >= 0; }
@@ -105,9 +91,8 @@ class CampaignJournal
 /**
  * Load @p path into @p out.  Tolerates a torn trailing line (the
  * appender died mid-write) — when one is found it is ignored and a
- * one-line description is placed in @p warn (if non-null).  Skips
- * coordinator aux records (lines with an "event" member).  Fails on a
- * missing file, a bad header, a format-tag mismatch, or corruption
+ * one-line description is placed in @p warn (if non-null).  Fails on
+ * a missing file, a bad header, a format-tag mismatch, or corruption
  * anywhere but the final line.
  */
 bool loadJournal(const std::string &path, JournalIndex *out,

@@ -101,10 +101,9 @@ struct CampaignReport
  * fields that legitimately vary between runs of the same spec —
  * wall-clock ("wall_ms" everywhere), scheduling ("jobs",
  * "orphaned_threads") and retry bookkeeping ("attempts",
- * "attempt_log", "stderr_tail").  Two runs of one spec — local
- * thread-pool or distributed fabric, any worker count, any failover
- * history — must dump() byte-identical canonical forms; the net_smoke
- * test enforces exactly that.
+ * "attempt_log", "stderr_tail").  Two runs of one spec at any job
+ * count must dump() byte-identical canonical forms; the campaign
+ * determinism test (tests/test_campaign.cc) enforces exactly that.
  */
 Json canonicalReportJson(const CampaignReport &report);
 

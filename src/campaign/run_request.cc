@@ -64,10 +64,6 @@ RunRequest::toJson() const
         j.set("ag_max_lines", Json(agMaxLines));
     if (agbSliceLines)
         j.set("agb_slice_lines", Json(agbSliceLines));
-    // Only when set, so journals written before the sharded kernel
-    // still round-trip equal.
-    if (threads)
-        j.set("threads", Json(threads));
     if (crashAt > 0.0)
         j.set("crash_at", Json(crashAt));
     j.set("check", Json(check));
@@ -109,8 +105,6 @@ runRequestFromJson(const Json &j)
         r.agMaxLines = static_cast<unsigned>(v->asUint());
     if (const Json *v = j.find("agb_slice_lines"); v && v->isNumber())
         r.agbSliceLines = static_cast<unsigned>(v->asUint());
-    if (const Json *v = j.find("threads"); v && v->isNumber())
-        r.threads = static_cast<unsigned>(v->asUint());
     if (const Json *v = j.find("crash_at"); v && v->isNumber())
         r.crashAt = v->asDouble();
     if (const Json *v = j.find("check"); v && v->isBool())
@@ -264,7 +258,6 @@ resolveConfig(const RunRequest &r, SystemConfig *cfg, std::string *err)
         cfg->agbSliceLines = r.agbSliceLines;
     cfg->recordStores = r.check;
     cfg->seed = r.seed;
-    cfg->threads = r.threads ? r.threads : 1;
     return true;
 }
 

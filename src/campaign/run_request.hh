@@ -45,10 +45,6 @@ struct RunRequest
     unsigned cores = 8;
     unsigned agMaxLines = 0;       ///< 0 = engine default.
     unsigned agbSliceLines = 0;    ///< 0 = engine default.
-    /** Event-kernel worker threads; 0 = unset (defaults to 1 — never
-     *  hardware_concurrency, so campaign cells nested under the
-     *  parallel runner don't oversubscribe; docs/campaigns.md). */
-    unsigned threads = 0;
 
     /** 0 = run to completion; (0, 1] = crash at that fraction of the
      *  full run (implies a prior timing run); > 1 = crash cycle. */

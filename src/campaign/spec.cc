@@ -109,7 +109,6 @@ expand(const CampaignSpec &spec)
                     base.cores = spec.cores;
                     base.agMaxLines = spec.agMaxLines;
                     base.agbSliceLines = spec.agbSliceLines;
-                    base.threads = spec.threads;
                     base.check = spec.check;
                     base.id = engine + "/" + bench + "/x" +
                               formatDouble(scale) + "/s" +
@@ -160,8 +159,6 @@ validateSpec(const CampaignSpec &spec)
                    formatDouble(f);
     if (spec.cores == 0 || spec.cores > 64)
         return "cores must be in [1, 64]";
-    if (spec.threads > 64)
-        return "threads must be in [0, 64] (0 = sequential)";
     return "";
 }
 
@@ -232,8 +229,8 @@ parseSpecText(const std::string &text, CampaignSpec *out,
                 }
             }
         } else if (key == "cores" || key == "ag-max-lines" ||
-                   key == "agb-slice-lines" || key == "threads" ||
-                   key == "timeout-ms" || key == "retries") {
+                   key == "agb-slice-lines" || key == "timeout-ms" ||
+                   key == "retries") {
             std::uint64_t u;
             if (!parseUint(value, &u))
                 return failAt("bad number \"" + value + "\" for \"" +
@@ -244,8 +241,6 @@ parseSpecText(const std::string &text, CampaignSpec *out,
                 spec.agMaxLines = static_cast<unsigned>(u);
             else if (key == "agb-slice-lines")
                 spec.agbSliceLines = static_cast<unsigned>(u);
-            else if (key == "threads")
-                spec.threads = static_cast<unsigned>(u);
             else if (key == "timeout-ms")
                 spec.timeoutMs = static_cast<unsigned>(u);
             else

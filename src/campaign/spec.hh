@@ -51,9 +51,6 @@ struct CampaignSpec
     unsigned cores = 8;
     unsigned agMaxLines = 0;
     unsigned agbSliceLines = 0;
-    /** Event-kernel threads per cell; 0 = sequential.  Multiply by
-     *  --jobs with care: see docs/campaigns.md "Nested parallelism". */
-    unsigned threads = 0;
     bool check = false;
     unsigned timeoutMs = 120000; ///< Per-cell wall-clock budget.
     unsigned retries = 1;        ///< Extra attempts after timeout/crash.

@@ -138,11 +138,6 @@ requestToArgv(const RunRequest &r, const std::string &simBinary)
     if (r.agbSliceLines)
         argv.push_back("--agb-slice-lines=" +
                        std::to_string(r.agbSliceLines));
-    // Always explicit: a cell must not inherit a parallel default from
-    // the child's environment while the campaign runner already
-    // saturates the machine with worker processes (docs/campaigns.md).
-    argv.push_back("--threads=" + std::to_string(r.threads ? r.threads
-                                                           : 1));
     if (r.crashAt > 0.0)
         argv.push_back("--crash-at=" + formatDouble(r.crashAt));
     if (r.check)

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "sim/log.hh"
-#include "sim/shard_fence.hh"
 
 namespace tsoper
 {
@@ -133,8 +132,6 @@ std::optional<Cycle>
 MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    // Transaction bodies execute at the directory bank's tile.
-    shardFenceCheck(bus_.bankNode(bankOf(line)));
     if (Node *n = findNode(core, line); n && n->st != St::I) {
         // Raced: an earlier queued transaction already fetched it.
         done(t + dirLatency_, n->words[wordOf(addr)]);
@@ -280,7 +277,6 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
                        StoreDone done, Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    shardFenceCheck(bus_.bankNode(bankOf(line)));
     if (hooks_->tryDeferStoreCommit(core, line,
                                     [this, core, addr, store, done] {
             this->store(core, addr, store, done);
@@ -445,13 +441,10 @@ void
 MesiProtocol::fillTiming(LineAddr line, Cycle t, bool fromNvm,
                          std::function<void(Cycle)> finish)
 {
-    llc_.accessAsync(line, t,
-                     [this, line, fromNvm,
-                      finish = std::move(finish)](Cycle at) {
-                         if (fromNvm)
-                             at = nvm_.read(line, at);
-                         finish(at);
-                     });
+    const Cycle at = llc_.access(line, t);
+    eq_.schedule(at, [this, line, fromNvm, at, finish = std::move(finish)] {
+        finish(fromNvm ? nvm_.read(line, at) : at);
+    });
 }
 
 void
@@ -521,7 +514,6 @@ MesiProtocol::handleVictim(CoreId core, LineAddr victim, Cycle t)
 void
 MesiProtocol::teardownEntry(LineAddr victim, Cycle t)
 {
-    shardFenceCheck(bus_.bankNode(bankOf(victim)));
     Entry &e = entries_[victim];
     if (e.owner != invalidCore) {
         const CoreId o = e.owner;

@@ -117,9 +117,10 @@ class MesiProtocol : public CoherenceProtocol
                    std::function<void()> retry);
 
     /**
-     * Timing tail of a memory fill: async LLC bank access, an NVM read
-     * behind it on an LLC miss.  @p finish runs at the directory with
-     * the cycle the data is at the bank.
+     * Timing tail of a memory fill: the LLC bank access is charged at
+     * dispatch, an NVM read follows it on an LLC miss.  @p finish runs
+     * at the directory at the bank's completion cycle, with the cycle
+     * the data is at the bank.
      */
     void fillTiming(LineAddr line, Cycle t, bool fromNvm,
                     std::function<void(Cycle)> finish);
@@ -144,7 +145,8 @@ class MesiProtocol : public CoherenceProtocol
 
     const SystemConfig &cfg_;
     EventQueue &eq_;
-    /** Explicit cross-tile message path (see docs/pdes.md). */
+    /** Explicit cross-tile message path (see DESIGN.md, "Message bus
+     *  and transaction legs"). */
     MessageBus bus_;
     Llc &llc_;
     Nvm &nvm_;

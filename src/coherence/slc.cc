@@ -5,7 +5,6 @@
 
 #include "sim/debug.hh"
 #include "sim/log.hh"
-#include "sim/shard_fence.hh"
 #include "sim/trace.hh"
 
 namespace tsoper
@@ -176,8 +175,6 @@ std::optional<Cycle>
 SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    // Transaction bodies execute at the directory bank's tile.
-    shardFenceCheck(bus_.bankNode(bankOf(line)));
     if (entries_[line].zombie) {
         zombieWaiters_[line].push_back([this, core, addr, done] {
             load(core, addr, done);
@@ -313,7 +310,6 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
                       Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    shardFenceCheck(bus_.bankNode(bankOf(line)));
     if (entries_[line].zombie) {
         zombieWaiters_[line].push_back([this, core, addr, store, done] {
             this->store(core, addr, store, done);
@@ -463,13 +459,10 @@ void
 SlcProtocol::fillTiming(LineAddr line, Cycle t, bool fromNvm,
                         std::function<void(Cycle)> finish)
 {
-    llc_.accessAsync(line, t,
-                     [this, line, fromNvm,
-                      finish = std::move(finish)](Cycle at) {
-                         if (fromNvm)
-                             at = nvm_.read(line, at);
-                         finish(at);
-                     });
+    const Cycle at = llc_.access(line, t);
+    eq_.schedule(at, [this, line, fromNvm, at, finish = std::move(finish)] {
+        finish(fromNvm ? nvm_.read(line, at) : at);
+    });
 }
 
 // --------------------------------------------------------------------
@@ -612,7 +605,6 @@ SlcProtocol::handleVictim(CoreId core, LineAddr victim, Cycle t)
 void
 SlcProtocol::teardownEntry(LineAddr victim, Cycle t)
 {
-    shardFenceCheck(bus_.bankNode(bankOf(victim)));
     auto eit = entries_.find(victim);
     tsoper_assert(eit != entries_.end(), "teardown of absent entry");
     Entry &e = eit->second;

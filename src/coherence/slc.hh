@@ -173,11 +173,12 @@ class SlcProtocol : public CoherenceProtocol
 
     /**
      * Timing tail of a decomposed memory fill, starting from the LLC
-     * pipe: async bank access, an NVM read behind it on an LLC miss,
-     * then the data leg to the requester.  Runs at the directory; the
-     * functional contents were resolved at dispatch.  @p finish runs
-     * when the fill data is at the bank (the data leg's departure
-     * instant) with the departure cycle.
+     * pipe: the bank access is charged at dispatch, an NVM read
+     * follows it on an LLC miss, then the data leg goes to the
+     * requester.  Runs at the directory; the functional contents were
+     * resolved at dispatch.  @p finish runs at the bank's completion
+     * cycle with the cycle the fill data is at the bank (the data
+     * leg's departure instant).
      */
     void fillTiming(LineAddr line, Cycle t, bool fromNvm,
                     std::function<void(Cycle)> finish);
@@ -238,7 +239,7 @@ class SlcProtocol : public CoherenceProtocol
     EventQueue &eq_;
     /** All cross-tile traffic (requests, forwards, data replies,
      *  writebacks) goes through the bus — the explicit message path
-     *  the sharded kernel relies on (docs/pdes.md). */
+     *  (DESIGN.md, "Message bus and transaction legs"). */
     MessageBus bus_;
     Llc &llc_;
     Nvm &nvm_;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Multi-message transaction bookkeeping for the decomposed directory
- * protocols (docs/pdes.md "Multi-shard operation"):
+ * protocols (DESIGN.md, "Message bus and transaction legs"):
  *
  *  - TxnTable: home-side transaction entries.  A directory bank that
  *    decomposes a request into several message legs (invalidations

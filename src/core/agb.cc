@@ -4,7 +4,6 @@
 
 #include "sim/debug.hh"
 #include "sim/log.hh"
-#include "sim/shard_fence.hh"
 #include "sim/trace.hh"
 
 namespace tsoper
@@ -76,8 +75,6 @@ Agb::requestAllocation(CoreId from, std::vector<LineAddr> lines,
 void
 Agb::tryGrant()
 {
-    // Grant arbitration runs at the arbiter's tile.
-    shardFenceCheck(arbiterNode_);
     while (!allocQueue_.empty()) {
         auto it = ags_.find(allocQueue_.front());
         tsoper_assert(it != ags_.end());

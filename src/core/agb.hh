@@ -126,7 +126,8 @@ class Agb
 
     const SystemConfig &cfg_;
     EventQueue &eq_;
-    /** Explicit cross-tile message path (see docs/pdes.md). */
+    /** Explicit cross-tile message path (see DESIGN.md, "Message bus
+     *  and transaction legs"). */
     MessageBus bus_;
     Nvm &nvm_;
     Llc &llc_;

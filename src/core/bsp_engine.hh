@@ -117,7 +117,8 @@ class BspEngine : public PersistEngine
 
     const SystemConfig &cfg_;
     EventQueue &eq_;
-    /** Explicit cross-tile message path (see docs/pdes.md). */
+    /** Explicit cross-tile message path (see DESIGN.md, "Message bus
+     *  and transaction legs"). */
     MessageBus bus_;
     Llc &llc_;
     Nvm &nvm_;

@@ -4,7 +4,6 @@
 
 #include "sim/debug.hh"
 #include "sim/log.hh"
-#include "sim/shard_fence.hh"
 
 namespace tsoper
 {
@@ -114,8 +113,6 @@ Cpu::advanceAt(Cycle at)
 void
 Cpu::step()
 {
-    // Retirement executes on this core's tile (node id == core id).
-    shardFenceCheck(static_cast<unsigned>(id_));
     if (finished_)
         return;
     if (engine_.coreStalled(id_)) {

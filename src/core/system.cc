@@ -16,10 +16,6 @@ namespace tsoper
 
 System::System(const SystemConfig &cfg, const Workload &workload)
     : cfg_(cfg),
-      kernel_(/*shards=*/1 + cfg_.llcBanks, std::max(1u, cfg_.threads),
-              std::max<Cycle>(1, cfg_.hopLatency)),
-      eq_(kernel_.shard(0)),
-      fence_(cfg_.meshCols * cfg_.meshRows, /*shard=*/0),
       logCycle_(
           [](const void *eq) {
               return static_cast<const EventQueue *>(eq)->now();
@@ -29,16 +25,6 @@ System::System(const SystemConfig &cfg, const Workload &workload)
       llc_(cfg_, nvm_, stats_), sync_(cfg_.numCores, eq_)
 {
     cfg_.validate();
-    // Data-plane shards: every LLC bank's access pipe lives on its own
-    // shard, reached through virtual fence nodes appended after the
-    // physical mesh (node meshNodes+b -> shard 1+b).  All functional
-    // and control state stays on shard 0.
-    const unsigned meshNodes = cfg_.meshCols * cfg_.meshRows;
-    for (unsigned b = 0; b < cfg_.llcBanks; ++b)
-        fence_.setOwner(meshNodes + b, 1 + b);
-    kernel_.setFenceMap(&fence_);
-    llc_.attachDataPlane(&kernel_, /*firstShard=*/1,
-                         /*firstFenceNode=*/meshNodes);
     if (!cfg_.traceCategories.empty())
         trace::setCategories(cfg_.traceCategories);
     if (cfg_.flightRecorderDepth > 0)
@@ -129,19 +115,15 @@ System::run(Cycle maxCycles)
 
     for (auto &cpu : cpus_)
         cpu->start();
-    runGuarded(kernel_, [this] { return allFinished(); }, maxCycles,
-               watchdog, progress, dump, "execution");
+    runGuarded(eq_, [this] { return allFinished(); }, maxCycles, watchdog,
+               progress, dump, "execution");
     const Cycle finish = finishCycle();
     stats_.counter("sys.exec_cycles").inc(finish);
     bool drained = false;
     engine_->drain([&drained] { drained = true; });
-    runGuarded(kernel_, [&drained] { return drained; }, maxCycles,
-               watchdog, progress, dump, "persistency drain");
+    runGuarded(eq_, [&drained] { return drained; }, maxCycles, watchdog,
+               progress, dump, "persistency drain");
     stats_.counter("sys.drain_cycles").inc(eq_.now() - finish);
-    // Kernel observables: both are pure functions of queue state, so
-    // they are part of the byte-identical-across-threads contract.
-    stats_.counter("sys.kernel_windows").inc(kernel_.windows());
-    stats_.counter("sys.kernel_cross_posts").inc(kernel_.crossPosts());
     return finish;
 }
 
@@ -151,7 +133,7 @@ System::runUntilCrash(Cycle crashAt)
     for (auto &cpu : cpus_)
         cpu->start();
     if (!cfg_.watchdogCheckEvents) {
-        kernel_.run(crashAt);
+        eq_.run(crashAt);
         return durableImage();
     }
     // Reaching crashAt (or draining early) is normal completion here,
@@ -164,9 +146,9 @@ System::runUntilCrash(Cycle crashAt)
     ProgressWatchdog dog(watchdog);
     const std::function<bool()> never = [] { return false; };
     for (;;) {
-        const std::uint64_t before = kernel_.executed();
-        kernel_.runFor(never, crashAt, watchdog.checkEveryEvents);
-        if (kernel_.executed() == before || kernel_.empty())
+        const std::uint64_t before = eq_.executed();
+        eq_.runFor(never, crashAt, watchdog.checkEveryEvents);
+        if (eq_.executed() == before || eq_.empty())
             break; // passed crashAt, or the machine went idle
         const std::string reason =
             dog.check(progressSignature(), eq_.now());
@@ -224,8 +206,8 @@ System::dumpState() const
     std::ostringstream os;
     os << "machine state: engine=" << toString(cfg_.engine)
        << " protocol=" << toString(cfg_.protocol) << " cycle="
-       << kernel_.now() << " events=" << kernel_.executed()
-       << " pending=" << kernel_.pending() << "\n";
+       << eq_.now() << " events=" << eq_.executed()
+       << " pending=" << eq_.pending() << "\n";
     for (unsigned c = 0; c < cfg_.numCores; ++c) {
         const Cpu &cpu = *cpus_[c];
         os << "  core " << c << ": " << cpu.opsRetired() << "/"

@@ -34,7 +34,6 @@
 #include "noc/mesh.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
-#include "sim/shard_queue.hh"
 #include "sim/log.hh"
 #include "sim/stats.hh"
 #include "sim/store_log.hh"
@@ -96,7 +95,6 @@ class System
     const StoreLog &storeLog() const { return *log_; }
     const SystemConfig &config() const { return cfg_; }
     EventQueue &eventQueue() { return eq_; }
-    ShardedEventQueue &kernel() { return kernel_; }
 
     PersistEngine &engine() { return *engine_; }
     CoherenceProtocol &protocol() { return *proto_; }
@@ -110,27 +108,9 @@ class System
   private:
     SystemConfig cfg_;
     StatsRegistry stats_;
-    /**
-     * The event kernel: 1 + llcBanks shards (docs/pdes.md "Multi-shard
-     * operation").  Shard 0 owns every functional and control
-     * component — cores, store buffers, protocols, directory, NVM,
-     * stats, tracing — while each LLC bank's access pipe (its
-     * busy-until chain) runs on shard 1+b, reached only through
-     * timestamped messages with >= one hop of delay each way
-     * (Llc::accessAsync).  Directory transactions decompose into
-     * message legs (coherence/txn.hh), so the pipes overlap with
-     * shard 0 under the conservative window scheme, and fixed-seed
-     * stats stay byte-identical at any cfg.threads because each
-     * shard's event order is deterministic and the barrier drain
-     * orders cross-shard messages by (source shard, post order).
-     */
-    ShardedEventQueue kernel_;
-    /** Shard 0's queue: the functional components' scheduling
-     *  interface. */
-    EventQueue &eq_;
-    /** Tile-ownership map for the shard fence: physical mesh nodes ->
-     *  shard 0, virtual data-plane nodes meshNodes+b -> shard 1+b. */
-    ShardFenceMap fence_;
+    /** The event kernel: every timed activity of every component is
+     *  an event on this one queue. */
+    EventQueue eq_;
     /** Timestamps warn/panic lines with eq_'s cycle while we're live. */
     ScopedLogCycleSource logCycle_;
     Mesh mesh_;

@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "sim/log.hh"
-#include "sim/shard_fence.hh"
-#include "sim/shard_queue.hh"
 #include "sim/trace.hh"
 
 namespace tsoper
@@ -34,67 +32,12 @@ Llc::access(LineAddr line, Cycle when)
 {
     hits_.inc();
     const unsigned bank = bankOf(line);
-    // With the data plane attached, bankBusyUntil_ belongs to the
-    // bank's pipe shard — a synchronous access from another shard's
-    // events is exactly the cross-tile poke the fence exists to catch.
-    if (dataPlane_)
-        shardFenceCheck(firstFenceNode_ + bank);
     Cycle &busy = bankBusyUntil_[bank];
     const Cycle start = std::max(when, busy);
     busy = start + occupancy_;
     trace::span(trace::Event::LlcAccess, invalidCore, when,
                 start + latency_, line, bank);
     return start + latency_;
-}
-
-void
-Llc::accessAsync(LineAddr line, Cycle when, std::function<void(Cycle)> done)
-{
-    if (!dataPlane_) {
-        done(access(line, when));
-        return;
-    }
-    hits_.inc();
-    const unsigned bank = bankOf(line);
-    const unsigned pipe = firstShard_ + bank;
-    const Cycle hop = dataPlane_->lookahead();
-    // Request hop to the bank pipe.  The pipe charges occupancy from
-    // the *issue* cycle, not the arrival cycle: requests reach a pipe
-    // in issue order (same hop latency, FIFO outbox ties), so the
-    // busy-chaining below computes the same completion cycles the
-    // synchronous model would — the hops move timing work off the
-    // caller's shard without changing it.
-    dataPlane_->post(
-        0, pipe, hop,
-        [this, line, bank, pipe, when, done = std::move(done)]() mutable {
-            shardFenceCheck(firstFenceNode_ + bank);
-            Cycle &busy = bankBusyUntil_[bank];
-            const Cycle start = std::max(when, busy);
-            busy = start + occupancy_;
-            const Cycle completion = start + latency_;
-            const Cycle pipeNow = dataPlane_->shard(pipe).now();
-            // Completion hop back; >= lookahead because
-            // llcLatency >= 2 * hopLatency (SystemConfig::validate).
-            dataPlane_->post(
-                pipe, 0, completion - pipeNow,
-                [this, line, bank, when, completion,
-                 done = std::move(done)] {
-                    trace::span(trace::Event::LlcAccess, invalidCore,
-                                when, completion, line, bank);
-                    done(completion);
-                });
-        });
-}
-
-void
-Llc::attachDataPlane(ShardedEventQueue *kernel, unsigned firstShard,
-                     unsigned firstFenceNode)
-{
-    tsoper_assert(!kernel || kernel->shards() >= firstShard + banks_,
-                  "LLC data plane needs one shard per bank");
-    dataPlane_ = kernel;
-    firstShard_ = firstShard;
-    firstFenceNode_ = firstFenceNode;
 }
 
 bool

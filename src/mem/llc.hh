@@ -26,8 +26,6 @@
 namespace tsoper
 {
 
-class ShardedEventQueue;
-
 class Llc
 {
   public:
@@ -42,36 +40,8 @@ class Llc
     /**
      * Timing of one bank access (tag + data) starting no earlier than
      * @p when; models per-bank occupancy. @return completion cycle.
-     * With a data plane attached, bank pipe state belongs to the pipe
-     * shards and calling this from another shard's events panics.
      */
     Cycle access(LineAddr line, Cycle when);
-
-    /**
-     * Asynchronous bank access: @p done receives the completion cycle.
-     * Detached (the default), this is access() computed inline —
-     * @p done runs synchronously with the identical cycle.  With a
-     * data plane attached, the request travels to the bank's pipe
-     * shard (one NoC hop), the pipe charges occupancy *from the issue
-     * cycle* — so completion cycles match the synchronous model
-     * exactly — and the completion message travels back, with @p done
-     * firing on the caller's shard at the completion cycle.  Requires
-     * llcLatency >= 2 * hopLatency so both hops fit inside the access
-     * latency (validated in SystemConfig).
-     */
-    void accessAsync(LineAddr line, Cycle when,
-                     std::function<void(Cycle)> done);
-
-    /**
-     * Move per-bank access timing (bankBusyUntil_) onto dedicated
-     * kernel shards: bank b's pipe state is owned by shard
-     * @p firstShard + b and fenced as virtual mesh node
-     * @p firstFenceNode + b (data-plane nodes sit beyond the physical
-     * mesh in the fence map).  Functional contents (tags, data,
-     * persist-pending state) stay with the callers' shard.
-     */
-    void attachDataPlane(ShardedEventQueue *kernel, unsigned firstShard,
-                         unsigned firstFenceNode);
 
     bool contains(LineAddr line) const;
 
@@ -123,9 +93,6 @@ class Llc
     unsigned banks_;
     Cycle latency_;
     Cycle occupancy_ = 2;
-    ShardedEventQueue *dataPlane_ = nullptr;
-    unsigned firstShard_ = 0;
-    unsigned firstFenceNode_ = 0;
     Nvm &nvm_;
     std::vector<CacheArray> arrays_;
     std::vector<Cycle> bankBusyUntil_;

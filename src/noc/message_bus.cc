@@ -1,8 +1,5 @@
 #include "noc/message_bus.hh"
 
-#include "sim/log.hh"
-#include "sim/shard_fence.hh"
-
 namespace tsoper
 {
 
@@ -10,18 +7,12 @@ MessageBus::MessageBus(const SystemConfig &cfg, EventQueue &eq,
                        Mesh &mesh)
     : eq_(eq), mesh_(mesh), minLatency_(cfg.hopLatency)
 {
-    tsoper_assert(minLatency_ > 0,
-                  "hop latency must be positive: it is the sharded "
-                  "kernel's lookahead");
 }
 
 Cycle
 MessageBus::send(int src, int dst, unsigned bytes, Cycle depart,
                  EventQueue::Callback fn)
 {
-    // The sending tile must belong to the executing shard; the
-    // receiving tile is checked by the component handling delivery.
-    shardFenceCheck(static_cast<unsigned>(src));
     const Cycle at = mesh_.route(src, dst, bytes, depart);
     eq_.schedule(at, std::move(fn));
     return at;

@@ -2,12 +2,13 @@
  * @file
  * MessageBus: the explicit cross-tile message path.
  *
- * Stage 1 of the parallel-kernel refactor (ROADMAP item 2, docs/
- * pdes.md): every interaction between mesh tiles — core requests to
- * directory banks, grants and forwards back to cores, AGB ingress,
- * writeback traffic — flows through this choke point instead of
- * ad-hoc `mesh.route(...)` + `eq.schedule(...)` pairs scattered
- * through the components.  The bus offers exactly two shapes:
+ * Every interaction between mesh tiles — core requests to directory
+ * banks, grants and forwards back to cores, AGB ingress, writeback
+ * traffic — flows through this choke point instead of ad-hoc
+ * `mesh.route(...)` + `eq.schedule(...)` pairs scattered through the
+ * components, so per-layer NoC accounting has one place to hook into
+ * (DESIGN.md, "Message bus and transaction legs").  The bus offers
+ * exactly two shapes:
  *
  *  - send():    a timestamped message event — route through the mesh
  *               (accounting link contention) and run a continuation
@@ -18,17 +19,9 @@
  *               needs the legs' delivery cycles).  The route still
  *               occupies links, so traffic accounting is unchanged.
  *
- * Because the mesh's hop latency bounds every leg from below,
- * minLatency() is the conservative kernel's lookahead: no message
- * can cross tiles in fewer cycles, so shards may safely execute a
- * window of that width in parallel (sim/shard_queue.hh).
- *
- * Today each component constructs its bus over the shared Mesh and
- * the (single-shard) event queue, so send() degenerates to the exact
- * route+schedule sequence the components used to inline — fixed-seed
- * stats stay byte-identical.  When tiles move to their own shards,
- * this is the one seam where schedule() becomes
- * ShardedEventQueue::post().
+ * Each component constructs its bus over the shared Mesh and the
+ * System's one event queue, so send() is exactly a route followed by
+ * a schedule at the delivery cycle.
  */
 
 #ifndef TSOPER_NOC_MESSAGE_BUS_HH
@@ -74,8 +67,7 @@ class MessageBus
         return mesh_.route(src, dst, bytes, depart);
     }
 
-    /** Minimum latency of any cross-tile message: one NoC hop.  The
-     *  sharded kernel's lookahead. */
+    /** Minimum latency of any cross-tile message: one NoC hop. */
     Cycle minLatency() const { return minLatency_; }
 
     // --- Tile-name helpers (delegate to the mesh's node map) -------

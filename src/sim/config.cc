@@ -109,18 +109,8 @@ SystemConfig::validate() const
         tsoper_fatal(toString(engine), " requires the SLC protocol");
     if (engine == EngineKind::Bsp && protocol != ProtocolKind::Mesi)
         tsoper_fatal("BSP persists through the LLC on MESI");
-    if (threads == 0 || threads > 64)
-        tsoper_fatal("threads must be in [1, 64], got ", threads);
-    if (threads > 1 && hopLatency == 0)
-        tsoper_fatal("threads > 1 requires a positive hop latency "
-                     "(the sharded kernel's lookahead)");
     if (mshrEntries == 0)
         tsoper_fatal("a core needs at least one MSHR entry");
-    if (llcLatency < 2 * hopLatency)
-        tsoper_fatal("llcLatency (", llcLatency,
-                     ") must be at least twice hopLatency (", hopLatency,
-                     "): the LLC data-plane pipe spends one hop each "
-                     "way inside the access latency");
 }
 
 void
@@ -155,11 +145,7 @@ SystemConfig::describe(std::ostream &os) const
        << "  Atomic group cap      " << agMaxLines << " cachelines\n"
        << "  Eviction buffer       " << evictBufferEntries << " entries\n"
        << "  Protocol / engine     " << toString(protocol) << " / "
-       << toString(engine) << "\n"
-       << "  Event kernel          " << threads
-       << (threads == 1 ? " thread (sequential)"
-                        : " threads (sharded, conservative)")
-       << "\n";
+       << toString(engine) << "\n";
 }
 
 SystemConfig

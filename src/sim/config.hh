@@ -118,12 +118,6 @@ struct SystemConfig
     ProtocolKind protocol = ProtocolKind::Slc;
     EngineKind engine = EngineKind::Tsoper;
 
-    // --- Event kernel (sim/shard_queue.hh, docs/pdes.md) ----------------
-    /** Worker threads for the sharded event kernel.  1 = the classic
-     *  sequential kernel.  Fixed-seed results are byte-identical at
-     *  any value (the pdes_determinism ctest enforces it). */
-    unsigned threads = 1;
-
     // --- Instrumentation -------------------------------------------------
     bool recordStores = false;  ///< Keep the store log for crash checking.
     std::uint64_t seed = 1;

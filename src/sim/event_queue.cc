@@ -152,16 +152,4 @@ EventQueue::runFor(const std::function<bool()> &pred, Cycle maxCycle,
     return now_;
 }
 
-Cycle
-EventQueue::runBounded(const Cycle &bound, std::uint64_t maxEvents)
-{
-    Cycle when;
-    std::uint64_t ran = 0;
-    while (ran < maxEvents && peekNext(&when) && when <= bound) {
-        execNextAt(when);
-        ++ran;
-    }
-    return now_;
-}
-
 } // namespace tsoper

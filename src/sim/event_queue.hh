@@ -89,28 +89,7 @@ class EventQueue
     Cycle runFor(const std::function<bool()> &pred, Cycle maxCycle,
                  std::uint64_t maxEvents);
 
-    /**
-     * Like runFor (without the predicate), but re-reads @p bound
-     * before every event: an executing event may *tighten* the bound
-     * through the reference, and execution stops as soon as the next
-     * event would exceed the current value.  The sharded kernel uses
-     * this for uneven windows that contract when a shard posts a
-     * cross-shard message (sim/shard_queue.cc).
-     */
-    Cycle runBounded(const Cycle &bound, std::uint64_t maxEvents);
-
     Cycle now() const { return now_; }
-
-    /**
-     * Cycle of the earliest pending event.  @return false when the
-     * queue is empty.  The sharded kernel (sim/shard_queue.hh) uses
-     * this to compute the global window horizon across shards.
-     */
-    bool
-    nextEventAt(Cycle *when) const
-    {
-        return peekNext(when);
-    }
 
     bool empty() const { return size_ == 0; }
 

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "sim/event_queue.hh"
-#include "sim/shard_queue.hh"
 
 namespace tsoper
 {
@@ -66,13 +65,13 @@ throwHung(const char *phase, const std::string &reason,
     throw HungError(msg);
 }
 
-template <typename Queue>
+} // namespace
+
 void
-runGuardedImpl(Queue &eq, const std::function<bool()> &pred,
-               Cycle maxCycles, const WatchdogConfig &cfg,
-               const std::function<std::uint64_t()> &progressFn,
-               const std::function<std::string()> &dumpFn,
-               const char *phase)
+runGuarded(EventQueue &eq, const std::function<bool()> &pred,
+           Cycle maxCycles, const WatchdogConfig &cfg,
+           const std::function<std::uint64_t()> &progressFn,
+           const std::function<std::string()> &dumpFn, const char *phase)
 {
     const std::uint64_t chunk = cfg.checkEveryEvents;
     ProgressWatchdog dog(cfg);
@@ -106,26 +105,6 @@ runGuardedImpl(Queue &eq, const std::function<bool()> &pred,
                 throwHung(phase, reason, dumpFn);
         }
     }
-}
-
-} // namespace
-
-void
-runGuarded(EventQueue &eq, const std::function<bool()> &pred,
-           Cycle maxCycles, const WatchdogConfig &cfg,
-           const std::function<std::uint64_t()> &progressFn,
-           const std::function<std::string()> &dumpFn, const char *phase)
-{
-    runGuardedImpl(eq, pred, maxCycles, cfg, progressFn, dumpFn, phase);
-}
-
-void
-runGuarded(ShardedEventQueue &eq, const std::function<bool()> &pred,
-           Cycle maxCycles, const WatchdogConfig &cfg,
-           const std::function<std::uint64_t()> &progressFn,
-           const std::function<std::string()> &dumpFn, const char *phase)
-{
-    runGuardedImpl(eq, pred, maxCycles, cfg, progressFn, dumpFn, phase);
 }
 
 } // namespace tsoper

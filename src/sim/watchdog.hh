@@ -39,7 +39,6 @@ namespace tsoper
 {
 
 class EventQueue;
-class ShardedEventQueue;
 
 /** The simulation livelocked or exhausted its simulated-cycle budget;
  *  what() carries the reason plus the machine-state dump. */
@@ -114,14 +113,6 @@ class ProgressWatchdog
  * became true.
  */
 void runGuarded(EventQueue &eq, const std::function<bool()> &pred,
-                Cycle maxCycles, const WatchdogConfig &cfg,
-                const std::function<std::uint64_t()> &progressFn,
-                const std::function<std::string()> &dumpFn,
-                const char *phase);
-
-/** Same contract over the sharded kernel (sim/shard_queue.hh); with
- *  multiple shards the pred/budget checks land on window barriers. */
-void runGuarded(ShardedEventQueue &eq, const std::function<bool()> &pred,
                 Cycle maxCycles, const WatchdogConfig &cfg,
                 const std::function<std::uint64_t()> &progressFn,
                 const std::function<std::string()> &dumpFn,

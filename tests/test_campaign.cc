@@ -1,6 +1,7 @@
 /** @file Tests for the campaign subsystem: spec expansion, the
- *  work-stealing pool, timeout/retry classification, runOne, and
- *  report aggregation. */
+ *  work-stealing pool, timeout/retry classification, runOne,
+ *  determinism across job counts, report aggregation, and the
+ *  journal. */
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "campaign/builtin.hh"
 #include "campaign/journal.hh"
@@ -443,6 +445,43 @@ TEST(RunOne, CrashCellAuditsDurableState)
     EXPECT_FALSE(res.recoverySummary.empty());
 }
 
+// --- Determinism across jobs ------------------------------------------
+
+TEST(CampaignDeterminism, CanonicalReportIdenticalAtOneAndFourJobs)
+{
+    // Cells across cores is the simulator's one parallelism axis: the
+    // same cells run on one job and on four must give byte-identical
+    // canonical reports, every cell's full statistics included.
+    // Tracing and the persist audit stay off: the trace bus is
+    // process-global, so concurrent cells would share it.
+    std::vector<RunRequest> cells =
+        expand(findBuiltinCampaign("mini")->spec);
+    RunRequest crash;
+    crash.id = "tsoper/radix/x0.05/s1/c0.5";
+    crash.engine = "tsoper";
+    crash.bench = "radix";
+    crash.scale = 0.05;
+    crash.crashAt = 0.5;
+    crash.check = true;
+    cells.push_back(crash);
+
+    RunnerOptions opt;
+    opt.backoffBaseMs = 0;
+    opt.jobs = 1;
+    const CampaignReport serial = runCampaign("determinism", cells, opt);
+    opt.jobs = 4;
+    const CampaignReport parallel = runCampaign("determinism", cells, opt);
+
+    ASSERT_TRUE(serial.allOk()) << serial.summary();
+    ASSERT_TRUE(parallel.allOk()) << parallel.summary();
+    ASSERT_EQ(serial.cells.size(), 5u);
+    for (const CellReport &c : serial.cells)
+        EXPECT_GT(c.result.stats["counters"].size(), 0u) << c.request.id;
+    EXPECT_GT(serial.cells.back().result.crashCycle, 0u);
+    EXPECT_EQ(canonicalReportJson(serial).dump(),
+              canonicalReportJson(parallel).dump());
+}
+
 // --- Report JSON ------------------------------------------------------
 
 TEST(Report, JsonRoundTripsThroughParser)
@@ -595,6 +634,68 @@ TEST(Journal, ToleratesTornFinalLineAndRejectsWrongFormat)
     }
     EXPECT_FALSE(loadJournal(path, &idx, &err));
     EXPECT_NE(err.find("journal"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(Journal, TornFinalLineToleratedAtEveryByteOffset)
+{
+    const std::string path =
+        ::testing::TempDir() + "tsoper_journal_every_cut.jsonl";
+    std::string err;
+
+    {
+        CampaignJournal journal;
+        ASSERT_TRUE(journal.open(path, "torn", /*truncate=*/true, &err))
+            << err;
+        journal.append(okCell("keep0", 10));
+        journal.append(okCell("keep1", 20));
+        journal.append(okCell("torn", 30));
+    }
+
+    std::string full;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        full = buf.str();
+    }
+    // Start of the final record: the byte after the second-to-last
+    // newline (the file ends with one).
+    ASSERT_FALSE(full.empty());
+    ASSERT_EQ(full.back(), '\n');
+    const std::size_t lastStart = full.rfind('\n', full.size() - 2) + 1;
+    const std::size_t lastLen = full.size() - lastStart;
+    ASSERT_GT(lastLen, 2u);
+
+    // A writer can die after any byte of the final append.  Whatever
+    // the cut, the journal must load and keep the intact prefix.  Two
+    // cuts are special: +0 ends cleanly on the previous newline (no
+    // warning, nothing torn) and +lastLen-1 severs only the trailing
+    // newline, leaving a complete third record.
+    for (std::size_t cut = 0; cut < lastLen; ++cut) {
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(full.data(),
+                      static_cast<std::streamsize>(lastStart + cut));
+        }
+        JournalIndex index;
+        std::string warn;
+        ASSERT_TRUE(loadJournal(path, &index, &err, &warn))
+            << "cut at +" << cut << ": " << err;
+        EXPECT_TRUE(index.cells.count("keep0"));
+        EXPECT_TRUE(index.cells.count("keep1"));
+        if (cut == 0) {
+            EXPECT_EQ(index.cells.size(), 2u);
+            EXPECT_TRUE(warn.empty()) << warn; // clean end-of-file
+        } else if (cut == lastLen - 1) {
+            EXPECT_EQ(index.cells.size(), 3u); // record is whole
+            EXPECT_TRUE(warn.empty()) << warn;
+        } else {
+            EXPECT_EQ(index.cells.size(), 2u) << "cut at +" << cut;
+            EXPECT_NE(warn.find("torn"), std::string::npos)
+                << "cut at +" << cut << ": no warning";
+        }
+    }
     std::remove(path.c_str());
 }
 

@@ -3,9 +3,7 @@
  * The decomposed directory transactions (coherence/txn.hh and the
  * multi-message state machines in slc.cc / mesi.cc): TxnTable leg
  * folding, MSHR tracking and full-stall retry, request races on a
- * single line (two writers, invalidation vs. directory eviction), and
- * the shard fence catching a synchronous cross-tile LLC poke once the
- * data plane is attached.
+ * single line (two writers, invalidation vs. directory eviction).
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +16,6 @@
 #include "noc/mesh.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
-#include "sim/shard_fence.hh"
-#include "sim/shard_queue.hh"
 #include "sim/stats.hh"
 
 using namespace tsoper;
@@ -241,44 +237,6 @@ TYPED_TEST(RaceBothProtocols, InvalidationRacesDirectoryEviction)
     EXPECT_EQ(dload(3, kAddr), makeStoreId(1, 0));
     // And the storm's lines survived their evictions readably.
     EXPECT_EQ(dload(3, kAddr + 8 * lineBytes), makeStoreId(2, 1));
-}
-
-// --- Shard fence ------------------------------------------------------
-
-TEST(ShardFence, SynchronousLlcPokePanicsUnderDataPlane)
-{
-    // With the data plane attached, bank busy-pipes belong to the pipe
-    // shards.  A decomposed transaction body (executing as shard 0)
-    // calling the synchronous Llc::access is exactly the cross-tile
-    // poke the fence exists to catch — it must panic, not silently
-    // diverge.
-    SystemConfig cfg;
-    StatsRegistry stats;
-    EventQueue nvmEq;
-    Nvm nvm(cfg, nvmEq, stats);
-    Llc llc(cfg, nvm, stats);
-    ShardedEventQueue kernel(1 + cfg.llcBanks, 1,
-                             std::max<Cycle>(1, cfg.hopLatency));
-    const unsigned meshNodes = cfg.meshCols * cfg.meshRows;
-    llc.attachDataPlane(&kernel, /*firstShard=*/1,
-                        /*firstFenceNode=*/meshNodes);
-
-    ShardFenceMap map(meshNodes, 0);
-    for (unsigned b = 0; b < cfg.llcBanks; ++b)
-        map.setOwner(meshNodes + b, 1 + b);
-
-    {
-        ShardFenceScope scope(&map, /*shard=*/0);
-        try {
-            llc.access(kLine, 0);
-            FAIL() << "cross-tile LLC poke did not panic";
-        } catch (const std::logic_error &e) {
-            EXPECT_NE(std::string(e.what()).find("shard fence"),
-                      std::string::npos);
-        }
-    }
-    // Disarmed (unit-test context): the same call passes.
-    EXPECT_GT(llc.access(kLine, 0), 0u);
 }
 
 } // namespace

@@ -4,7 +4,9 @@
 
 #include <sstream>
 
+#include "core/system.hh"
 #include "sim/config.hh"
+#include "workload/generators.hh"
 
 using namespace tsoper;
 
@@ -83,6 +85,18 @@ TEST(Config, RejectsZeroCoresOrBuffers)
     SystemConfig cfg2;
     cfg2.storeBufferEntries = 0;
     EXPECT_THROW(cfg2.validate(), std::runtime_error);
+}
+
+TEST(Config, LlcLatencyMayEqualHopLatency)
+{
+    // The LLC access latency need not cover a NoC hop each way.
+    SystemConfig cfg = makeConfig(EngineKind::Tsoper);
+    cfg.llcLatency = cfg.hopLatency;
+    EXPECT_NO_THROW(cfg.validate());
+    const Workload w = generateByName("dedup", cfg.numCores, 1, 0.02);
+    System sys(cfg, w);
+    EXPECT_GT(sys.run(), 0u);
+    EXPECT_TRUE(sys.allFinished());
 }
 
 TEST(Config, AgbTotalLines)

@@ -14,35 +14,25 @@
  *   --repeat=<n>     repetitions per pattern (default 3)
  *   --median         keep the median-wall-clock repetition instead of
  *                    the fastest (steadier on noisy/shared hosts)
- *   --threads=<csv>  thread counts for the pdes sweep (default 1,2,4,8;
- *                    points above the host CPU count warn — they
- *                    measure contention, not scaling)
  *   --verify-out     re-read the emitted JSON and validate the schema
  *
- * Schema ("schema": "tsoper.bench.kernel/v3"):
+ * Schema ("schema": "tsoper.bench.kernel/v4"):
  *   {
  *     "schema": "...", "quick": bool,
  *     "provenance": {"git_sha": s, "hostname": s, "cpu_model": s,
- *                    "cmake_preset": s, "build_type": s},
+ *                    "host_cpus": u, "cmake_preset": s,
+ *                    "build_type": s},
  *     "micro": {"<pattern>": {"events": u, "wall_seconds": f,
  *                             "events_per_sec": f}, ...},
- *     "pdes": {"shards": u, "lookahead": u, "host_cpus": u,
- *              "sweep": [{"threads": u, "events": u,
- *                         "wall_seconds": f, "events_per_sec": f,
- *                         "speedup": f}, ...]},
  *     "fig11": {"engine": "tsoper", "bench": "ocean_cp", "seed": u,
  *               "scale": f, "cycles": u, "events": u,
  *               "wall_seconds": f, "events_per_sec": f}
  *   }
- * The pdes sweep runs the mixed-latency blend over the sharded kernel
- * (sim/shard_queue.hh) at each thread count; "speedup" is relative to
- * the sweep's threads=1 entry.  host_cpus records how many CPUs the
- * measuring host actually had — speedups are only meaningful up to
- * that bound (docs/pdes.md).  provenance records where the numbers came
- * from (dirty trees get a "-dirty" sha suffix) so a committed
- * BENCH_kernel.json is never mystery data; preset/build type are baked
- * in at compile time, the rest is read at run time, best effort —
- * fields degrade to "unknown", never fail the run.
+ * provenance records where the numbers came from (dirty trees get a
+ * "-dirty" sha suffix, host_cpus is the measuring host's CPU count) so
+ * a committed BENCH_kernel.json is never mystery data; preset/build
+ * type are baked in at compile time, the rest is read at run time,
+ * best effort — fields degrade to "unknown", never fail the run.
  * docs/perf.md documents how to read and track these numbers.
  */
 
@@ -167,6 +157,8 @@ buildProvenance()
         }
     }
     p.set("cpu_model", cpu);
+    p.set("host_cpus", static_cast<std::uint64_t>(
+                           std::thread::hardware_concurrency()));
 
     p.set("cmake_preset", TSOPER_BENCH_PRESET);
     p.set("build_type", TSOPER_BENCH_BUILD_TYPE);
@@ -178,7 +170,7 @@ verifyDocument(const Json &doc, std::string *err)
 {
     const Json *schema = doc.find("schema");
     if (!schema || !schema->isString() ||
-        schema->asString() != "tsoper.bench.kernel/v3") {
+        schema->asString() != "tsoper.bench.kernel/v4") {
         *err = "missing or wrong schema tag";
         return false;
     }
@@ -196,6 +188,11 @@ verifyDocument(const Json &doc, std::string *err)
             return false;
         }
     }
+    const Json *cpus = prov->find("host_cpus");
+    if (!cpus || !cpus->isNumber()) {
+        *err = "provenance.host_cpus missing";
+        return false;
+    }
     const Json *micro = doc.find("micro");
     if (!micro || !micro->isObject() || micro->size() < 3) {
         *err = "micro must be an object with >= 3 patterns";
@@ -207,35 +204,6 @@ verifyDocument(const Json &doc, std::string *err)
             const Json *v = entry.find(field);
             if (!v || !v->isNumber() || v->asDouble() <= 0.0) {
                 *err = "micro." + name + "." + field +
-                       " missing or non-positive";
-                return false;
-            }
-        }
-    }
-    const Json *pdes = doc.find("pdes");
-    if (!pdes || !pdes->isObject()) {
-        *err = "missing pdes block";
-        return false;
-    }
-    for (const char *field : {"shards", "lookahead", "host_cpus"}) {
-        const Json *v = pdes->find(field);
-        if (!v || !v->isNumber()) {
-            *err = std::string("pdes.") + field + " missing";
-            return false;
-        }
-    }
-    const Json *sweep = pdes->find("sweep");
-    if (!sweep || !sweep->isArray() || sweep->size() == 0) {
-        *err = "pdes.sweep must be a non-empty array";
-        return false;
-    }
-    for (std::size_t i = 0; i < sweep->size(); ++i) {
-        const Json &entry = sweep->at(i);
-        for (const char *field : {"threads", "events", "wall_seconds",
-                                  "events_per_sec", "speedup"}) {
-            const Json *v = entry.find(field);
-            if (!v || !v->isNumber() || v->asDouble() <= 0.0) {
-                *err = "pdes.sweep[" + std::to_string(i) + "]." + field +
                        " missing or non-positive";
                 return false;
             }
@@ -267,7 +235,6 @@ main(int argc, char **argv)
     bool verifyOut = false;
     bool median = false;
     unsigned repeat = 3;
-    std::vector<unsigned> threadList = {1, 2, 4, 8};
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--out=", 0) == 0) {
@@ -280,22 +247,9 @@ main(int argc, char **argv)
             repeat = static_cast<unsigned>(std::stoul(arg.substr(9)));
         } else if (arg == "--median") {
             median = true;
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            threadList.clear();
-            std::stringstream ts(arg.substr(10));
-            std::string tok;
-            while (std::getline(ts, tok, ','))
-                if (!tok.empty())
-                    threadList.push_back(
-                        static_cast<unsigned>(std::stoul(tok)));
-            if (threadList.empty()) {
-                std::fprintf(stderr, "--threads needs a CSV list\n");
-                return 2;
-            }
         } else if (arg == "--help" || arg == "-h") {
             std::printf("usage: tsoper_bench [--out=F] [--quick] "
-                        "[--repeat=N] [--median] [--threads=CSV] "
-                        "[--verify-out]\n");
+                        "[--repeat=N] [--median] [--verify-out]\n");
             return 0;
         } else {
             std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
@@ -309,7 +263,7 @@ main(int argc, char **argv)
         repeat = 1;
 
     Json doc = Json::object();
-    doc.set("schema", "tsoper.bench.kernel/v3");
+    doc.set("schema", "tsoper.bench.kernel/v4");
     doc.set("quick", quick);
     doc.set("provenance", buildProvenance());
 
@@ -338,53 +292,6 @@ main(int argc, char **argv)
         micro.set(p.name, std::move(entry));
     }
     doc.set("micro", std::move(micro));
-
-    // The pdes sweep: the mixed-latency blend sharded across one
-    // EventQueue per mesh tile, at each requested worker count.
-    {
-        const unsigned shards = 16;  // 4x4 mesh: one shard per tile.
-        const Cycle lookahead = 3;   // SystemConfig default hopLatency.
-        Json pdes = Json::object();
-        pdes.set("shards", shards);
-        pdes.set("lookahead", static_cast<std::uint64_t>(lookahead));
-        pdes.set("host_cpus",
-                 static_cast<std::uint64_t>(
-                     std::thread::hardware_concurrency()));
-        Json sweep = Json::array();
-        double baseline = 0.0;
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        for (const unsigned t : threadList) {
-            if (t > hw)
-                std::fprintf(stderr,
-                             "warning: sweep point threads=%u "
-                             "oversubscribes the %u hardware CPU%s — "
-                             "its speedup measures contention, not "
-                             "scaling\n",
-                             t, hw, hw == 1 ? "" : "s");
-            Json entry = timeRuns(repeat, median, [&] {
-                return bench::patternMixedLatencySharded(
-                    microEvents, shards, t, lookahead);
-            });
-            const double secs = entry["wall_seconds"].asDouble();
-            if (sweep.size() == 0)
-                baseline = secs;
-            const double speedup =
-                secs > 0.0 && baseline > 0.0 ? baseline / secs : 1.0;
-            entry.set("threads", t);
-            entry.set("speedup", speedup);
-            std::printf("%-18s %12.0f events/s (%.3fs, %llu events, "
-                        "%.2fx)\n",
-                        ("pdes_threads_" + std::to_string(t)).c_str(),
-                        entry["events_per_sec"].asDouble(), secs,
-                        static_cast<unsigned long long>(
-                            entry["events"].asUint()),
-                        speedup);
-            sweep.push(std::move(entry));
-        }
-        pdes.set("sweep", std::move(sweep));
-        doc.set("pdes", std::move(pdes));
-    }
 
     // One fixed-seed fig11 cell: the tsoper engine on ocean_cp.  The
     // workload is generated outside the timed region; the timer covers

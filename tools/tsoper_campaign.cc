@@ -11,9 +11,6 @@
  *   tsoper_campaign --campaign=fig11 --resume=results/fig11
  *   tsoper_campaign --list-campaigns
  *   tsoper_campaign --campaign=fig12 --dry-run
- *   tsoper_campaign --campaign=fig11 --serve=7421
- *   tsoper_campaign --connect=host:7421 --jobs=8
- *   tsoper_campaign --campaign=mini --serve=0 --workers-local=2
  *
  * A campaign expands into the cartesian grid of run manifests, runs
  * them on a work-stealing thread pool (per-cell timeout, retry with
@@ -35,9 +32,6 @@
  *   --cores=<n> --ag-max-lines=<n> --agb-slice-lines=<n>
  *   --name=<s>             campaign name in the report
  *   --jobs=<n>             worker threads   (default: hardware)
- *   --threads=<n>          event-kernel threads per cell, overriding
- *                          the spec (default: spec's, 0 = sequential;
- *                          keep jobs x threads <= host CPUs)
  *   --timeout-ms=<n>       per-cell budget  (default: spec's, 120000)
  *   --retries=<n>          extra attempts   (default: spec's, 1)
  *   --backoff-ms=<n>       first retry delay, doubling per attempt
@@ -58,56 +52,23 @@
  *   --quiet                suppress per-cell progress lines
  *   --list-campaigns       print built-in campaigns and exit
  *
- * Distributed mode (docs/campaigns.md, "Distributed campaigns"):
- *   --serve=<port>         coordinator: lease cells to TCP workers
- *                          (0 = ephemeral; the bound port is printed)
- *   --connect=<host:port>  worker: execute leases from a coordinator;
- *                          needs no spec — cells arrive on the wire
- *   --workers-local=<n>    with --serve: fork n loopback workers of
- *                          this binary (CI / single-machine use)
- *   --worker-name=<s>      worker name in coordinator logs
- *   --grace-ms=<n>         coordinator: fall back to the local runner
- *                          after n ms with no connected worker
- *   --heartbeat-timeout-ms=<n>  declare a silent worker dead
- *   --straggler-ms=<n>     re-lease tail cells older than n ms to
- *                          idle workers (0 disables)
- *   --no-local-fallback    fail-stop instead of degrading locally
- *   --net-fault=K:SEED[:RATE]  deterministic wire-fault injection
- *                          (K = drop|dup|truncate|delay) on this
- *                          side's send path; negative-control testing
- *   --canonical-out=<file> also write the canonical (volatile-field-
- *                          free) report projection; byte-identical
- *                          across local and distributed runs
- *   --chaos-kill-worker=<n>  with --workers-local: SIGKILL the first
- *                          forked worker after n merged results
- *   --die-after=<n>        worker: vanish (no goodbye) after n
- *                          results — deterministic crash stand-in
- *
  * Exit codes:
  *   0  every cell ok            3  invalid spec / unknown campaign
  *   1  some cells not ok        4  report/journal I/O or verify failure
- *   2  usage error              5  worker: connection lost for good
- *                               6  worker: --die-after fired
+ *   2  usage error
  */
 
-#include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "campaign/builtin.hh"
-#include "campaign/coordinator.hh"
 #include "campaign/journal.hh"
 #include "campaign/runner.hh"
 #include "campaign/spec.hh"
-#include "campaign/worker.hh"
 #include "workload/generators.hh"
 
 using namespace tsoper;
@@ -131,28 +92,12 @@ struct CliOptions
     unsigned jobs = 0;
     int timeoutMs = -1; ///< -1 = take the spec's value.
     int retries = -1;
-    int threads = -1; ///< -1 = take the spec's value.
     bool verifyOut = false;
     bool dryRun = false;
     bool quiet = false;
     bool listCampaigns = false;
     CampaignSpec matrix; ///< From matrix flags.
     bool matrixTouched = false;
-
-    // Distributed mode.
-    bool serve = false;
-    unsigned servePort = 0;
-    std::string connectTo; ///< host:port; non-empty = worker mode.
-    unsigned workersLocal = 0;
-    std::string workerName;
-    unsigned graceMs = 10'000;
-    unsigned heartbeatTimeoutMs = 10'000;
-    unsigned stragglerMs = 10'000;
-    bool localFallback = true;
-    net::WireFault fault;
-    std::string canonicalOut;
-    std::uint64_t chaosKillWorker = 0;
-    std::uint64_t dieAfter = 0;
 };
 
 [[noreturn]] void
@@ -161,19 +106,12 @@ usage(int code)
     std::printf(
         "usage: tsoper_campaign (--campaign=NAME | --spec=FILE | matrix "
         "flags)\n"
-        "                       [--jobs=N] [--threads=N] [--timeout-ms=N] "
-        "[--retries=N]\n"
+        "                       [--jobs=N] [--timeout-ms=N] [--retries=N]\n"
         "                       [--backoff-ms=N] [--isolate=none|subprocess]\n"
         "                       [--sim-bin=PATH] [--mem-limit-mb=N]\n"
         "                       [--out=FILE] [--resume=DIR] [--no-journal]\n"
         "                       [--verify-out] [--dry-run] [--quiet]\n"
         "                       [--list-campaigns]\n"
-        "distributed:  --serve=PORT [--workers-local=N] [--grace-ms=N]\n"
-        "              [--heartbeat-timeout-ms=N] [--straggler-ms=N]\n"
-        "              [--no-local-fallback] [--chaos-kill-worker=N]\n"
-        "              --connect=HOST:PORT [--worker-name=S] [--die-after=N]\n"
-        "              [--net-fault=drop|dup|truncate|delay:SEED[:RATE]]\n"
-        "              [--canonical-out=FILE]\n"
         "matrix flags: --engines=a,b|all --benches=a,b|all --scales=f,..\n"
         "              --seeds=n,.. --crash-at=f,.. --check --cores=N\n"
         "              --ag-max-lines=N --agb-slice-lines=N --name=S\n");
@@ -299,58 +237,9 @@ parseCli(int argc, char **argv)
                 opt.timeoutMs = static_cast<int>(
                     parseBoundedOrDie(val("--timeout-ms="),
                                       "--timeout-ms", 0, 86'400'000));
-            } else if (arg.rfind("--threads=", 0) == 0) {
-                opt.threads = static_cast<int>(parseBoundedOrDie(
-                    val("--threads="), "--threads", 0, 64));
             } else if (arg.rfind("--retries=", 0) == 0) {
                 opt.retries = static_cast<int>(parseBoundedOrDie(
                     val("--retries="), "--retries", 0, 100));
-            } else if (arg.rfind("--serve=", 0) == 0) {
-                opt.serve = true;
-                opt.servePort = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--serve="), "--serve", 0,
-                                      65'535));
-            } else if (arg.rfind("--connect=", 0) == 0) {
-                opt.connectTo = val("--connect=");
-            } else if (arg.rfind("--workers-local=", 0) == 0) {
-                opt.workersLocal = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--workers-local="),
-                                      "--workers-local", 1, 64));
-            } else if (arg.rfind("--worker-name=", 0) == 0) {
-                opt.workerName = val("--worker-name=");
-            } else if (arg.rfind("--grace-ms=", 0) == 0) {
-                opt.graceMs = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--grace-ms="), "--grace-ms",
-                                      0, 3'600'000));
-            } else if (arg.rfind("--heartbeat-timeout-ms=", 0) == 0) {
-                opt.heartbeatTimeoutMs = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--heartbeat-timeout-ms="),
-                                      "--heartbeat-timeout-ms", 100,
-                                      3'600'000));
-            } else if (arg.rfind("--straggler-ms=", 0) == 0) {
-                opt.stragglerMs = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--straggler-ms="),
-                                      "--straggler-ms", 0,
-                                      3'600'000));
-            } else if (arg == "--no-local-fallback") {
-                opt.localFallback = false;
-            } else if (arg.rfind("--net-fault=", 0) == 0) {
-                std::string err;
-                if (!net::parseWireFault(val("--net-fault="),
-                                         &opt.fault, &err)) {
-                    std::fprintf(stderr, "--net-fault: %s\n",
-                                 err.c_str());
-                    std::exit(2);
-                }
-            } else if (arg.rfind("--canonical-out=", 0) == 0) {
-                opt.canonicalOut = val("--canonical-out=");
-            } else if (arg.rfind("--chaos-kill-worker=", 0) == 0) {
-                opt.chaosKillWorker = parseBoundedOrDie(
-                    val("--chaos-kill-worker="), "--chaos-kill-worker",
-                    1, 1'000'000);
-            } else if (arg.rfind("--die-after=", 0) == 0) {
-                opt.dieAfter = parseBoundedOrDie(
-                    val("--die-after="), "--die-after", 1, 1'000'000);
             } else if (arg == "--verify-out") {
                 opt.verifyOut = true;
             } else if (arg == "--dry-run") {
@@ -432,57 +321,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Worker mode: no spec, no report — cells arrive on the wire and
-    // results go back the same way.
-    if (!opt.connectTo.empty()) {
-        if (opt.serve || opt.workersLocal) {
-            std::fprintf(stderr,
-                         "--connect excludes --serve/--workers-local\n");
-            usage(2);
-        }
-        const std::size_t colon = opt.connectTo.rfind(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 == opt.connectTo.size()) {
-            std::fprintf(stderr,
-                         "--connect expects HOST:PORT, got '%s'\n",
-                         opt.connectTo.c_str());
-            usage(2);
-        }
-        WorkerOptions w;
-        w.host = opt.connectTo.substr(0, colon);
-        w.port = static_cast<std::uint16_t>(
-            parseBoundedOrDie(opt.connectTo.substr(colon + 1),
-                              "--connect port", 1, 65'535));
-        w.name = opt.workerName;
-        w.jobs = opt.jobs ? opt.jobs : 1;
-        w.fault = opt.fault;
-        w.dieAfterResults = opt.dieAfter;
-        if (opt.isolate == "subprocess") {
-            w.runner.isolation = Isolation::Subprocess;
-            w.runner.subprocess.simBinary = opt.simBin;
-            w.runner.subprocess.memLimitMb = opt.memLimitMb;
-        }
-        if (opt.backoffMs >= 0)
-            w.runner.backoffBaseMs =
-                static_cast<unsigned>(opt.backoffMs);
-        if (!opt.quiet)
-            w.progress = &std::cerr;
-        WorkerStats stats;
-        const int code = runWorker(w, &stats);
-        if (!opt.quiet)
-            std::fprintf(stderr, "%s\n", stats.summary().c_str());
-        return code;
-    }
-    if (opt.workersLocal && !opt.serve) {
-        std::fprintf(stderr, "--workers-local requires --serve\n");
-        usage(2);
-    }
-    if (opt.chaosKillWorker && !opt.workersLocal) {
-        std::fprintf(stderr,
-                     "--chaos-kill-worker requires --workers-local\n");
-        usage(2);
-    }
-
     const int sources = (opt.campaignName.empty() ? 0 : 1) +
                         (opt.specFile.empty() ? 0 : 1) +
                         (opt.matrixTouched ? 1 : 0);
@@ -513,14 +351,6 @@ main(int argc, char **argv)
     } else {
         spec = opt.matrix;
     }
-
-    // The threads override rides on top of whichever spec source won:
-    // it shapes the host's thread budget (jobs x threads), not the
-    // simulated machine, so sweeping it over a built-in campaign must
-    // not require editing the spec (docs/campaigns.md, "Sweeping the
-    // threads axis").
-    if (opt.threads >= 0)
-        spec.threads = static_cast<unsigned>(opt.threads);
 
     const std::string invalid = validateSpec(spec);
     if (!invalid.empty()) {
@@ -622,125 +452,13 @@ main(int argc, char **argv)
                     ? " (subprocess isolation)"
                     : "");
 
-    CampaignReport report;
-    if (opt.serve) {
-        std::vector<pid_t> workerPids;
-        bool chaosKilled = false;
-
-        CoordinatorOptions co;
-        co.port = static_cast<std::uint16_t>(opt.servePort);
-        co.runner = runner;
-        co.heartbeatTimeoutMs = opt.heartbeatTimeoutMs;
-        co.stragglerMs = opt.stragglerMs;
-        co.graceMs = opt.graceMs;
-        co.localFallback = opt.localFallback;
-        co.fault = opt.fault;
-        if (opt.chaosKillWorker)
-            co.onResult = [&](std::size_t merged) {
-                if (chaosKilled || merged < opt.chaosKillWorker ||
-                    workerPids.empty())
-                    return;
-                chaosKilled = true;
-                std::fprintf(stderr,
-                             "chaos: SIGKILL worker pid %d after %zu "
-                             "merged result%s\n",
-                             static_cast<int>(workerPids.front()),
-                             merged, merged == 1 ? "" : "s");
-                ::kill(workerPids.front(), SIGKILL);
-            };
-
-        Coordinator coord(std::move(co));
-        std::string err;
-        if (!coord.listen(&err)) {
-            std::fprintf(stderr, "cannot serve: %s\n", err.c_str());
-            return 4;
-        }
-        std::printf("serving campaign %s on port %u\n",
-                    spec.name.c_str(), coord.port());
-        std::fflush(stdout);
-
-        // Loopback workers: fork+exec this very binary in --connect
-        // mode.  CI's way of getting a real multi-process fabric on
-        // one machine.
-        const std::string self = [] {
-            char buf[4096];
-            const ssize_t n =
-                ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-            if (n <= 0)
-                return std::string("tsoper_campaign");
-            buf[n] = '\0';
-            return std::string(buf);
-        }();
-        for (unsigned i = 0; i < opt.workersLocal; ++i) {
-            std::vector<std::string> wargv = {
-                self,
-                "--connect=127.0.0.1:" + std::to_string(coord.port()),
-                "--worker-name=local-" + std::to_string(i),
-                "--jobs=" + std::to_string(opt.jobs ? opt.jobs : 1),
-            };
-            if (opt.isolate == "subprocess") {
-                wargv.push_back("--isolate=subprocess");
-                if (!opt.simBin.empty())
-                    wargv.push_back("--sim-bin=" + opt.simBin);
-                if (opt.memLimitMb)
-                    wargv.push_back("--mem-limit-mb=" +
-                                    std::to_string(opt.memLimitMb));
-            }
-            if (opt.quiet)
-                wargv.push_back("--quiet");
-            if (opt.dieAfter && i == 0)
-                wargv.push_back("--die-after=" +
-                                std::to_string(opt.dieAfter));
-            const pid_t pid = ::fork();
-            if (pid < 0) {
-                std::fprintf(stderr, "fork worker: %s\n",
-                             std::strerror(errno));
-                break;
-            }
-            if (pid == 0) {
-                std::vector<char *> cargv;
-                for (std::string &a : wargv)
-                    cargv.push_back(a.data());
-                cargv.push_back(nullptr);
-                ::execv(cargv[0], cargv.data());
-                std::fprintf(stderr, "exec %s: %s\n", cargv[0],
-                             std::strerror(errno));
-                ::_exit(127);
-            }
-            workerPids.push_back(pid);
-        }
-
-        report = coord.run(spec.name, cells);
-
-        for (pid_t pid : workerPids) {
-            int wstatus = 0;
-            pid_t got;
-            do {
-                got = ::waitpid(pid, &wstatus, 0);
-            } while (got < 0 && errno == EINTR);
-        }
-        if (!opt.quiet)
-            std::fprintf(stderr, "%s\n",
-                         coord.stats().summary().c_str());
-    } else {
-        report = runCampaign(spec.name, cells, runner);
-    }
+    const CampaignReport report = runCampaign(spec.name, cells, runner);
     journal.close();
 
     std::string err;
     if (!writeReportFile(report, opt.out, &err)) {
         std::fprintf(stderr, "%s\n", err.c_str());
         return 4;
-    }
-    if (!opt.canonicalOut.empty()) {
-        std::ofstream os(opt.canonicalOut);
-        os << canonicalReportJson(report).dump(2) << "\n";
-        os.flush();
-        if (!os) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opt.canonicalOut.c_str());
-            return 4;
-        }
     }
     std::printf("%s\nreport written to %s (%.0f ms wall)\n",
                 report.summary().c_str(), opt.out.c_str(),

@@ -23,10 +23,6 @@
  *   --scale=<f>            workload scale       (default 1.0)
  *   --seed=<n>             workload seed        (default 1)
  *   --cores=<n>            core count           (default 8)
- *   --threads=<n>          event-kernel threads (default 1; results
- *                          are byte-identical at any value; clamped to
- *                          the hardware CPU count with a warning
- *                          unless TSOPER_FORCE_THREADS is set)
  *   --ag-max-lines=<n>     atomic group cap
  *   --agb-slice-lines=<n>  AGB slice capacity
  *   --crash-at=<c|f>       crash at cycle c (>1) or fraction f of the
@@ -76,7 +72,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <thread>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -184,7 +179,7 @@ usage(int code)
 {
     std::printf("usage: tsoper_sim [--engine=E] [--bench=B|--trace=F] "
                 "[--scale=F] [--seed=N]\n"
-                "                  [--cores=N] [--threads=N] [--crash-at=C] "
+                "                  [--cores=N] [--crash-at=C] "
                 "[--check] [--stats] [--stats-out=F]\n"
                 "                  [--stats-json=F] [--result-json=F] "
                 "[--max-cycles=N]\n"
@@ -251,9 +246,6 @@ parseCli(int argc, char **argv)
             else if (arg.rfind("--cores=", 0) == 0)
                 opt.run.cores = static_cast<unsigned>(
                     std::stoul(val("--cores=")));
-            else if (arg.rfind("--threads=", 0) == 0)
-                opt.run.threads = static_cast<unsigned>(
-                    std::stoul(val("--threads=")));
             else if (arg.rfind("--ag-max-lines=", 0) == 0)
                 opt.run.agMaxLines = static_cast<unsigned>(
                     std::stoul(val("--ag-max-lines=")));
@@ -295,23 +287,6 @@ main(int argc, char **argv)
 
     if (!opt.selftest.empty())
         runSelftest(opt.selftest);
-
-    // Oversubscribing the kernel's worker pool only burns wall-clock
-    // (results are byte-identical at any thread count), so clamp to
-    // the hardware unless the user insists — the determinism ctests
-    // insist, since CI hosts may expose a single CPU.
-    if (opt.run.threads > 1 && !std::getenv("TSOPER_FORCE_THREADS")) {
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        if (opt.run.threads > hw) {
-            std::fprintf(stderr,
-                         "warning: --threads=%u exceeds the %u hardware "
-                         "CPU%s; clamping (TSOPER_FORCE_THREADS=1 "
-                         "forces oversubscription)\n",
-                         opt.run.threads, hw, hw == 1 ? "" : "s");
-            opt.run.threads = hw;
-        }
-    }
 
     if (opt.listBenchmarks) {
         for (const Profile &p : allProfiles())
