@@ -4,8 +4,8 @@
  * (bench/kernel_patterns.hh): events/sec for the schedule-heavy,
  * zero-delay-heavy and mixed-latency mixes.  tools/tsoper_bench runs
  * the same patterns with its own wall-clock timer and emits
- * BENCH_kernel.json; this binary is for interactive profiling
- * (perf record ./bench/micro_kernel --benchmark_filter=Mixed).
+ * BENCH_kernel.json; this binary is for interactive profiling (build
+ * with -pg and read gprof, e.g. --benchmark_filter=Mixed).
  */
 
 #include <benchmark/benchmark.h>

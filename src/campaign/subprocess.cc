@@ -127,7 +127,7 @@ requestToArgv(const RunRequest &r, const std::string &simBinary)
     argv.push_back(simBinary);
     argv.push_back("--engine=" + r.engine);
     if (!r.traceFile.empty())
-        argv.push_back("--trace=" + r.traceFile);
+        argv.push_back("--trace-file=" + r.traceFile);
     else
         argv.push_back("--bench=" + r.bench);
     argv.push_back("--scale=" + formatDouble(r.scale));

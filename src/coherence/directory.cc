@@ -10,9 +10,20 @@ namespace tsoper
 void
 LineSerializer::submit(LineAddr line, Body body)
 {
-    LineState &state = lines_[line];
+    auto it = lines_.find(line);
+    if (it == lines_.end() && !spare_.empty()) {
+        // Recycle a released line's node: no allocation per transaction.
+        auto node = std::move(spare_.back());
+        spare_.pop_back();
+        node.key() = line;
+        node.mapped().busy = false;
+        it = lines_.insert(std::move(node)).position;
+    } else if (it == lines_.end()) {
+        it = lines_.try_emplace(line).first;
+    }
+    LineState &state = it->second;
     if (state.busy) {
-        state.queue.push_back(std::move(body));
+        state.queue.push(std::move(body));
         return;
     }
     dispatch(line, state, std::move(body));
@@ -55,13 +66,12 @@ LineSerializer::release(LineAddr line)
     tsoper_assert(it != lines_.end() && it->second.busy,
                   "release of idle line");
     if (it->second.queue.empty()) {
-        // Erase idle lines: lines_ stays bounded by in-flight
+        // Drop idle lines: lines_ stays bounded by in-flight
         // transactions instead of growing with the address footprint.
-        lines_.erase(it);
+        spare_.push_back(lines_.extract(it));
         return;
     }
-    Body next = std::move(it->second.queue.front());
-    it->second.queue.pop_front();
+    Body next = it->second.queue.pop();
     dispatch(line, it->second, std::move(next));
 }
 

@@ -20,13 +20,14 @@
 #ifndef TSOPER_COHERENCE_DIRECTORY_HH
 #define TSOPER_COHERENCE_DIRECTORY_HH
 
-#include <deque>
-#include <functional>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "mem/cache_array.hh"
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -39,8 +40,9 @@ class LineSerializer
     /** Transaction body: runs at its dispatch cycle and returns the
      *  cycle at which the next transaction for the line may dispatch,
      *  or nullopt for a *deferred* transaction whose completing
-     *  message leg calls releaseAt() once it lands. */
-    using Body = std::function<std::optional<Cycle>(Cycle)>;
+     *  message leg calls releaseAt() once it lands (sized to ride in
+     *  a request message event). */
+    using Body = InlineFunction<std::optional<Cycle>(Cycle), 88>;
 
     explicit LineSerializer(EventQueue &eq) : eq_(eq) {}
 
@@ -65,14 +67,17 @@ class LineSerializer
     struct LineState
     {
         bool busy = false;
-        std::deque<Body> queue;
+        Fifo<Body> queue; ///< Allocates nothing while empty.
     };
 
     void dispatch(LineAddr line, LineState &state, Body body);
     void release(LineAddr line);
 
+    using LineMap = std::unordered_map<LineAddr, LineState>;
+
     EventQueue &eq_;
-    std::unordered_map<LineAddr, LineState> lines_;
+    LineMap lines_;
+    std::vector<LineMap::node_type> spare_; ///< Released nodes, for reuse.
 };
 
 /**

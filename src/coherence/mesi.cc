@@ -49,26 +49,6 @@ MesiProtocol::node(CoreId core, LineAddr line)
     return *n;
 }
 
-template <typename Done>
-bool
-MesiProtocol::mshrAdmit(CoreId core, LineAddr line, Done *done,
-                        std::function<void()> retry)
-{
-    if (mshr_.has(core, line))
-        return true; // Secondary miss / retry of the in-flight primary.
-    if (mshr_.full(core)) {
-        mshr_.defer(core, std::move(retry));
-        return false;
-    }
-    mshr_.enter(core, line);
-    *done = [this, core, line,
-             inner = std::move(*done)](auto &&...args) {
-        mshr_.leave(core, line);
-        inner(std::forward<decltype(args)>(args)...);
-    };
-    return true;
-}
-
 void
 MesiProtocol::load(CoreId core, Addr addr, LoadDone done)
 {
@@ -77,23 +57,38 @@ MesiProtocol::load(CoreId core, Addr addr, LoadDone done)
         hits_.inc();
         arrays_[static_cast<unsigned>(core)].touch(line);
         const StoreId value = n->words[wordOf(addr)];
-        eq_.scheduleIn(cfg_.privLatency, [done, value, this] {
-            done(eq_.now(), value);
-        });
+        eq_.scheduleIn(cfg_.privLatency,
+                       [this, value, done = std::move(done)]() mutable {
+                           done(eq_.now(), value);
+                       });
         return;
     }
-    if (!mshrAdmit(core, line, &done,
-                   [this, core, addr, done] { load(core, addr, done); }))
+    bool holdsMshr = false;
+    if (!mshr_.admit(core, line, &holdsMshr)) {
+        mshr_.defer(core,
+                    [this, core, addr, done = std::move(done)]() mutable {
+                        load(core, addr, std::move(done));
+                    });
         return;
+    }
     misses_.inc();
-    auto body = [this, core, addr, done](Cycle t) {
-        return loadTxn(core, addr, done, t);
-    };
-    submitTxn(core, line, std::move(body), eq_.now() + cfg_.privLatency);
+    submitTxn(core, line,
+              [this, core, holdsMshr, addr,
+               done = std::move(done)](Cycle t) mutable {
+                  return loadTxn(core, addr, std::move(done), holdsMshr, t);
+              },
+              eq_.now() + cfg_.privLatency);
 }
 
 void
 MesiProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
+{
+    issueStore(core, addr, store, std::move(done), false);
+}
+
+void
+MesiProtocol::issueStore(CoreId core, Addr addr, StoreId store,
+                         StoreDone done, bool holdsMshr)
 {
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line);
@@ -104,17 +99,26 @@ MesiProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
         n->words[wordOf(addr)] = store;
         hooks_->onStoreCommitted(core, line, eq_.now());
         logStore(core, addr, store);
-        eq_.scheduleIn(cfg_.privLatency, [done, this] { done(eq_.now()); });
+        eq_.scheduleIn(cfg_.privLatency, [this, core, holdsMshr, line,
+                                          done = std::move(done)]() mutable {
+            mshr_.complete(core, line, holdsMshr, done, eq_.now());
+        });
         return;
     }
-    if (!mshrAdmit(core, line, &done, [this, core, addr, store, done] {
-            this->store(core, addr, store, done);
-        }))
+    if (!holdsMshr && !mshr_.admit(core, line, &holdsMshr)) {
+        mshr_.defer(core, [this, core, addr, store,
+                           done = std::move(done)]() mutable {
+            issueStore(core, addr, store, std::move(done), false);
+        });
         return;
-    auto body = [this, core, addr, store, done](Cycle t) {
-        return storeTxn(core, addr, store, done, t);
-    };
-    submitTxn(core, line, std::move(body), eq_.now() + cfg_.privLatency);
+    }
+    submitTxn(core, line,
+              [this, core, holdsMshr, addr, store,
+               done = std::move(done)](Cycle t) mutable {
+                  return storeTxn(core, addr, store, std::move(done),
+                                  holdsMshr, t);
+              },
+              eq_.now() + cfg_.privLatency);
 }
 
 void
@@ -129,12 +133,14 @@ MesiProtocol::submitTxn(CoreId core, LineAddr line,
 }
 
 std::optional<Cycle>
-MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
+MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
+                      Cycle t)
 {
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line); n && n->st != St::I) {
         // Raced: an earlier queued transaction already fetched it.
-        done(t + dirLatency_, n->words[wordOf(addr)]);
+        const StoreId value = n->words[wordOf(addr)];
+        mshr_.complete(core, line, holdsMshr, done, t + dirLatency_, value);
         return t + dirLatency_;
     }
     if (auto victim = capacity_.allocate(line))
@@ -168,13 +174,14 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
         const StoreId value = words[wordOf(addr)];
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(o),
                   cfg_.ctrlMsgBytes, t,
-                  [this, o, core, line, value, done, floor, wasM] {
+                  [this, o, core, holdsMshr, wasM, line, value, floor,
+                   done = std::move(done)]() mutable {
                       const Cycle ready = std::max(eq_.now(), floor);
                       // The data reply leaves first (critical path)...
-                      const Cycle dataAt = bus_.send(
-                          bus_.coreNode(o), bus_.coreNode(core),
+                      const Cycle dataAt = mshr_.reply(
+                          bus_, bus_.coreNode(o), core, line, holdsMshr,
                           lineBytes + cfg_.ctrlMsgBytes, ready,
-                          [this, done, value] { done(eq_.now(), value); });
+                          std::move(done), value);
                       if (Node *n = findNode(core, line))
                           n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
                       if (wasM) {
@@ -201,20 +208,17 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
             insertResident(core, line, t);
             capacity_.setPinned(line, true);
             const StoreId value = words[wordOf(addr)];
-            fillTiming(line, t, false,
-                       [this, core, line, value, done](Cycle at) {
-                           const Cycle dataAt = bus_.send(
-                               bus_.bankNode(bankOf(line)),
-                               bus_.coreNode(core),
-                               lineBytes + cfg_.ctrlMsgBytes, at,
-                               [this, done, value] {
-                                   done(eq_.now(), value);
-                               });
-                           if (Node *n = findNode(core, line))
-                               n->dataReadyAt =
-                                   std::max(n->dataReadyAt, dataAt);
-                           finishTxn(line, dataAt);
-                       });
+            eq_.schedule(llc_.access(line, t),
+                         [this, core, holdsMshr, line, value,
+                          done = std::move(done)]() mutable {
+                const Cycle dataAt = mshr_.reply(
+                    bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
+                    lineBytes + cfg_.ctrlMsgBytes, eq_.now(), std::move(done),
+                    value);
+                if (Node *n = findNode(core, line))
+                    n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
+                finishTxn(line, dataAt);
+            });
             return std::nullopt;
         }
         // LLC lost the shared copy; fetch from any sharer.
@@ -236,12 +240,13 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
         const StoreId value = words[wordOf(addr)];
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(s),
                   cfg_.ctrlMsgBytes, t,
-                  [this, s, core, line, value, done, floor] {
+                  [this, s, core, holdsMshr, line, value, floor,
+                   done = std::move(done)]() mutable {
                       const Cycle ready = std::max(eq_.now(), floor);
-                      const Cycle dataAt = bus_.send(
-                          bus_.coreNode(s), bus_.coreNode(core),
+                      const Cycle dataAt = mshr_.reply(
+                          bus_, bus_.coreNode(s), core, line, holdsMshr,
                           lineBytes + cfg_.ctrlMsgBytes, ready,
-                          [this, done, value] { done(eq_.now(), value); });
+                          std::move(done), value);
                       if (Node *n = findNode(core, line))
                           n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
                       finishTxn(line, dataAt);
@@ -260,11 +265,12 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
     insertResident(core, line, t);
     capacity_.setPinned(line, true);
     const StoreId value = words[wordOf(addr)];
-    fillTiming(line, t, true, [this, core, line, value, done](Cycle at) {
-        const Cycle dataAt = bus_.send(
-            bus_.bankNode(bankOf(line)), bus_.coreNode(core),
-            lineBytes + cfg_.ctrlMsgBytes, at,
-            [this, done, value] { done(eq_.now(), value); });
+    eq_.schedule(llc_.access(line, t), [this, core, holdsMshr, line, value,
+                                        done = std::move(done)]() mutable {
+        const Cycle dataAt = mshr_.reply(
+            bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
+            lineBytes + cfg_.ctrlMsgBytes, nvm_.read(line, eq_.now()),
+            std::move(done), value);
         if (Node *n = findNode(core, line))
             n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
         finishTxn(line, dataAt);
@@ -274,13 +280,17 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
 
 std::optional<Cycle>
 MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
-                       StoreDone done, Cycle t)
+                       StoreDone done, bool holdsMshr, Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    if (hooks_->tryDeferStoreCommit(core, line,
-                                    [this, core, addr, store, done] {
-            this->store(core, addr, store, done);
-        })) {
+    // The store gate may have closed while the request was in flight:
+    // re-check it at the serialization instant.
+    if (!hooks_->storeMayCommit(core, line)) {
+        hooks_->addStoreWaiter(core, line, [this, core, holdsMshr, addr,
+                                            store,
+                                            done = std::move(done)]() mutable {
+            issueStore(core, addr, store, std::move(done), holdsMshr);
+        });
         return t + dirLatency_;
     }
     if (Node *n = findNode(core, line);
@@ -290,7 +300,7 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         n->words[wordOf(addr)] = store;
         hooks_->onStoreCommitted(core, line, t);
         logStore(core, addr, store);
-        done(t + dirLatency_);
+        mshr_.complete(core, line, holdsMshr, done, t + dirLatency_);
         return t + dirLatency_;
     }
     if (auto victim = capacity_.allocate(line))
@@ -322,12 +332,13 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         capacity_.setPinned(line, true);
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(o),
                   cfg_.ctrlMsgBytes, t,
-                  [this, o, core, line, done, floor] {
+                  [this, o, core, holdsMshr, line, floor,
+                   done = std::move(done)]() mutable {
                       const Cycle ready = std::max(eq_.now(), floor);
-                      const Cycle dataAt = bus_.send(
-                          bus_.coreNode(o), bus_.coreNode(core),
+                      const Cycle dataAt = mshr_.reply(
+                          bus_, bus_.coreNode(o), core, line, holdsMshr,
                           lineBytes + cfg_.ctrlMsgBytes, ready,
-                          [this, done] { done(eq_.now()); });
+                          std::move(done));
                       if (Node *n = findNode(core, line))
                           n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
                       finishTxn(line, dataAt);
@@ -345,10 +356,11 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
                 ++numInv;
         const TxnTable::Id id = txns_.begin(
             line, core, numInv + 1,
-            [this, core, line, done](Cycle readyAt) {
+            [this, core, holdsMshr, line,
+             done = std::move(done)](Cycle readyAt) mutable {
                 if (Node *n = findNode(core, line))
                     n->dataReadyAt = std::max(n->dataReadyAt, readyAt);
-                done(readyAt);
+                mshr_.complete(core, line, holdsMshr, done, readyAt);
                 finishTxn(line, readyAt);
             });
         sendInvalidations(line, core, core, t, id);
@@ -386,10 +398,11 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
                 ++numInv;
         const TxnTable::Id id = txns_.begin(
             line, core, numInv + 1,
-            [this, core, line, done](Cycle readyAt) {
+            [this, core, holdsMshr, line,
+             done = std::move(done)](Cycle readyAt) mutable {
                 if (Node *n = findNode(core, line))
                     n->dataReadyAt = std::max(n->dataReadyAt, readyAt);
-                done(readyAt);
+                mshr_.complete(core, line, holdsMshr, done, readyAt);
                 finishTxn(line, readyAt);
             });
         sendInvalidations(line, core, core, t, id);
@@ -404,9 +417,9 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         hooks_->onStoreCommitted(core, line, t);
         logStore(core, addr, store);
         capacity_.setPinned(line, true);
-        fillTiming(line, t, false, [this, core, line, id](Cycle at) {
+        eq_.schedule(llc_.access(line, t), [this, core, line, id] {
             bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(core),
-                      lineBytes + cfg_.ctrlMsgBytes, at,
+                      lineBytes + cfg_.ctrlMsgBytes, eq_.now(),
                       [this, id] { txns_.legDone(id, eq_.now()); });
         });
         return std::nullopt;
@@ -425,26 +438,17 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
     hooks_->onStoreCommitted(core, line, t);
     logStore(core, addr, store);
     capacity_.setPinned(line, true);
-    fillTiming(line, t, true, [this, core, line, done](Cycle at) {
-        const Cycle dataAt = bus_.send(
-            bus_.bankNode(bankOf(line)), bus_.coreNode(core),
-            lineBytes + cfg_.ctrlMsgBytes, at,
-            [this, done] { done(eq_.now()); });
+    eq_.schedule(llc_.access(line, t), [this, core, holdsMshr, line,
+                                        done = std::move(done)]() mutable {
+        const Cycle dataAt = mshr_.reply(
+            bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
+            lineBytes + cfg_.ctrlMsgBytes, nvm_.read(line, eq_.now()),
+            std::move(done));
         if (Node *n = findNode(core, line))
             n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
         finishTxn(line, dataAt);
     });
     return std::nullopt;
-}
-
-void
-MesiProtocol::fillTiming(LineAddr line, Cycle t, bool fromNvm,
-                         std::function<void(Cycle)> finish)
-{
-    const Cycle at = llc_.access(line, t);
-    eq_.schedule(at, [this, line, fromNvm, at, finish = std::move(finish)] {
-        finish(fromNvm ? nvm_.read(line, at) : at);
-    });
 }
 
 void
@@ -571,13 +575,13 @@ MesiProtocol::lineWords(CoreId core, LineAddr line) const
 
 void
 MesiProtocol::flushLine(CoreId core, LineAddr line, Cycle earliest,
-                        std::function<void(Cycle, bool)> done)
+                        FlushDone done)
 {
     // LLC exclusion: the write into the LLC must wait for the pending
     // NVM persist of the line's previous version (Definition 2).
     const Cycle start = std::max({earliest, eq_.now(),
                                   llc_.persistPendingUntil(line)});
-    eq_.schedule(start, [this, core, line, done] {
+    eq_.schedule(start, [this, core, line, done = std::move(done)]() mutable {
         Node *n = findNode(core, line);
         if (!n || n->st != St::M) {
             done(eq_.now(), false);

@@ -23,7 +23,6 @@
 #ifndef TSOPER_COHERENCE_MESI_HH
 #define TSOPER_COHERENCE_MESI_HH
 
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -55,6 +54,9 @@ class MesiProtocol : public CoherenceProtocol
 
     // --- BSP engine API -----------------------------------------------
 
+    /** Flush completion: the cycle, and whether a write happened. */
+    using FlushDone = InlineFunction<void(Cycle, bool), 40>;
+
     /** Is (core, line) in state M? */
     bool isModified(CoreId core, LineAddr line) const;
 
@@ -71,7 +73,7 @@ class MesiProtocol : public CoherenceProtocol
      * e.g. a remote request already forced it to the LLC).
      */
     void flushLine(CoreId core, LineAddr line, Cycle earliest,
-                   std::function<void(Cycle, bool)> done);
+                   FlushDone done);
 
   private:
     enum class St { I, S, E, M };
@@ -103,27 +105,21 @@ class MesiProtocol : public CoherenceProtocol
     void submitTxn(CoreId core, LineAddr line, LineSerializer::Body body,
                    Cycle departAt);
 
+    /** store() for a request that may already hold an MSHR register
+     *  (@p holdsMshr: a parked retry of the primary miss, which frees
+     *  the register right before its completion runs). */
+    void issueStore(CoreId core, Addr addr, StoreId store, StoreDone done,
+                    bool holdsMshr);
+
     /** Transaction bodies (run at directory dispatch).  nullopt means
      *  the body deferred: the line is held until the last timing leg
-     *  lands and finishTxn frees it. */
+     *  lands and finishTxn frees it.  Memory fills charge the LLC bank
+     *  at dispatch and send their data leg at its completion cycle
+     *  (after an NVM read on an LLC miss). */
     std::optional<Cycle> loadTxn(CoreId core, Addr addr, LoadDone done,
-                                 Cycle t);
+                                 bool holdsMshr, Cycle t);
     std::optional<Cycle> storeTxn(CoreId core, Addr addr, StoreId store,
-                                  StoreDone done, Cycle t);
-
-    /** MSHR gate for the miss paths (same contract as SlcProtocol's). */
-    template <typename Done>
-    bool mshrAdmit(CoreId core, LineAddr line, Done *done,
-                   std::function<void()> retry);
-
-    /**
-     * Timing tail of a memory fill: the LLC bank access is charged at
-     * dispatch, an NVM read follows it on an LLC miss.  @p finish runs
-     * at the directory at the bank's completion cycle, with the cycle
-     * the data is at the bank.
-     */
-    void fillTiming(LineAddr line, Cycle t, bool fromNvm,
-                    std::function<void(Cycle)> finish);
+                                  StoreDone done, bool holdsMshr, Cycle t);
 
     /** Retire a deferred transaction: unpin the directory entry and
      *  free the line's serializer slot at @p at. */

@@ -14,9 +14,8 @@
 #ifndef TSOPER_COHERENCE_PROTOCOL_HH
 #define TSOPER_COHERENCE_PROTOCOL_HH
 
-#include <functional>
-
 #include "mem/nvm.hh"
+#include "sim/callback.hh"
 #include "sim/store_log.hh"
 #include "sim/types.hh"
 
@@ -82,20 +81,24 @@ class ProtocolHooks
     }
 
     /**
-     * Asked at the serialization instant of a store transaction,
-     * *before* it commits: if the store must not commit yet (its line
-     * sits in a frozen atomic group / closed epoch — the gate may have
-     * opened and closed again while the request was in flight), the
-     * hook takes ownership of @p retry, runs it when the block clears,
-     * and returns true.
+     * May a store by @p core to @p line commit to the private cache?
+     * False when the line belongs to a frozen atomic group (§II-A) or
+     * a closed, unpersisted BSP epoch.  Asked by the core before it
+     * issues the store, and again by the protocol at the store
+     * transaction's serialization instant: the gate may have opened
+     * and closed again while the request was in flight.
      */
     virtual bool
-    tryDeferStoreCommit(CoreId core, LineAddr line,
-                        std::function<void()> retry)
+    storeMayCommit(CoreId core, LineAddr line)
     {
-        (void)core; (void)line; (void)retry;
-        return false;
+        (void)core; (void)line;
+        return true;
     }
+
+    /** Register @p retry to run once a blocked store may make
+     *  progress (only after storeMayCommit returned false). */
+    virtual void addStoreWaiter(CoreId core, LineAddr line,
+                                InlineCallback retry);
 
     /**
      * A store by @p core committed into its private cache at the
@@ -185,9 +188,9 @@ class CoherenceProtocol
 {
   public:
     /** Load completion: delivery cycle and the observed word value. */
-    using LoadDone = std::function<void(Cycle, StoreId)>;
+    using LoadDone = InlineFunction<void(Cycle, StoreId), 40>;
     /** Store completion: the cycle write permission/retire happened. */
-    using StoreDone = std::function<void(Cycle)>;
+    using StoreDone = InlineFunction<void(Cycle), 40>;
 
     virtual ~CoherenceProtocol() = default;
 

@@ -58,28 +58,14 @@ SlcProtocol::node(CoreId core, LineAddr line)
 // Public access paths
 // --------------------------------------------------------------------
 
-template <typename Done>
-bool
-SlcProtocol::mshrAdmit(CoreId core, LineAddr line, Done *done,
-                       std::function<void()> retry)
+void
+SlcProtocol::load(CoreId core, Addr addr, LoadDone done)
 {
-    if (mshr_.has(core, line))
-        return true; // Secondary miss / retry of the in-flight primary.
-    if (mshr_.full(core)) {
-        mshr_.defer(core, std::move(retry));
-        return false;
-    }
-    mshr_.enter(core, line);
-    *done = [this, core, line,
-             inner = std::move(*done)](auto &&...args) {
-        mshr_.leave(core, line);
-        inner(std::forward<decltype(args)>(args)...);
-    };
-    return true;
+    issueLoad(core, addr, std::move(done), false);
 }
 
 void
-SlcProtocol::load(CoreId core, Addr addr, LoadDone done)
+SlcProtocol::issueLoad(CoreId core, Addr addr, LoadDone done, bool holdsMshr)
 {
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line); n && n->valid) {
@@ -87,23 +73,34 @@ SlcProtocol::load(CoreId core, Addr addr, LoadDone done)
         if (!n->evicted)
             arrays_[static_cast<unsigned>(core)].touch(line);
         const StoreId value = n->words[wordOf(addr)];
-        eq_.scheduleIn(cfg_.privLatency, [done, value, this] {
-            done(eq_.now(), value);
+        eq_.scheduleIn(cfg_.privLatency, [this, core, holdsMshr, line, value,
+                                          done = std::move(done)]() mutable {
+            mshr_.complete(core, line, holdsMshr, done, eq_.now(), value);
         });
         return;
     }
-    if (!mshrAdmit(core, line, &done,
-                   [this, core, addr, done] { load(core, addr, done); }))
+    if (!holdsMshr && !mshr_.admit(core, line, &holdsMshr)) {
+        mshr_.defer(core, retryLoad(core, addr, std::move(done), false));
         return;
+    }
     misses_.inc();
-    auto body = [this, core, addr, done](Cycle t) {
-        return loadTxn(core, addr, done, t);
-    };
-    submitTxn(core, line, std::move(body), eq_.now() + cfg_.privLatency);
+    submitTxn(core, line,
+              [this, core, holdsMshr, addr,
+               done = std::move(done)](Cycle t) mutable {
+                  return loadTxn(core, addr, std::move(done), holdsMshr, t);
+              },
+              eq_.now() + cfg_.privLatency);
 }
 
 void
 SlcProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
+{
+    issueStore(core, addr, store, std::move(done), false);
+}
+
+void
+SlcProtocol::issueStore(CoreId core, Addr addr, StoreId store,
+                        StoreDone done, bool holdsMshr)
 {
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line);
@@ -117,17 +114,42 @@ SlcProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
         n->dirty = true;
         hooks_->onStoreCommitted(core, line, eq_.now());
         logStore(core, addr, store);
-        eq_.scheduleIn(cfg_.privLatency, [done, this] { done(eq_.now()); });
+        eq_.scheduleIn(cfg_.privLatency, [this, core, holdsMshr, line,
+                                          done = std::move(done)]() mutable {
+            mshr_.complete(core, line, holdsMshr, done, eq_.now());
+        });
         return;
     }
-    if (!mshrAdmit(core, line, &done, [this, core, addr, store, done] {
-            this->store(core, addr, store, done);
-        }))
+    if (!holdsMshr && !mshr_.admit(core, line, &holdsMshr)) {
+        mshr_.defer(core, retryStore(core, addr, store, std::move(done),
+                                     false));
         return;
-    auto body = [this, core, addr, store, done](Cycle t) {
-        return storeTxn(core, addr, store, done, t);
+    }
+    submitTxn(core, line,
+              [this, core, holdsMshr, addr, store,
+               done = std::move(done)](Cycle t) mutable {
+                  return storeTxn(core, addr, store, std::move(done),
+                                  holdsMshr, t);
+              },
+              eq_.now() + cfg_.privLatency);
+}
+
+InlineCallback
+SlcProtocol::retryLoad(CoreId core, Addr addr, LoadDone done, bool holdsMshr)
+{
+    return [this, core, holdsMshr, addr, done = std::move(done)]() mutable {
+        issueLoad(core, addr, std::move(done), holdsMshr);
     };
-    submitTxn(core, line, std::move(body), eq_.now() + cfg_.privLatency);
+}
+
+InlineCallback
+SlcProtocol::retryStore(CoreId core, Addr addr, StoreId store,
+                        StoreDone done, bool holdsMshr)
+{
+    return [this, core, holdsMshr, addr, store,
+            done = std::move(done)]() mutable {
+        issueStore(core, addr, store, std::move(done), holdsMshr);
+    };
 }
 
 void
@@ -142,9 +164,8 @@ SlcProtocol::submitTxn(CoreId core, LineAddr line, LineSerializer::Body body,
 }
 
 bool
-SlcProtocol::mustWaitForOwnNode(CoreId core, LineAddr line,
-                                std::function<void()> retry, Cycle t,
-                                bool *relinked)
+SlcProtocol::ownNodeBlocks(CoreId core, LineAddr line, Cycle t,
+                           bool *relinked)
 {
     Node *n = findNode(core, line);
     if (!n || n->valid)
@@ -154,7 +175,6 @@ SlcProtocol::mustWaitForOwnNode(CoreId core, LineAddr line,
         // line belongs to a frozen AG whose dependence set must not
         // grow: the access stalls until the version/group clears
         // (§II-A multiversioning).
-        nodeWaiters_[waiterKey(core, line)].push_back(std::move(retry));
         return true;
     }
     // Stale clean copy: splice it and proceed as a plain miss.  If it
@@ -172,26 +192,28 @@ SlcProtocol::mustWaitForOwnNode(CoreId core, LineAddr line,
 // --------------------------------------------------------------------
 
 std::optional<Cycle>
-SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
+SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
+                     Cycle t)
 {
     const LineAddr line = lineOf(addr);
     if (entries_[line].zombie) {
-        zombieWaiters_[line].push_back([this, core, addr, done] {
-            load(core, addr, done);
-        });
+        zombieWaiters_[line].push_back(
+            retryLoad(core, addr, std::move(done), holdsMshr));
         return t + dirLatency_;
     }
     if (Node *n = findNode(core, line); n && n->valid) {
         // Raced with our own eviction-buffer revival or a queued
         // upgrade: serve as a hit.
         const StoreId value = n->words[wordOf(addr)];
-        done(t + dirLatency_, value);
+        mshr_.complete(core, line, holdsMshr, done, t + dirLatency_, value);
         return t + dirLatency_;
     }
-    auto retry = [this, core, addr, done] { load(core, addr, done); };
     bool relinked = false;
-    if (mustWaitForOwnNode(core, line, retry, t, &relinked))
+    if (ownNodeBlocks(core, line, t, &relinked)) {
+        nodeWaiters_[waiterKey(core, line)].push_back(
+            retryLoad(core, addr, std::move(done), holdsMshr));
         return t + dirLatency_;
+    }
 
     if (auto victim = capacity_.allocate(line))
         teardownEntry(*victim, t);
@@ -224,23 +246,20 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
         capacity_.setPinned(line, true);
         const StoreId value = words[wordOf(addr)];
         const Cycle freeNoEarlier = t + dirLatency_;
-        fillTiming(line, t, fromNvm,
-                   [this, core, line, value, done,
-                    freeNoEarlier](Cycle at) {
-                       const Cycle dataAt = bus_.send(
-                           bus_.bankNode(bankOf(line)),
-                           bus_.coreNode(core),
-                           lineBytes + cfg_.ctrlMsgBytes, at,
-                           [this, done, value] {
-                               done(eq_.now(), value);
-                           });
-                       if (Node *n = findNode(core, line))
-                           n->dataReadyAt =
-                               std::max(n->dataReadyAt, dataAt);
-                       capacity_.setPinned(line, false);
-                       serializer_.releaseAt(
-                           line, std::max(eq_.now(), freeNoEarlier));
-                   });
+        const Cycle bankAt = llc_.access(line, t);
+        eq_.schedule(bankAt, [this, core, holdsMshr, fromNvm, line, value,
+                              freeNoEarlier,
+                              done = std::move(done)]() mutable {
+            const Cycle atBank =
+                fromNvm ? nvm_.read(line, eq_.now()) : eq_.now();
+            const Cycle dataAt = mshr_.reply(
+                bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
+                lineBytes + cfg_.ctrlMsgBytes, atBank, std::move(done), value);
+            if (Node *n = findNode(core, line))
+                n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
+            capacity_.setPinned(line, false);
+            serializer_.releaseAt(line, std::max(eq_.now(), freeNoEarlier));
+        });
         return std::nullopt;
     }
 
@@ -283,13 +302,14 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
     const StoreId value = words[wordOf(addr)];
     bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(h),
               cfg_.ctrlMsgBytes, t,
-              [this, h, core, line, value, done, floor, wb] {
+              [this, h, core, holdsMshr, wb, line, value, floor,
+               done = std::move(done)]() mutable {
                   const Cycle ready = std::max(eq_.now(), floor);
                   // The data reply leaves first (critical path)...
-                  const Cycle dataAt = bus_.send(
-                      bus_.coreNode(h), bus_.coreNode(core),
-                      lineBytes + cfg_.ctrlMsgBytes, ready,
-                      [this, done, value] { done(eq_.now(), value); });
+                  const Cycle dataAt = mshr_.reply(
+                      bus_, bus_.coreNode(h), core, line, holdsMshr,
+                      lineBytes + cfg_.ctrlMsgBytes, ready, std::move(done),
+                      value);
                   if (Node *n = findNode(core, line))
                       n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
                   if (wb) {
@@ -307,22 +327,27 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
 
 std::optional<Cycle>
 SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
-                      Cycle t)
+                      bool holdsMshr, Cycle t)
 {
     const LineAddr line = lineOf(addr);
     if (entries_[line].zombie) {
-        zombieWaiters_[line].push_back([this, core, addr, store, done] {
-            this->store(core, addr, store, done);
-        });
+        zombieWaiters_[line].push_back(
+            retryStore(core, addr, store, std::move(done), holdsMshr));
         return t + dirLatency_;
     }
-    auto retry = [this, core, addr, store, done] {
-        this->store(core, addr, store, done);
-    };
-    if (hooks_->tryDeferStoreCommit(core, line, retry))
+    // The line may have joined a frozen group while this request was in
+    // flight: re-check the store gate at the serialization instant.
+    if (!hooks_->storeMayCommit(core, line)) {
+        hooks_->addStoreWaiter(
+            core, line,
+            retryStore(core, addr, store, std::move(done), holdsMshr));
         return t + dirLatency_;
-    if (mustWaitForOwnNode(core, line, retry, t))
+    }
+    if (ownNodeBlocks(core, line, t)) {
+        nodeWaiters_[waiterKey(core, line)].push_back(
+            retryStore(core, addr, store, std::move(done), holdsMshr));
         return t + dirLatency_;
+    }
     // (A spliced stale clean member needs no onNodeRelinked here: the
     // store-commit hook below recomputes the dependence state.)
 
@@ -364,10 +389,9 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
         }
         // Permission grant travels as a message; the SB drains when it
         // lands (write permission already held functionally — OBS 3).
-        const Cycle permissionAt =
-            bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(core),
-                      cfg_.ctrlMsgBytes, t,
-                      [this, done] { done(eq_.now()); });
+        const Cycle permissionAt = mshr_.reply(
+            bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
+            cfg_.ctrlMsgBytes, t, std::move(done));
         n->dataReadyAt = std::max(n->dataReadyAt, permissionAt);
     } else {
         misses_.inc();
@@ -388,21 +412,21 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
             insertResident(core, line, t);
             capacity_.setPinned(line, true);
             const Cycle freeNoEarlier = t + dirLatency_;
-            fillTiming(line, t, fromNvm,
-                       [this, core, line, done,
-                        freeNoEarlier](Cycle at) {
-                           const Cycle dataAt = bus_.send(
-                               bus_.bankNode(bankOf(line)),
-                               bus_.coreNode(core),
-                               lineBytes + cfg_.ctrlMsgBytes, at,
-                               [this, done] { done(eq_.now()); });
-                           if (Node *p = findNode(core, line))
-                               p->dataReadyAt =
-                                   std::max(p->dataReadyAt, dataAt);
-                           capacity_.setPinned(line, false);
-                           serializer_.releaseAt(
-                               line, std::max(eq_.now(), freeNoEarlier));
-                       });
+            const Cycle bankAt = llc_.access(line, t);
+            eq_.schedule(bankAt, [this, core, holdsMshr, fromNvm, line,
+                                  freeNoEarlier,
+                                  done = std::move(done)]() mutable {
+                const Cycle atBank =
+                    fromNvm ? nvm_.read(line, eq_.now()) : eq_.now();
+                const Cycle dataAt = mshr_.reply(
+                    bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
+                    lineBytes + cfg_.ctrlMsgBytes, atBank, std::move(done));
+                if (Node *p = findNode(core, line))
+                    p->dataReadyAt = std::max(p->dataReadyAt, dataAt);
+                capacity_.setPinned(line, false);
+                serializer_.releaseAt(line,
+                                      std::max(eq_.now(), freeNoEarlier));
+            });
             deferred = true;
         } else {
             // Forward from the current head; its invalidation folds
@@ -427,12 +451,13 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
             insertResident(core, line, t);
             bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(h),
                       cfg_.ctrlMsgBytes, t,
-                      [this, h, core, line, done, floor] {
+                      [this, h, core, holdsMshr, line, floor,
+                       done = std::move(done)]() mutable {
                           const Cycle ready = std::max(eq_.now(), floor);
-                          const Cycle dataAt = bus_.send(
-                              bus_.coreNode(h), bus_.coreNode(core),
+                          const Cycle dataAt = mshr_.reply(
+                              bus_, bus_.coreNode(h), core, line, holdsMshr,
                               lineBytes + cfg_.ctrlMsgBytes, ready,
-                              [this, done] { done(eq_.now()); });
+                              std::move(done));
                           if (Node *p = findNode(core, line))
                               p->dataReadyAt =
                                   std::max(p->dataReadyAt, dataAt);
@@ -453,16 +478,6 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
     if (deferred)
         return std::nullopt;
     return t + dirLatency_;
-}
-
-void
-SlcProtocol::fillTiming(LineAddr line, Cycle t, bool fromNvm,
-                        std::function<void(Cycle)> finish)
-{
-    const Cycle at = llc_.access(line, t);
-    eq_.schedule(at, [this, line, fromNvm, at, finish = std::move(finish)] {
-        finish(fromNvm ? nvm_.read(line, at) : at);
-    });
 }
 
 // --------------------------------------------------------------------
@@ -850,16 +865,6 @@ SlcProtocol::validListLength(LineAddr line) const
         cur = n->fwd;
     }
     return len;
-}
-
-void
-SlcProtocol::forEachNode(
-    const std::function<void(CoreId, LineAddr, bool, bool)> &fn) const
-{
-    for (unsigned c = 0; c < nodes_.size(); ++c) {
-        for (const auto &[line, n] : nodes_[c])
-            fn(static_cast<CoreId>(c), line, n.dirty, n.valid);
-    }
 }
 
 void

@@ -32,7 +32,6 @@
 #ifndef TSOPER_COHERENCE_SLC_HH
 #define TSOPER_COHERENCE_SLC_HH
 
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -115,10 +114,17 @@ class SlcProtocol : public CoherenceProtocol
     /** Number of *valid* nodes on @p line's list (coherence view). */
     unsigned validListLength(LineAddr line) const;
 
-    /** Walk every existing node (testing / final drain). */
-    void forEachNode(
-        const std::function<void(CoreId, LineAddr, bool dirty,
-                                 bool valid)> &fn) const;
+    /** Walk every existing node (testing / final drain):
+     *  @p fn(core, line, dirty, valid). */
+    template <typename Fn>
+    void
+    forEachNode(Fn &&fn) const
+    {
+        for (unsigned c = 0; c < nodes_.size(); ++c) {
+            for (const auto &[line, n] : nodes_[c])
+                fn(static_cast<CoreId>(c), line, n.dirty, n.valid);
+        }
+    }
 
   private:
     struct Node
@@ -147,6 +153,19 @@ class SlcProtocol : public CoherenceProtocol
         return static_cast<unsigned>(line) & (banks_ - 1);
     }
 
+    /** load()/store() for a request that may already hold an MSHR
+     *  register (@p holdsMshr: a parked retry of the primary miss, which
+     *  frees the register right before its completion runs). */
+    void issueLoad(CoreId core, Addr addr, LoadDone done, bool holdsMshr);
+    void issueStore(CoreId core, Addr addr, StoreId store, StoreDone done,
+                    bool holdsMshr);
+
+    /** The access, re-issued later by whoever parks it. */
+    InlineCallback retryLoad(CoreId core, Addr addr, LoadDone done,
+                             bool holdsMshr);
+    InlineCallback retryStore(CoreId core, Addr addr, StoreId store,
+                              StoreDone done, bool holdsMshr);
+
     /** Dispatch a miss/upgrade transaction to the directory. */
     void submitTxn(CoreId core, LineAddr line, LineSerializer::Body body,
                    Cycle departAt);
@@ -155,45 +174,20 @@ class SlcProtocol : public CoherenceProtocol
      *  the body deferred: a memory fill holds the line until the LLC
      *  pipe reply frees it via LineSerializer::releaseAt. */
     std::optional<Cycle> loadTxn(CoreId core, Addr addr, LoadDone done,
-                                 Cycle t);
+                                 bool holdsMshr, Cycle t);
     std::optional<Cycle> storeTxn(CoreId core, Addr addr, StoreId store,
-                                  StoreDone done, Cycle t);
+                                  StoreDone done, bool holdsMshr, Cycle t);
 
     /**
-     * MSHR gate for the miss paths: returns true when the access may
-     * proceed (allocating a register and wrapping *done's* completion
-     * to free it), false when all of @p core's registers are busy and
-     * @p retry was parked.  A line already tracked passes through
-     * unwrapped — it is a retry or secondary miss of the in-flight
-     * primary, whose completion frees the register.
+     * A transaction whose core's own node is invalid: true if the node
+     * must clear first (pending persist / frozen AG) and the caller
+     * must park its retry on nodeWaiters_.  Otherwise a stale clean
+     * copy is spliced; *relinked is set if it was an AG member (the
+     * caller must fire onNodeRelinked after re-creating the node at
+     * the head).
      */
-    template <typename Done>
-    bool mshrAdmit(CoreId core, LineAddr line, Done *done,
-                   std::function<void()> retry);
-
-    /**
-     * Timing tail of a decomposed memory fill, starting from the LLC
-     * pipe: the bank access is charged at dispatch, an NVM read
-     * follows it on an LLC miss, then the data leg goes to the
-     * requester.  Runs at the directory; the functional contents were
-     * resolved at dispatch.  @p finish runs at the bank's completion
-     * cycle with the cycle the fill data is at the bank (the data
-     * leg's departure instant).
-     */
-    void fillTiming(LineAddr line, Cycle t, bool fromNvm,
-                    std::function<void(Cycle)> finish);
-
-    /**
-     * Handle a blocked transaction: the core's own node is invalid and
-     * must clear (pending persist / frozen AG) before the access may
-     * proceed.  Otherwise a stale clean copy is spliced; *relinked is
-     * set if it was an AG member (the caller must fire onNodeRelinked
-     * after re-creating the node at the head).
-     * @return true if the caller must wait (waiter registered).
-     */
-    bool mustWaitForOwnNode(CoreId core, LineAddr line,
-                            std::function<void()> retry, Cycle t,
-                            bool *relinked = nullptr);
+    bool ownNodeBlocks(CoreId core, LineAddr line, Cycle t,
+                       bool *relinked = nullptr);
 
     /** Prepend @p core as the new head of @p line's list. */
     Node &prependNode(CoreId core, LineAddr line);
@@ -256,11 +250,11 @@ class SlcProtocol : public CoherenceProtocol
     std::vector<unsigned> evictBufOcc_;
 
     /** Accesses blocked on the owning core's pending node. */
-    std::unordered_map<std::uint64_t,
-                       std::vector<std::function<void()>>> nodeWaiters_;
+    std::unordered_map<std::uint64_t, std::vector<InlineCallback>>
+        nodeWaiters_;
     /** Transactions blocked on a zombie entry teardown. */
-    std::unordered_map<LineAddr,
-                       std::vector<std::function<void()>>> zombieWaiters_;
+    std::unordered_map<LineAddr, std::vector<InlineCallback>>
+        zombieWaiters_;
 
     // --- stats ---------------------------------------------------------
     Counter &hits_;

@@ -20,29 +20,35 @@ TxnTable::begin(LineAddr line, CoreId requester, unsigned waits,
                 Completion completion)
 {
     tsoper_assert(waits >= 1, "transaction with no legs to wait on");
-    const Id id = next_++;
-    entries_.emplace(
-        id, Entry{line, requester, waits, 0, std::move(completion)});
+    Id id = entries_.size();
+    if (free_.empty()) {
+        entries_.emplace_back();
+    } else {
+        id = free_.back();
+        free_.pop_back();
+    }
+    entries_[id] = Entry{line, requester, waits, 0, std::move(completion)};
+    ++open_;
     allocs_.inc();
-    occupancy_.add(entries_.size());
+    occupancy_.add(open_);
     return id;
 }
 
 void
 TxnTable::legDone(Id id, Cycle at)
 {
-    auto it = entries_.find(id);
-    tsoper_assert(it != entries_.end(), "leg of unknown transaction ", id);
-    Entry &e = it->second;
+    tsoper_assert(id < entries_.size() && entries_[id].waits > 0,
+                  "leg of unknown transaction ", id);
+    Entry &e = entries_[id];
     legs_.inc();
     e.readyAt = std::max(e.readyAt, at);
-    tsoper_assert(e.waits > 0, "transaction over-acknowledged");
     if (--e.waits > 0)
         return;
-    // Move out before erasing: the completion may open new entries.
+    // Move out before freeing: the completion may open new entries.
     Completion fire = std::move(e.completion);
     const Cycle readyAt = e.readyAt;
-    entries_.erase(it);
+    free_.push_back(id);
+    --open_;
     fire(readyAt);
 }
 
@@ -53,12 +59,15 @@ Mshr::Mshr(EventQueue &eq, unsigned cores, unsigned entriesPerCore,
       occupancy_(stats.histogram("mshr.occupancy"))
 {
     tsoper_assert(entriesPerCore >= 1, "a core needs at least one MSHR");
+    for (PerCore &pc : cores_)
+        pc.lines.reserve(entriesPerCore);
 }
 
 bool
 Mshr::has(CoreId core, LineAddr line) const
 {
-    return cores_[static_cast<unsigned>(core)].lines.count(line) != 0;
+    const auto &lines = cores_[static_cast<unsigned>(core)].lines;
+    return std::find(lines.begin(), lines.end(), line) != lines.end();
 }
 
 bool
@@ -68,13 +77,25 @@ Mshr::full(CoreId core) const
            entriesPerCore_;
 }
 
+bool
+Mshr::admit(CoreId core, LineAddr line, bool *claimed)
+{
+    if (has(core, line))
+        return true; // Secondary miss / retry of the in-flight primary.
+    if (full(core))
+        return false;
+    enter(core, line);
+    *claimed = true;
+    return true;
+}
+
 void
 Mshr::enter(CoreId core, LineAddr line)
 {
     PerCore &pc = cores_[static_cast<unsigned>(core)];
     tsoper_assert(pc.lines.size() < entriesPerCore_, "MSHR overflow");
-    const bool inserted = pc.lines.insert(line).second;
-    tsoper_assert(inserted, "duplicate MSHR entry for line ", line);
+    tsoper_assert(!has(core, line), "duplicate MSHR entry for line ", line);
+    pc.lines.push_back(line);
     occupancy_.add(pc.lines.size());
 }
 
@@ -82,21 +103,20 @@ void
 Mshr::leave(CoreId core, LineAddr line)
 {
     PerCore &pc = cores_[static_cast<unsigned>(core)];
-    const auto erased = pc.lines.erase(line);
-    tsoper_assert(erased == 1, "MSHR leave without enter: line ", line);
-    if (pc.retries.empty())
-        return;
-    auto retry = std::move(pc.retries.front());
-    pc.retries.pop_front();
-    eq_.scheduleIn(0, std::move(retry));
+    const auto it = std::find(pc.lines.begin(), pc.lines.end(), line);
+    tsoper_assert(it != pc.lines.end(), "MSHR leave without enter: line ",
+                  line);
+    *it = pc.lines.back();
+    pc.lines.pop_back();
+    if (!pc.retries.empty())
+        eq_.scheduleIn(0, pc.retries.pop());
 }
 
 void
-Mshr::defer(CoreId core, std::function<void()> retry)
+Mshr::defer(CoreId core, InlineCallback retry)
 {
     fullStalls_.inc();
-    cores_[static_cast<unsigned>(core)].retries.push_back(
-        std::move(retry));
+    cores_[static_cast<unsigned>(core)].retries.push(std::move(retry));
 }
 
 std::size_t

@@ -10,25 +10,25 @@
  *    cycle into the entry, and the completion fires — with the
  *    maximum over all legs — when the last one lands.
  *
- *  - Mshr: core-side miss-status holding registers.  A core tracks at
- *    most a fixed number of distinct missing lines in flight; a miss
- *    to a *new* line with all registers busy waits in a FIFO and
- *    retries as registers free.  A repeat access to an already-tracked
- *    line proceeds immediately (a secondary miss merges into the
- *    primary's register).
+ *  - Mshr: core-side miss-status holding registers, a fixed set of
+ *    slots per core.  A core tracks at most that many distinct missing
+ *    lines in flight; a miss to a *new* line with all registers busy
+ *    waits in a FIFO and retries as registers free.  A repeat access
+ *    to an already-tracked line proceeds immediately (a secondary miss
+ *    merges into the primary's register).  The primary's reply leg
+ *    retires the register right before its completion runs (reply()).
  */
 
 #ifndef TSOPER_COHERENCE_TXN_HH
 #define TSOPER_COHERENCE_TXN_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "noc/message_bus.hh"
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -41,8 +41,8 @@ class TxnTable
     using Id = std::uint64_t;
     /** Runs when the last leg lands, with the fold (max) of all leg
      *  cycles — which equals the current cycle, since legs arrive in
-     *  event order. */
-    using Completion = std::function<void(Cycle)>;
+     *  event order.  Sized for a protocol closure holding a StoreDone. */
+    using Completion = InlineFunction<void(Cycle), 72>;
 
     explicit TxnTable(StatsRegistry &stats);
 
@@ -56,20 +56,22 @@ class TxnTable
 
     /** Entries currently in flight (bounded by line serialization, not
      *  by the address footprint; asserted in test_directory). */
-    std::size_t open() const { return entries_.size(); }
+    std::size_t open() const { return open_; }
 
   private:
     struct Entry
     {
-        LineAddr line;
-        CoreId requester;
-        unsigned waits;
-        Cycle readyAt;
+        LineAddr line = 0;
+        CoreId requester = invalidCore;
+        unsigned waits = 0; ///< 0 = free slot.
+        Cycle readyAt = 0;
         Completion completion;
     };
 
-    std::unordered_map<Id, Entry> entries_;
-    Id next_ = 0;
+    /** Slots indexed by Id; retired slots are reused (free_). */
+    std::vector<Entry> entries_;
+    std::vector<Id> free_;
+    std::size_t open_ = 0;
     Counter &allocs_;
     Counter &legs_;
     Histogram &occupancy_;
@@ -86,6 +88,11 @@ class Mshr
 
     bool full(CoreId core) const;
 
+    /** May a miss to (core, line) proceed — as a secondary of the
+     *  in-flight primary, or as a primary claiming a free register
+     *  (*claimed = true)?  False: all busy, the caller must defer(). */
+    bool admit(CoreId core, LineAddr line, bool *claimed);
+
     /** Track a new primary miss; (core, line) must not be tracked and
      *  the core must have a free register. */
     void enter(CoreId core, LineAddr line);
@@ -94,16 +101,43 @@ class Mshr
      *  oldest is rescheduled (zero-delay) to claim the freed slot. */
     void leave(CoreId core, LineAddr line);
 
+    /** Run a miss's completion @p done(args...), first retiring its
+     *  register if the miss is the primary that claimed it (@p held). */
+    template <typename Done, typename... Args>
+    void
+    complete(CoreId core, LineAddr line, bool held, Done &done,
+             Args... args)
+    {
+        if (held)
+            leave(core, line);
+        done(args...);
+    }
+
+    /** Send a miss's reply leg from tile @p src to @p core; its arrival
+     *  completes the miss (complete()).  @return the arrival cycle. */
+    template <typename Done, typename... Value>
+    Cycle
+    reply(MessageBus &bus, int src, CoreId core, LineAddr line, bool held,
+          unsigned bytes, Cycle depart, Done done, Value... value)
+    {
+        return bus.send(src, bus.coreNode(core), bytes, depart,
+                        [this, core, line, held, value...,
+                         done = std::move(done)]() mutable {
+                            complete(core, line, held, done, eq_.now(),
+                                     value...);
+                        });
+    }
+
     /** Park @p retry until one of @p core's registers frees (FIFO). */
-    void defer(CoreId core, std::function<void()> retry);
+    void defer(CoreId core, InlineCallback retry);
 
     std::size_t inFlight(CoreId core) const;
 
   private:
     struct PerCore
     {
-        std::unordered_set<LineAddr> lines;
-        std::deque<std::function<void()>> retries;
+        std::vector<LineAddr> lines; ///< Slots; capacity reserved.
+        Fifo<InlineCallback> retries;
     };
 
     EventQueue &eq_;

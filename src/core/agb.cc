@@ -41,8 +41,7 @@ Agb::fits(const AgRec &ag) const
 
 Agb::AgHandle
 Agb::requestAllocation(CoreId from, std::vector<LineAddr> lines,
-                       std::function<void(Cycle)> granted,
-                       std::uint64_t auditTag)
+                       Done granted, std::uint64_t auditTag)
 {
     const AgHandle h = nextHandle_++;
     AgRec &ag = ags_[h];
@@ -106,10 +105,9 @@ Agb::grant(AgRec &ag)
                    total);
     fifo_.push_back(ag.handle);
     // Broadcast the grant back to the requesting L1.
-    auto cb = ag.grantedCb;
     const AgHandle h = ag.handle;
     bus_.send(arbiterNode_, bus_.coreNode(ag.from), cfg_.ctrlMsgBytes,
-              [this, h, cb] {
+              [this, h, cb = std::move(ag.grantedCb)]() mutable {
         if (cb)
             cb(eq_.now());
         // Empty AGs (all-clean groups) complete immediately.
@@ -124,14 +122,15 @@ Agb::grant(AgRec &ag)
 
 void
 Agb::bufferLine(AgHandle h, LineAddr line, const LineWords &words,
-                std::function<void(Cycle)> done)
+                Done done)
 {
     auto it = ags_.find(h);
     tsoper_assert(it != ags_.end(), "bufferLine on unknown AG");
     AgRec &ag = it->second;
     tsoper_assert(ag.granted, "bufferLine before allocation grant");
     tsoper_assert(ag.remaining > 0, "bufferLine past AG size");
-    tsoper_assert(ag.issued.insert(line).second, "line buffered twice");
+    tsoper_assert(ag.buffered.emplace(line, words).second,
+                  "line buffered twice");
     const unsigned s = sliceOf(line);
     // NoC leg to the slice, then the SRAM port serializes writes.
     const int sliceNode =
@@ -146,11 +145,10 @@ Agb::bufferLine(AgHandle h, LineAddr line, const LineWords &words,
     persistWb_.inc();
     trace::instant(trace::Event::PersistIssue, ag.from, eq_.now(), line,
                    ag.auditTag);
-    eq_.schedule(complete, [this, h, line, words, done] {
+    eq_.schedule(complete, [this, h, line, done = std::move(done)]() mutable {
         auto iter = ags_.find(h);
         tsoper_assert(iter != ags_.end());
         AgRec &rec = iter->second;
-        rec.buffered.emplace(line, words);
         --rec.remaining;
         // The AGB SRAM is power-backed: a buffered line is already in
         // the persistent domain, so this is its durable point.
@@ -278,7 +276,7 @@ Agb::quiescent() const
 }
 
 void
-Agb::notifyQuiescent(std::function<void()> fn)
+Agb::notifyQuiescent(InlineCallback fn)
 {
     if (quiescent()) {
         eq_.scheduleIn(0, std::move(fn));
@@ -292,10 +290,9 @@ Agb::checkQuiescent()
 {
     if (!quiescent())
         return;
-    auto waiters = std::move(quiescentWaiters_);
-    quiescentWaiters_.clear();
-    for (auto &w : waiters)
+    for (auto &w : quiescentWaiters_)
         eq_.scheduleIn(0, std::move(w));
+    quiescentWaiters_.clear();
 }
 
 } // namespace tsoper

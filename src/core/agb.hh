@@ -29,15 +29,14 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "mem/llc.hh"
 #include "mem/nvm.hh"
 #include "noc/mesh.hh"
 #include "noc/message_bus.hh"
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -50,6 +49,8 @@ class Agb
 {
   public:
     using AgHandle = std::uint64_t;
+    /** Grant and line-buffered callbacks: they ride in an AGB event. */
+    using Done = InlineFunction<void(Cycle), 56>;
 
     Agb(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh, Nvm &nvm,
         Llc &llc, StatsRegistry &stats);
@@ -65,17 +66,17 @@ class Agb
      * audit (trace::groupTag); 0 falls back to the returned handle.
      */
     AgHandle requestAllocation(CoreId from, std::vector<LineAddr> lines,
-                               std::function<void(Cycle)> granted,
-                               std::uint64_t auditTag = 0);
+                               Done granted, std::uint64_t auditTag = 0);
 
     /**
      * Stream one line of a granted AG into its slice. @p done fires
      * when the line is in the persistent domain (the persist token may
      * then pass, §IV-B).  When the last line of an AG is buffered the
-     * AG completes and the committed prefix advances.
+     * AG completes and the committed prefix advances.  The AGB holds
+     * @p words from issue on, as the slice's ingress buffer would.
      */
     void bufferLine(AgHandle h, LineAddr line, const LineWords &words,
-                    std::function<void(Cycle)> done);
+                    Done done);
 
     /** Durable-but-undrained contents at this instant (crash overlay),
      *  in allocation order. */
@@ -85,7 +86,7 @@ class Agb
     bool quiescent() const;
 
     /** Run @p fn once quiescent (immediately if already). */
-    void notifyQuiescent(std::function<void()> fn);
+    void notifyQuiescent(InlineCallback fn);
 
     unsigned sliceCount() const { return slices_; }
 
@@ -100,14 +101,14 @@ class Agb
         CoreId from = invalidCore;
         std::vector<LineAddr> lines;
         std::vector<unsigned> sliceNeeds;
-        std::unordered_set<LineAddr> issued; ///< Streams in flight.
+        /** Contents of every issued line (durable once it lands). */
         std::unordered_map<LineAddr, LineWords> buffered;
         unsigned remaining = 0;    ///< Lines not yet buffered.
         unsigned undrained = 0;    ///< Lines not yet written to NVM.
         bool granted = false;
         bool complete = false;
         bool drainIssued = false;
-        std::function<void(Cycle)> grantedCb;
+        Done grantedCb;
     };
 
     unsigned
@@ -145,7 +146,7 @@ class Agb
     std::vector<unsigned> sliceUsed_;
     std::vector<Cycle> slicePortBusy_;
     AgHandle nextHandle_ = 1;
-    std::vector<std::function<void()>> quiescentWaiters_;
+    std::vector<InlineCallback> quiescentWaiters_;
 
     Counter &agsAllocated_;
     Counter &linesBuffered_;

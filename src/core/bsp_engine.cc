@@ -299,9 +299,11 @@ BspEngine::persistViaAgb(const EpochPtr &e, Cycle now)
         return;
     }
     e->handle = agb_->requestAllocation(
-        e->core, lines,
-        [this, e, lines](Cycle) {
-            for (LineAddr line : lines) {
+        e->core, std::move(lines),
+        [this, e](Cycle) {
+            for (LineAddr line : e->order) {
+                if (!e->snapshotted.count(line))
+                    continue;
                 agb_->bufferLine(e->handle, line, e->words.at(line),
                                  [this, e, line](Cycle t) {
                     // The version is in the persistent domain: stores
@@ -355,16 +357,6 @@ BspEngine::markPersisted(const EpochPtr &e)
 }
 
 bool
-BspEngine::tryDeferStoreCommit(CoreId core, LineAddr line,
-                               std::function<void()> retry)
-{
-    if (storeMayCommit(core, line))
-        return false;
-    addStoreWaiter(core, line, std::move(retry));
-    return true;
-}
-
-bool
 BspEngine::storeMayCommit(CoreId core, LineAddr line)
 {
     // In every mode a store to a closed, unpersisted epoch's line must
@@ -384,7 +376,7 @@ BspEngine::storeMayCommit(CoreId core, LineAddr line)
 
 void
 BspEngine::addStoreWaiter(CoreId core, LineAddr line,
-                          std::function<void()> retry)
+                          InlineCallback retry)
 {
     storeWaiters_[static_cast<unsigned>(core)].push_back(
         StoreWaiter{line, std::move(retry)});
@@ -396,14 +388,14 @@ BspEngine::wakeStoreWaiters(CoreId core)
     auto &waiters = storeWaiters_[static_cast<unsigned>(core)];
     if (waiters.empty())
         return;
-    std::vector<StoreWaiter> still;
+    std::size_t still = 0; // Compact the blocked ones in place.
     for (auto &w : waiters) {
         if (storeMayCommit(core, w.line))
             eq_.scheduleIn(0, std::move(w.retry));
         else
-            still.push_back(std::move(w));
+            waiters[still++] = std::move(w);
     }
-    waiters = std::move(still);
+    waiters.resize(still);
 }
 
 void
@@ -413,7 +405,7 @@ BspEngine::onMarker(CoreId core, Cycle now)
 }
 
 void
-BspEngine::drain(std::function<void()> done)
+BspEngine::drain(InlineCallback done)
 {
     draining_ = true;
     drainDone_ = std::move(done);
@@ -427,12 +419,10 @@ BspEngine::checkDrainDone()
 {
     if (!draining_ || !drainDone_ || outstanding_ != 0)
         return;
-    auto done = std::move(drainDone_);
-    drainDone_ = nullptr;
     if (agb_)
-        agb_->notifyQuiescent(std::move(done));
+        agb_->notifyQuiescent(std::move(drainDone_));
     else
-        eq_.scheduleIn(0, std::move(done));
+        eq_.scheduleIn(0, std::move(drainDone_));
 }
 
 bool

@@ -62,15 +62,13 @@ class BspEngine : public PersistEngine
                       Cycle now) override;
     void onStoreCommitted(CoreId core, LineAddr line, Cycle now) override;
     bool dropsInvalidDirty() const override { return true; }
-    bool tryDeferStoreCommit(CoreId core, LineAddr line,
-                             std::function<void()> retry) override;
-
-    // --- PersistEngine ---------------------------------------------------
     bool storeMayCommit(CoreId core, LineAddr line) override;
     void addStoreWaiter(CoreId core, LineAddr line,
-                        std::function<void()> retry) override;
+                        InlineCallback retry) override;
+
+    // --- PersistEngine ---------------------------------------------------
     void onMarker(CoreId core, Cycle now) override;
-    void drain(std::function<void()> done) override;
+    void drain(InlineCallback done) override;
     bool quiescent() const override;
     std::unordered_map<LineAddr, LineWords> crashOverlay() const override;
 
@@ -143,11 +141,11 @@ class BspEngine : public PersistEngine
     struct StoreWaiter
     {
         LineAddr line;
-        std::function<void()> retry;
+        InlineCallback retry;
     };
     std::vector<std::vector<StoreWaiter>> storeWaiters_;
     bool draining_ = false;
-    std::function<void()> drainDone_;
+    InlineCallback drainDone_;
 
     Counter &epochsClosed_;
     Counter &epochBreaks_;

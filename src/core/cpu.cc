@@ -18,8 +18,7 @@ SyncCoordinator::SyncCoordinator(unsigned numCores, EventQueue &eq)
 }
 
 bool
-SyncCoordinator::acquire(unsigned lock, CoreId core,
-                         std::function<void()> grant)
+SyncCoordinator::acquire(unsigned lock, CoreId core, InlineCallback grant)
 {
     Lock &l = locks_[lock];
     if (!l.held) {
@@ -27,7 +26,7 @@ SyncCoordinator::acquire(unsigned lock, CoreId core,
         l.owner = core;
         return true;
     }
-    l.waiters.emplace_back(core, std::move(grant));
+    l.waiters.push({core, std::move(grant)});
     return false;
 }
 
@@ -42,26 +41,23 @@ SyncCoordinator::release(unsigned lock, CoreId core)
         l.owner = invalidCore;
         return;
     }
-    auto [next, grant] = std::move(l.waiters.front());
-    l.waiters.pop_front();
+    auto [next, grant] = l.waiters.pop();
     l.owner = next;
     eq_.scheduleIn(0, std::move(grant));
 }
 
 void
-SyncCoordinator::arrive(unsigned barrier, CoreId core,
-                        std::function<void()> resume)
+SyncCoordinator::arrive(unsigned barrier, CoreId core, InlineCallback resume)
 {
     (void)core;
     Barrier &b = barriers_[barrier];
     b.resumes.push_back(std::move(resume));
     if (++b.arrived < numCores_)
         return;
-    auto resumes = std::move(b.resumes);
     b.arrived = 0;
-    b.resumes.clear();
-    for (auto &fn : resumes)
+    for (auto &fn : b.resumes)
         eq_.scheduleIn(0, std::move(fn));
+    b.resumes.clear();
 }
 
 // ---------------------------------------------------------------------
@@ -173,7 +169,7 @@ Cpu::execLoad(const TraceOp &op)
         tryDrainSb();
         return;
     }
-    proto_.load(id_, op.addr, [this, op](Cycle at, StoreId value) {
+    proto_.load(id_, op.addr, [this, &op](Cycle at, StoreId value) {
         if (log_)
             log_->loadObserved(id_, op.addr, value);
         advanceAt(at);
@@ -213,7 +209,7 @@ Cpu::syncBoundary()
 }
 
 void
-Cpu::whenSbEmpty(std::function<void()> then)
+Cpu::whenSbEmpty(InlineCallback then)
 {
     if (sb_.empty() && !sbDraining_) {
         then();
@@ -225,25 +221,27 @@ Cpu::whenSbEmpty(std::function<void()> then)
 }
 
 void
-Cpu::issueDirectStore(Addr addr, std::function<void()> then)
+Cpu::issueDirectStore(Addr addr, AfterStore then)
 {
-    if (engine_.coreStalled(id_)) {
-        engine_.addStallWaiter(
-            [this, addr, then] { issueDirectStore(addr, then); });
-        return;
-    }
-    if (!engine_.storeMayCommit(id_, lineOf(addr))) {
-        engine_.addStoreWaiter(id_, lineOf(addr),
-            [this, addr, then] { issueDirectStore(addr, then); });
+    const bool stalled = engine_.coreStalled(id_);
+    if (stalled || !engine_.storeMayCommit(id_, lineOf(addr))) {
+        InlineCallback retry = [this, addr, then = std::move(then)]() mutable {
+            issueDirectStore(addr, std::move(then));
+        };
+        if (stalled)
+            engine_.addStallWaiter(std::move(retry));
+        else
+            engine_.addStoreWaiter(id_, lineOf(addr), std::move(retry));
         return;
     }
     stores_.inc();
     const StoreId sid = newStoreId();
     if (log_)
         log_->storeIssued(id_, sid);
-    proto_.store(id_, addr, sid, [this, then](Cycle at) {
-        eq_.schedule(std::max(at, eq_.now()), then);
-    });
+    proto_.store(id_, addr, sid,
+                 [this, then = std::move(then)](Cycle at) mutable {
+                     eq_.schedule(std::max(at, eq_.now()), std::move(then));
+                 });
 }
 
 void
@@ -253,12 +251,12 @@ Cpu::execLockAcq(const TraceOp &op)
     // check HW-RP backpressure, then queue on the lock.  The SFR
     // boundary closes the pre-acquire region; the RMW store belongs to
     // the critical section's region (flushed at the release boundary).
-    whenSbEmpty([this, op] {
+    whenSbEmpty([this, &op] {
         syncBoundary();
         if (!engine_.syncMayProceed(id_)) {
             // SB stays empty while blocked (nothing issues meanwhile).
             engine_.addSyncWaiter(id_,
-                                  [this, op] { execLockAcqGranted(op); });
+                                  [this, &op] { execLockAcqGranted(op); });
             return;
         }
         execLockAcqGranted(op);
@@ -268,14 +266,14 @@ Cpu::execLockAcq(const TraceOp &op)
 void
 Cpu::execLockAcqGranted(const TraceOp &op)
 {
-    auto rmw = [this, op] {
+    auto rmw = [this, &op] {
         lockAcquires_.inc();
         TSOPER_TRACE(Cpu, eq_.now(), "core " << id_ << " acquires lock "
                      << op.arg);
         engine_.onSyncEvent(id_, eq_.now(),
                             PersistEngine::SyncEvent::LockAcquire,
                             op.arg);
-        proto_.load(id_, op.addr, [this, op](Cycle at, StoreId value) {
+        proto_.load(id_, op.addr, [this, &op](Cycle at, StoreId value) {
             if (log_)
                 log_->loadObserved(id_, op.addr, value);
             (void)at;
@@ -292,12 +290,12 @@ Cpu::execLockRel(const TraceOp &op)
     // The release store is part of the critical section's region: it
     // commits *before* the SFR boundary fires, so it persists with the
     // batch the next acquirer orders behind.
-    whenSbEmpty([this, op] {
+    whenSbEmpty([this, &op] {
         if (!engine_.syncMayProceed(id_)) {
-            engine_.addSyncWaiter(id_, [this, op] { execLockRel(op); });
+            engine_.addSyncWaiter(id_, [this, &op] { execLockRel(op); });
             return;
         }
-        issueDirectStore(op.addr, [this, op] {
+        issueDirectStore(op.addr, [this, &op] {
             syncBoundary();
             engine_.onSyncEvent(id_, eq_.now(),
                                 PersistEngine::SyncEvent::LockRelease,
@@ -314,12 +312,12 @@ Cpu::execBarrier(const TraceOp &op)
     // Like the release: the arrival-flag store precedes the boundary,
     // so the flag (and everything before it) persists with the
     // pre-barrier batch that post-barrier regions order behind.
-    whenSbEmpty([this, op] {
+    whenSbEmpty([this, &op] {
         if (!engine_.syncMayProceed(id_)) {
-            engine_.addSyncWaiter(id_, [this, op] { execBarrier(op); });
+            engine_.addSyncWaiter(id_, [this, &op] { execBarrier(op); });
             return;
         }
-        issueDirectStore(op.addr, [this, op] {
+        issueDirectStore(op.addr, [this, &op] {
             barriers_.inc();
             TSOPER_TRACE(Cpu, eq_.now(), "core " << id_
                          << " arrives at barrier " << op.arg);
@@ -327,12 +325,12 @@ Cpu::execBarrier(const TraceOp &op)
             engine_.onSyncEvent(id_, eq_.now(),
                                 PersistEngine::SyncEvent::BarrierArrive,
                                 op.arg);
-            sync_.arrive(op.arg, id_, [this, op] {
+            sync_.arrive(op.arg, id_, [this, &op] {
                 engine_.onSyncEvent(
                     id_, eq_.now(),
                     PersistEngine::SyncEvent::BarrierResume, op.arg);
                 proto_.load(id_, op.addr,
-                            [this, op](Cycle at, StoreId value) {
+                            [this, &op](Cycle at, StoreId value) {
                     if (log_)
                         log_->loadObserved(id_, op.addr, value);
                     advanceAt(at);
@@ -381,7 +379,6 @@ Cpu::drainProgress()
     }
     if (sbEmptyCb_ && sb_.empty() && !sbDraining_) {
         auto cb = std::move(sbEmptyCb_);
-        sbEmptyCb_ = nullptr;
         cb();
     }
     checkFinished();

@@ -21,8 +21,6 @@
 #ifndef TSOPER_CORE_CPU_HH
 #define TSOPER_CORE_CPU_HH
 
-#include <deque>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -31,6 +29,7 @@
 #include "mem/store_buffer.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo.hh"
 #include "sim/stats.hh"
 #include "sim/store_log.hh"
 #include "workload/trace.hh"
@@ -48,27 +47,26 @@ class SyncCoordinator
      * Try to take @p lock for @p core.  @return true if granted now;
      * otherwise @p grant is queued and runs when the lock frees.
      */
-    bool acquire(unsigned lock, CoreId core, std::function<void()> grant);
+    bool acquire(unsigned lock, CoreId core, InlineCallback grant);
 
     void release(unsigned lock, CoreId core);
 
     /** Arrive at @p barrier; all cores' @p resume run on the last
      *  arrival. */
-    void arrive(unsigned barrier, CoreId core,
-                std::function<void()> resume);
+    void arrive(unsigned barrier, CoreId core, InlineCallback resume);
 
   private:
     struct Lock
     {
         bool held = false;
         CoreId owner = invalidCore;
-        std::deque<std::pair<CoreId, std::function<void()>>> waiters;
+        Fifo<std::pair<CoreId, InlineCallback>> waiters;
     };
 
     struct Barrier
     {
         unsigned arrived = 0;
-        std::vector<std::function<void()>> resumes;
+        std::vector<InlineCallback> resumes;
     };
 
     unsigned numCores_;
@@ -84,6 +82,7 @@ class Cpu
         CoherenceProtocol &proto, PersistEngine &engine,
         SyncCoordinator &sync, StoreLog *log, StatsRegistry &stats);
 
+    /** @p trace must outlive the run: continuations refer to its ops. */
     void setTrace(const Trace *trace) { trace_ = trace; }
 
     /** Schedule the first step at the current cycle. */
@@ -103,7 +102,7 @@ class Cpu
     }
 
     /** Invoked once when the core finishes its trace and drains. */
-    void onFinished(std::function<void()> fn) { finishedCb_ = std::move(fn); }
+    void onFinished(InlineCallback fn) { finishedCb_ = std::move(fn); }
 
   private:
     void scheduleStep(Cycle delta);
@@ -120,13 +119,16 @@ class Cpu
     void execBarrier(const TraceOp &op);
 
     /** Drain-at-sync helper: run @p then once the SB is empty. */
-    void whenSbEmpty(std::function<void()> then);
+    void whenSbEmpty(InlineCallback then);
+
+    /** A direct store's continuation; it rides inside a StoreDone. */
+    using AfterStore = InlineFunction<void(), 24>;
 
     /**
      * Issue a store that bypasses the SB (lock/barrier lines), honouring
      * engine gating; @p then runs at the commit-completion cycle.
      */
-    void issueDirectStore(Addr addr, std::function<void()> then);
+    void issueDirectStore(Addr addr, AfterStore then);
 
     void tryDrainSb();
     void drainProgress();
@@ -149,10 +151,10 @@ class Cpu
     std::uint64_t nextStoreSeq_ = 0;
     bool sbDraining_ = false;
     bool waitingOnSb_ = false; ///< step() blocked on SB progress.
-    std::function<void()> sbEmptyCb_;
+    InlineCallback sbEmptyCb_;
     bool finished_ = false;
     Cycle finishedAt_ = 0;
-    std::function<void()> finishedCb_;
+    InlineCallback finishedCb_;
 
     Counter &loads_;
     Counter &stores_;

@@ -6,22 +6,14 @@ namespace tsoper
 {
 
 void
-PersistEngine::addStoreWaiter(CoreId core, LineAddr line,
-                              std::function<void()> retry)
-{
-    (void)core; (void)line; (void)retry;
-    tsoper_panic("addStoreWaiter on an engine that never blocks stores");
-}
-
-void
-PersistEngine::addStallWaiter(std::function<void()> resume)
+PersistEngine::addStallWaiter(InlineCallback resume)
 {
     (void)resume;
     tsoper_panic("addStallWaiter on an engine that never stalls cores");
 }
 
 void
-PersistEngine::addSyncWaiter(CoreId core, std::function<void()> retry)
+PersistEngine::addSyncWaiter(CoreId core, InlineCallback retry)
 {
     (void)core; (void)retry;
     tsoper_panic("addSyncWaiter on an engine that never blocks syncs");

@@ -16,7 +16,6 @@
 #ifndef TSOPER_CORE_ENGINE_HH
 #define TSOPER_CORE_ENGINE_HH
 
-#include <functional>
 #include <unordered_map>
 
 #include "coherence/protocol.hh"
@@ -31,26 +30,8 @@ class PersistEngine : public ProtocolHooks
   public:
     ~PersistEngine() override = default;
 
-    // --- Core-side gating -------------------------------------------
-
-    /**
-     * May the store at the head of @p core's store buffer commit to the
-     * private cache?  False when the line belongs to a frozen atomic
-     * group (§II-A) or a closed, unpersisted BSP epoch.
-     */
-    virtual bool
-    storeMayCommit(CoreId core, LineAddr line)
-    {
-        (void)core; (void)line;
-        return true;
-    }
-
-    /**
-     * Register @p retry to run once a blocked store may make progress.
-     * Only called after storeMayCommit returned false.
-     */
-    virtual void addStoreWaiter(CoreId core, LineAddr line,
-                                std::function<void()> retry);
+    // --- Core-side gating (storeMayCommit / addStoreWaiter come from
+    // ProtocolHooks: the protocol re-checks them at serialization) ---
 
     /** STW: is @p core stalled by a world-stop? */
     virtual bool
@@ -61,7 +42,7 @@ class PersistEngine : public ProtocolHooks
     }
 
     /** Register @p resume to run when the world-stop ends. */
-    virtual void addStallWaiter(std::function<void()> resume);
+    virtual void addStallWaiter(InlineCallback resume);
 
     /** May @p core complete a sync operation (HW-RP queue backpressure)? */
     virtual bool
@@ -71,7 +52,7 @@ class PersistEngine : public ProtocolHooks
         return true;
     }
 
-    virtual void addSyncWaiter(CoreId core, std::function<void()> retry);
+    virtual void addSyncWaiter(CoreId core, InlineCallback retry);
 
     /** @p core executed a synchronization operation (SFR boundary). */
     virtual void
@@ -115,7 +96,7 @@ class PersistEngine : public ProtocolHooks
      * persistent domain.  @p done runs when the engine is quiescent.
      */
     virtual void
-    drain(std::function<void()> done)
+    drain(InlineCallback done)
     {
         done();
     }

@@ -248,16 +248,12 @@ HwRpEngine::lineDone(CoreId core, LineAddr line)
         wpqContents_.erase(line);
     }
     if (outstanding_[c] <= cfg_.hwrpQueueEntries) {
-        auto waiters = std::move(syncWaiters_[c]);
-        syncWaiters_[c].clear();
-        for (auto &w : waiters)
+        for (auto &w : syncWaiters_[c])
             eq_.scheduleIn(0, std::move(w));
+        syncWaiters_[c].clear();
     }
-    if (draining_ && drainDone_ && outstandingTotal_ == 0) {
-        auto done = std::move(drainDone_);
-        drainDone_ = nullptr;
-        eq_.scheduleIn(0, std::move(done));
-    }
+    if (draining_ && drainDone_ && outstandingTotal_ == 0)
+        eq_.scheduleIn(0, std::move(drainDone_));
 }
 
 bool
@@ -268,23 +264,20 @@ HwRpEngine::syncMayProceed(CoreId core)
 }
 
 void
-HwRpEngine::addSyncWaiter(CoreId core, std::function<void()> retry)
+HwRpEngine::addSyncWaiter(CoreId core, InlineCallback retry)
 {
     syncWaiters_[static_cast<unsigned>(core)].push_back(std::move(retry));
 }
 
 void
-HwRpEngine::drain(std::function<void()> done)
+HwRpEngine::drain(InlineCallback done)
 {
     draining_ = true;
     drainDone_ = std::move(done);
     for (unsigned c = 0; c < cfg_.numCores; ++c)
         flushSfr(static_cast<CoreId>(c), eq_.now());
-    if (outstandingTotal_ == 0 && drainDone_) {
-        auto cb = std::move(drainDone_);
-        drainDone_ = nullptr;
-        eq_.scheduleIn(0, std::move(cb));
-    }
+    if (outstandingTotal_ == 0 && drainDone_)
+        eq_.scheduleIn(0, std::move(drainDone_));
 }
 
 bool

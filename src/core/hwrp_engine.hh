@@ -60,8 +60,8 @@ class HwRpEngine : public PersistEngine
     void onSyncEvent(CoreId core, Cycle now, SyncEvent event,
                      unsigned id) override;
     bool syncMayProceed(CoreId core) override;
-    void addSyncWaiter(CoreId core, std::function<void()> retry) override;
-    void drain(std::function<void()> done) override;
+    void addSyncWaiter(CoreId core, InlineCallback retry) override;
+    void drain(InlineCallback done) override;
     bool quiescent() const override;
     std::unordered_map<LineAddr, LineWords> crashOverlay() const override;
 
@@ -131,10 +131,10 @@ class HwRpEngine : public PersistEngine
     std::unordered_map<LineAddr, LineWords> wpqContents_;
     std::unordered_map<LineAddr, unsigned> wpqPendingCount_;
     std::vector<unsigned> outstanding_;  ///< Queued persist lines.
-    std::vector<std::vector<std::function<void()>>> syncWaiters_;
+    std::vector<std::vector<InlineCallback>> syncWaiters_;
     unsigned outstandingTotal_ = 0;
     bool draining_ = false;
-    std::function<void()> drainDone_;
+    InlineCallback drainDone_;
 
     Counter &persistWb_;
     Counter &spontaneous_;

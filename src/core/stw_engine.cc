@@ -21,7 +21,7 @@ StwEngine::coreStalled(CoreId core) const
 }
 
 void
-StwEngine::addStallWaiter(std::function<void()> resume)
+StwEngine::addStallWaiter(InlineCallback resume)
 {
     stallWaiters_.push_back(std::move(resume));
 }
@@ -63,10 +63,9 @@ StwEngine::maybeResume()
     stallCycles_.inc(eq_.now() - stallStart_);
     trace::span(trace::Event::StwStall, invalidCore, stallStart_,
                 eq_.now(), 0);
-    auto waiters = std::move(stallWaiters_);
-    stallWaiters_.clear();
-    for (auto &w : waiters)
+    for (auto &w : stallWaiters_)
         eq_.scheduleIn(0, std::move(w));
+    stallWaiters_.clear();
 }
 
 } // namespace tsoper

@@ -23,7 +23,7 @@ class StwEngine : public TsoperEngine
               Agb &agb, StatsRegistry &stats);
 
     bool coreStalled(CoreId core) const override;
-    void addStallWaiter(std::function<void()> resume) override;
+    void addStallWaiter(InlineCallback resume) override;
 
     bool stalled() const { return stalled_; }
 
@@ -37,7 +37,7 @@ class StwEngine : public TsoperEngine
 
     bool stalled_ = false;
     Cycle stallStart_ = 0;
-    std::vector<std::function<void()>> stallWaiters_;
+    std::vector<InlineCallback> stallWaiters_;
     Counter &stalls_;
     Counter &stallCycles_;
 };

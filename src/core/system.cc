@@ -144,10 +144,9 @@ System::runUntilCrash(Cycle crashAt)
                                   cfg_.watchdogStallChecks,
                                   /*frozenChecks=*/2};
     ProgressWatchdog dog(watchdog);
-    const std::function<bool()> never = [] { return false; };
     for (;;) {
         const std::uint64_t before = eq_.executed();
-        eq_.runFor(never, crashAt, watchdog.checkEveryEvents);
+        eq_.runFor([] { return false; }, crashAt, watchdog.checkEveryEvents);
         if (eq_.executed() == before || eq_.empty())
             break; // passed crashAt, or the machine went idle
         const std::string reason =

@@ -200,22 +200,9 @@ TsoperEngine::storeMayCommit(CoreId core, LineAddr line)
     return !blocked;
 }
 
-bool
-TsoperEngine::tryDeferStoreCommit(CoreId core, LineAddr line,
-                                  std::function<void()> retry)
-{
-    // The freeze may have happened while this store's transaction was
-    // in flight to the directory; re-check at the serialization point.
-    if (!mgrs_[static_cast<unsigned>(core)]->inFrozenGroup(line))
-        return false;
-    storeBlocks_.inc();
-    addStoreWaiter(core, line, std::move(retry));
-    return true;
-}
-
 void
 TsoperEngine::addStoreWaiter(CoreId core, LineAddr line,
-                             std::function<void()> retry)
+                             InlineCallback retry)
 {
     storeWaiters_[static_cast<unsigned>(core)].push_back(
         StoreWaiter{line, std::move(retry)});
@@ -228,15 +215,14 @@ TsoperEngine::wakeStoreWaiters(CoreId core)
     if (waiters.empty())
         return;
     auto &mgr = *mgrs_[static_cast<unsigned>(core)];
-    std::vector<StoreWaiter> still;
+    std::size_t still = 0; // Compact the blocked ones in place.
     for (auto &w : waiters) {
-        if (mgr.inFrozenGroup(w.line)) {
-            still.push_back(std::move(w));
-        } else {
+        if (mgr.inFrozenGroup(w.line))
+            waiters[still++] = std::move(w);
+        else
             eq_.scheduleIn(0, std::move(w.retry));
-        }
     }
-    waiters = std::move(still);
+    waiters.resize(still);
 }
 
 // ---------------------------------------------------------------------
@@ -352,7 +338,7 @@ TsoperEngine::maybeRetire(CoreId core)
 // ---------------------------------------------------------------------
 
 void
-TsoperEngine::drain(std::function<void()> done)
+TsoperEngine::drain(InlineCallback done)
 {
     draining_ = true;
     drainDone_ = std::move(done);
@@ -380,9 +366,7 @@ TsoperEngine::checkDrainDone()
             return;
     }
     // All AGs retired; wait for the AGB to finish writing NVM.
-    auto done = std::move(drainDone_);
-    drainDone_ = nullptr;
-    agb_.notifyQuiescent(std::move(done));
+    agb_.notifyQuiescent(std::move(drainDone_));
 }
 
 bool

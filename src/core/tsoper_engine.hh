@@ -25,7 +25,6 @@
 #ifndef TSOPER_CORE_TSOPER_ENGINE_HH
 #define TSOPER_CORE_TSOPER_ENGINE_HH
 
-#include <functional>
 #include <vector>
 
 #include "coherence/slc.hh"
@@ -58,15 +57,13 @@ class TsoperEngine : public PersistEngine
     bool lineInUnpersistedAg(CoreId core, LineAddr line) const override;
     bool lineInFrozenAg(CoreId core, LineAddr line) const override;
     void onNodeRelinked(CoreId core, LineAddr line, Cycle now) override;
-    bool tryDeferStoreCommit(CoreId core, LineAddr line,
-                             std::function<void()> retry) override;
-
-    // --- PersistEngine ---------------------------------------------------
     bool storeMayCommit(CoreId core, LineAddr line) override;
     void addStoreWaiter(CoreId core, LineAddr line,
-                        std::function<void()> retry) override;
+                        InlineCallback retry) override;
+
+    // --- PersistEngine ---------------------------------------------------
     void onMarker(CoreId core, Cycle now) override;
-    void drain(std::function<void()> done) override;
+    void drain(InlineCallback done) override;
     bool quiescent() const override;
     std::unordered_map<LineAddr, LineWords> crashOverlay() const override;
 
@@ -123,12 +120,12 @@ class TsoperEngine : public PersistEngine
     struct StoreWaiter
     {
         LineAddr line;
-        std::function<void()> retry;
+        InlineCallback retry;
     };
     std::vector<std::vector<StoreWaiter>> storeWaiters_;
 
     bool draining_ = false;
-    std::function<void()> drainDone_;
+    InlineCallback drainDone_;
 
     Counter &agsPersisted_;
     Counter &freezeRemote_;

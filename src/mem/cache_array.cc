@@ -111,13 +111,4 @@ CacheArray::isPinned(LineAddr line) const
     return e->pinned;
 }
 
-void
-CacheArray::forEach(const std::function<void(LineAddr)> &fn) const
-{
-    for (const Entry &e : entries_) {
-        if (e.valid)
-            fn(e.line);
-    }
-}
-
 } // namespace tsoper

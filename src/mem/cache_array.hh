@@ -13,7 +13,6 @@
 #define TSOPER_MEM_CACHE_ARRAY_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/types.hh"
@@ -69,7 +68,15 @@ class CacheArray
     unsigned ways() const { return ways_; }
 
     /** Invoke @p fn for every resident line. */
-    void forEach(const std::function<void(LineAddr)> &fn) const;
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const Entry &e : entries_) {
+            if (e.valid)
+                fn(e.line);
+        }
+    }
 
   private:
     struct Entry

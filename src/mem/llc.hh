@@ -13,7 +13,6 @@
 #ifndef TSOPER_MEM_LLC_HH
 #define TSOPER_MEM_LLC_HH
 
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>

@@ -12,7 +12,7 @@ Nvm::Nvm(const SystemConfig &cfg, EventQueue &eq, StatsRegistry &stats)
       readLatency_(cfg.nvmReadLatency),
       writeOccupancy_(cfg.nvmWriteOccupancy),
       readOccupancy_(cfg.nvmReadOccupancy), eq_(eq),
-      rankBusyUntil_(cfg.nvmRanks, 0),
+      rankBusyUntil_(cfg.nvmRanks, 0), pending_(cfg.nvmRanks),
       writesIssued_(stats.counter("nvm.writes_issued")),
       writesDone_(stats.counter("nvm.writes_done")),
       reads_(stats.counter("nvm.reads")),
@@ -22,21 +22,24 @@ Nvm::Nvm(const SystemConfig &cfg, EventQueue &eq, StatsRegistry &stats)
 
 Cycle
 Nvm::write(LineAddr line, const LineWords &words, Cycle earliest,
-           std::function<void(Cycle)> done)
+           WriteDone done)
 {
     writesIssued_.inc();
-    Cycle &busy = rankBusyUntil_[rankOf(line)];
+    const unsigned rank = rankOf(line);
+    Cycle &busy = rankBusyUntil_[rank];
     const Cycle start = std::max(earliest, busy);
     rankWaitCycles_.inc(start - earliest);
     const Cycle completion = start + writeLatency_;
     busy = start + writeOccupancy_;
-    eq_.schedule(completion, [this, line, words, done, completion] {
-        auto [it, fresh] = image_.try_emplace(line, zeroLine());
+    pending_[rank].push(PendingWrite{line, words, std::move(done)});
+    eq_.schedule(completion, [this, rank] {
+        PendingWrite w = pending_[rank].pop();
+        auto [it, fresh] = image_.try_emplace(w.line, zeroLine());
         (void)fresh;
-        mergeWords(it->second, words);
+        mergeWords(it->second, w.words);
         writesDone_.inc();
-        if (done)
-            done(completion);
+        if (w.done)
+            w.done(eq_.now());
     });
     return completion;
 }

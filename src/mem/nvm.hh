@@ -16,12 +16,13 @@
 #define TSOPER_MEM_NVM_HH
 
 #include <array>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -62,6 +63,9 @@ class Nvm
         return static_cast<unsigned>(line) & (ranks_ - 1);
     }
 
+    /** Completion of a durable write (AGB and HW-RP callbacks). */
+    using WriteDone = InlineFunction<void(Cycle), 40>;
+
     /**
      * Enqueue a durable write of @p words to @p line, not starting
      * before @p earliest.  The write is applied to the durable image at
@@ -69,7 +73,7 @@ class Nvm
      * @return the completion cycle.
      */
     Cycle write(LineAddr line, const LineWords &words, Cycle earliest,
-                std::function<void(Cycle)> done = {});
+                WriteDone done = {});
 
     /** Timing-only read service. @return the completion cycle. */
     Cycle read(LineAddr line, Cycle earliest);
@@ -86,6 +90,15 @@ class Nvm
     std::uint64_t writesCompleted() const { return writesDone_.value(); }
 
   private:
+    /** A write held in its rank's queue (the controller's write queue)
+     *  until its completion event; completions never decrease: FIFO. */
+    struct PendingWrite
+    {
+        LineAddr line;
+        LineWords words;
+        WriteDone done;
+    };
+
     unsigned ranks_;
     Cycle writeLatency_;
     Cycle readLatency_;
@@ -93,6 +106,7 @@ class Nvm
     Cycle readOccupancy_;
     EventQueue &eq_;
     std::vector<Cycle> rankBusyUntil_;
+    std::vector<Fifo<PendingWrite>> pending_; ///< Per rank.
     std::unordered_map<LineAddr, LineWords> image_;
     Counter &writesIssued_;
     Counter &writesDone_;

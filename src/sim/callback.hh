@@ -1,17 +1,18 @@
 /**
  * @file
- * InlineCallback: a move-only, allocation-free replacement for
- * std::function<void()> on the event kernel's hot path.
+ * InlineFunction<Sig, Capacity>: a move-only, allocation-free
+ * replacement for std::function (which heap-allocates any capture over
+ * 16 bytes on libstdc++).  The callable lives in fixed in-place
+ * storage; a capture that does not fit is a compile error, not a
+ * silent allocation.  Move-only: a continuation belongs to one closure
+ * at a time and is never cloned.
  *
- * std::function heap-allocates any capture larger than its small
- * buffer (16 bytes on libstdc++) — and nearly every event in this
- * simulator captures at least (this, line, continuation), so the seed
- * kernel paid one malloc/free per scheduled event.  InlineCallback
- * stores the callable in fixed in-place storage sized for the largest
- * capture in src/ (Nvm::write's completion event: this + line + a full
- * cacheline of words + a std::function continuation + a cycle).  A
- * capture that does not fit is a compile error, not a silent
- * allocation: grow `capacity` deliberately or shrink the capture.
+ * InlineCallback (InlineFunction<void()>, 120 bytes) is the event
+ * kernel's callback and every waiter's type.  Completions that ride
+ * inside events (LoadDone/StoreDone, TxnTable, AGB and NVM callbacks)
+ * have smaller capacities so their carriers still fit an event; bulky
+ * payloads stay in the component that models the hardware buffer
+ * (docs/perf.md has the rules).
  */
 
 #ifndef TSOPER_SIM_CALLBACK_HH
@@ -25,48 +26,54 @@
 namespace tsoper
 {
 
-class InlineCallback
+template <typename Sig, std::size_t Capacity = 120>
+class InlineFunction;
+
+template <typename R, typename... Args, std::size_t Capacity>
+class InlineFunction<R(Args...), Capacity>
 {
   public:
-    /** In-place storage, in bytes.  Sized for the largest capture on
-     *  the event path (nvm.cc: 120 bytes); see canHold<F>. */
-    static constexpr std::size_t capacity = 120;
+    /** In-place storage, in bytes; see canHold<F>. */
+    static constexpr std::size_t capacity = Capacity;
+    /** Pointer alignment, not max_align_t: nested InlineFunctions then
+     *  pack without padding (every capture in src/ is 8-aligned). */
+    static constexpr std::size_t alignment = alignof(void *);
 
     /** Whether a callable of type @p F fits the in-place storage;
      *  the constructor static_asserts this, tests assert both ways. */
     template <typename F>
     static constexpr bool canHold =
         sizeof(std::decay_t<F>) <= capacity &&
-        alignof(std::decay_t<F>) <= alignof(std::max_align_t);
+        alignof(std::decay_t<F>) <= alignment;
 
-    InlineCallback() = default;
+    InlineFunction() = default;
 
     template <typename F, typename D = std::decay_t<F>,
               typename = std::enable_if_t<
-                  !std::is_same_v<D, InlineCallback> &&
-                  std::is_invocable_r_v<void, D &>>>
-    InlineCallback(F &&fn) // NOLINT: implicit, mirrors std::function
+                  !std::is_same_v<D, InlineFunction> &&
+                  std::is_invocable_r_v<R, D &, Args...>>>
+    InlineFunction(F &&fn) // NOLINT: implicit, mirrors std::function
     {
         static_assert(sizeof(D) <= capacity,
-                      "lambda capture exceeds InlineCallback::capacity; "
-                      "shrink the capture or grow the storage "
-                      "deliberately (sim/callback.hh)");
-        static_assert(alignof(D) <= alignof(std::max_align_t),
-                      "over-aligned capture in InlineCallback");
+                      "capture exceeds InlineFunction::capacity; keep "
+                      "the payload in the component and capture a "
+                      "handle (sim/callback.hh)");
+        static_assert(alignof(D) <= alignment,
+                      "over-aligned capture in InlineFunction");
         static_assert(std::is_nothrow_move_constructible_v<D>,
-                      "InlineCallback requires nothrow-movable "
+                      "InlineFunction requires nothrow-movable "
                       "callables (events relocate between buckets)");
         ::new (static_cast<void *>(storage_)) D(std::forward<F>(fn));
         ops_ = &OpsImpl<D>::ops;
     }
 
-    InlineCallback(InlineCallback &&other) noexcept
+    InlineFunction(InlineFunction &&other) noexcept
     {
         moveFrom(std::move(other));
     }
 
-    InlineCallback &
-    operator=(InlineCallback &&other) noexcept
+    InlineFunction &
+    operator=(InlineFunction &&other) noexcept
     {
         if (this != &other) {
             reset();
@@ -75,23 +82,33 @@ class InlineCallback
         return *this;
     }
 
-    InlineCallback(const InlineCallback &) = delete;
-    InlineCallback &operator=(const InlineCallback &) = delete;
+    InlineFunction(const InlineFunction &) = delete;
+    InlineFunction &operator=(const InlineFunction &) = delete;
 
-    ~InlineCallback() { reset(); }
+    ~InlineFunction() { reset(); }
 
-    void
-    operator()()
+    R
+    operator()(Args... args)
     {
-        ops_->invoke(storage_);
+        return ops_->invoke(storage_, std::forward<Args>(args)...);
     }
 
     explicit operator bool() const { return ops_ != nullptr; }
 
+    /** Destroy the held callable, leaving this empty. */
+    void
+    reset() noexcept
+    {
+        if (ops_) {
+            ops_->destroy(storage_);
+            ops_ = nullptr;
+        }
+    }
+
   private:
     struct Ops
     {
-        void (*invoke)(void *self);
+        R (*invoke)(void *self, Args &&...args);
         /** Move-construct dst from src, then destroy src. */
         void (*relocate)(void *src, void *dst) noexcept;
         void (*destroy)(void *self) noexcept;
@@ -100,10 +117,10 @@ class InlineCallback
     template <typename D>
     struct OpsImpl
     {
-        static void
-        invoke(void *self)
+        static R
+        invoke(void *self, Args &&...args)
         {
-            (*static_cast<D *>(self))();
+            return (*static_cast<D *>(self))(std::forward<Args>(args)...);
         }
         static void
         relocate(void *src, void *dst) noexcept
@@ -120,7 +137,7 @@ class InlineCallback
     };
 
     void
-    moveFrom(InlineCallback &&other) noexcept
+    moveFrom(InlineFunction &&other) noexcept
     {
         if (other.ops_) {
             other.ops_->relocate(other.storage_, storage_);
@@ -129,18 +146,12 @@ class InlineCallback
         }
     }
 
-    void
-    reset() noexcept
-    {
-        if (ops_) {
-            ops_->destroy(storage_);
-            ops_ = nullptr;
-        }
-    }
-
-    alignas(std::max_align_t) std::byte storage_[capacity];
+    alignas(alignment) std::byte storage_[capacity];
     const Ops *ops_ = nullptr;
 };
+
+/** The event kernel's callback, and every parked waiter's type. */
+using InlineCallback = InlineFunction<void()>;
 
 } // namespace tsoper
 

@@ -1,0 +1,154 @@
+/**
+ * @file
+ * Allocation budget of the simulation loop: heap allocations per
+ * executed event, from the end of System construction to the end of
+ * run(), must stay under a committed per-cell bound.
+ *
+ * The executable replaces the global operator new/delete with counting
+ * versions, so it is built standalone and kept out of the sanitizer
+ * label (ASan brings its own allocator; the test skips itself there).
+ *
+ * Bounds are the measured value plus 10%.  A change that adds a heap
+ * allocation per message, transaction or waiter shows up here long
+ * before it shows up in host time.  docs/perf.md lists the rules that
+ * keep the event path allocation-free.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <ostream>
+#include <string>
+
+#include "campaign/run_request.hh"
+#include "core/system.hh"
+#include "workload/generators.hh"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define TSOPER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TSOPER_ASAN 1
+#endif
+#endif
+#ifndef TSOPER_ASAN
+#define TSOPER_ASAN 0
+#endif
+
+namespace
+{
+std::atomic<std::uint64_t> allocations{0};
+} // namespace
+
+#if !TSOPER_ASAN
+namespace
+{
+// Out of line, so the optimizer never pairs an inlined free() with a
+// new-expression (a false -Wmismatched-new-delete).
+[[gnu::noinline]] void
+releaseBlock(void *p) noexcept
+{
+    std::free(p);
+}
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t n)
+{
+    return ::operator new(n);
+}
+
+void operator delete(void *p) noexcept { releaseBlock(p); }
+void operator delete[](void *p) noexcept { releaseBlock(p); }
+void operator delete(void *p, std::size_t) noexcept { releaseBlock(p); }
+void operator delete[](void *p, std::size_t) noexcept { releaseBlock(p); }
+#endif
+
+using namespace tsoper;
+
+namespace
+{
+
+struct BudgetCell
+{
+    const char *engine;
+    const char *bench;
+    double maxPerEvent; ///< Measured allocations per event + 10%.
+};
+
+const BudgetCell kCells[] = {
+    {"tsoper", "radix", 0.653},
+    {"stw", "x264", 0.645},
+    {"bsp-slc-agb", "lu_ncb", 1.088},
+    {"hwrp", "radix", 0.440},
+    {"baseline-mesi", "ocean_cp", 0.251},
+};
+
+void
+PrintTo(const BudgetCell &c, std::ostream *os)
+{
+    *os << c.engine << "/" << c.bench;
+}
+
+class AllocBudget : public ::testing::TestWithParam<BudgetCell>
+{
+};
+
+} // namespace
+
+TEST_P(AllocBudget, AllocationsPerEventWithinBound)
+{
+    if (TSOPER_ASAN)
+        GTEST_SKIP() << "ASan replaces the allocator being counted";
+    const BudgetCell &cell = GetParam();
+    campaign::RunRequest req;
+    req.engine = cell.engine;
+    req.bench = cell.bench;
+    req.scale = 0.1;
+    req.seed = 1;
+    SystemConfig cfg;
+    std::string err;
+    ASSERT_TRUE(campaign::resolveConfig(req, &cfg, &err)) << err;
+    const Workload w =
+        generateByName(req.bench, cfg.numCores, req.seed, req.scale);
+    System sys(cfg, w);
+
+    const std::uint64_t before = allocations.load();
+    const std::uint64_t eventsBefore = sys.eventQueue().executed();
+    sys.run();
+    const std::uint64_t allocs = allocations.load() - before;
+    const std::uint64_t events = sys.eventQueue().executed() - eventsBefore;
+    ASSERT_GT(events, 0u);
+
+    const double perEvent =
+        static_cast<double>(allocs) / static_cast<double>(events);
+    std::printf("%s/%s: %llu allocations / %llu events = %.3f per event\n",
+                cell.engine, cell.bench,
+                static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(events), perEvent);
+    EXPECT_LE(perEvent, cell.maxPerEvent)
+        << cell.engine << "/" << cell.bench;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, AllocBudget, ::testing::ValuesIn(kCells),
+    [](const ::testing::TestParamInfo<BudgetCell> &info) {
+        std::string name =
+            std::string(info.param.engine) + "_" + info.param.bench;
+        for (char &c : name)
+            if (c == '-')
+                c = '_';
+        return name;
+    });

@@ -6,8 +6,12 @@
 #include <array>
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
+#include "coherence/directory.hh"
+#include "coherence/protocol.hh"
 #include "sim/event_queue.hh"
 
 using namespace tsoper;
@@ -273,26 +277,57 @@ static_assert(!InlineCallback::canHold<OneByteTooBig>,
               "an oversized capture must be a compile error, not a "
               "silent heap allocation");
 
+TEST(InlineFunction, CarriesArgumentsAndResultAndIsMoveOnly)
+{
+    using Fn = InlineFunction<int(int, int), 24>;
+    static_assert(!std::is_copy_constructible_v<Fn>);
+    static_assert(std::is_nothrow_move_constructible_v<Fn>);
+    static_assert(sizeof(Fn) == 32, "capacity plus one ops pointer");
+    // A move-only capture: std::function could not hold this at all.
+    auto owned = std::make_unique<int>(10);
+    Fn f = [p = std::move(owned)](int a, int b) { return *p + a * b; };
+    Fn g = std::move(f);
+    EXPECT_FALSE(f);
+    ASSERT_TRUE(g);
+    EXPECT_EQ(g(2, 3), 16);
+}
+
 TEST(EventQueue, LargestRealCaptureStillFits)
 {
-    // Shape of the biggest scheduling site in src/ (Nvm::write):
-    // this + line + a cacheline of words + a std::function + a cycle.
-    struct NvmShape
+    // Shape of the biggest scheduling site in src/ (the protocols'
+    // submitTxn): a request message carrying a directory-transaction
+    // body, which in turn carries the store's completion.
+    struct StoreBodyShape
     {
         void *self;
-        std::uint64_t line;
-        std::array<std::uint64_t, 8> words;
-        std::function<void(Cycle)> done;
-        Cycle completion;
-        void operator()() {}
+        CoreId core;
+        bool holdsMshr;
+        Addr addr;
+        StoreId store;
+        CoherenceProtocol::StoreDone done;
+        std::optional<Cycle>
+        operator()(Cycle t)
+        {
+            done(t);
+            return t;
+        }
     };
-    static_assert(InlineCallback::canHold<NvmShape>);
+    struct RequestShape
+    {
+        void *self;
+        LineAddr line;
+        LineSerializer::Body body;
+        void operator()() { body(0); }
+    };
+    static_assert(LineSerializer::Body::canHold<StoreBodyShape>);
+    static_assert(InlineCallback::canHold<RequestShape>);
+    static_assert(InlineCallback::capacity == 120);
     EventQueue eq;
     bool ran = false;
-    NvmShape ev{};
-    ev.self = &ran;
-    ev.done = [&ran](Cycle) { ran = true; };
-    eq.schedule(3, [ev = std::move(ev)]() mutable { ev.done(0); });
+    RequestShape ev{&ran, 0,
+                    StoreBodyShape{&ran, 0, false, 0, 0,
+                                   [&ran](Cycle) { ran = true; }}};
+    eq.schedule(3, std::move(ev));
     eq.run();
     EXPECT_TRUE(ran);
 }

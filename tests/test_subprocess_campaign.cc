@@ -14,12 +14,17 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "campaign/journal.hh"
 #include "campaign/runner.hh"
 #include "campaign/subprocess.hh"
+#include "workload/generators.hh"
+#include "workload/trace_io.hh"
 
 using namespace tsoper;
 using namespace tsoper::campaign;
@@ -139,6 +144,38 @@ TEST(Subprocess, OkCellHasFullFidelityVersusInProcess)
     EXPECT_EQ(out.result.durableWords, inProc.durableWords);
     EXPECT_EQ(out.result.stats.dump(), inProc.stats.dump());
     EXPECT_EQ(out.result.exitCode, 0);
+}
+
+TEST(Subprocess, TraceFileNamedLikeACategoryListStillDrivesTheChild)
+{
+    // "all" is also a trace-category list, so a child handed the file
+    // through the ambiguous --trace= would run its default benchmark
+    // with tracing on; the executor must pass it as --trace-file=.
+    namespace fs = std::filesystem;
+    const fs::path cwd = fs::current_path();
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("tsoper-trace-all-" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    fs::current_path(dir);
+    saveWorkloadFile(generateByName("radix", 8, 1, 0.05), "all");
+
+    RunRequest r = tinyRequest("trace-file-all");
+    r.traceFile = "all";
+    const RunResult inProc = runOne(r);
+    const SubprocessOutcome out = runSubprocess(r, simOptions());
+    fs::current_path(cwd);
+    fs::remove_all(dir);
+
+    ASSERT_EQ(inProc.status, RunStatus::Ok) << inProc.detail;
+    ASSERT_EQ(out.result.status, RunStatus::Ok) << out.result.detail;
+    const auto execCycles = [](const RunResult &res) {
+        return res.stats.find("counters")
+            ->find("sys.exec_cycles")
+            ->asUint();
+    };
+    EXPECT_EQ(execCycles(out.result), execCycles(inProc));
+    EXPECT_EQ(out.result.ops, inProc.ops);
 }
 
 TEST(Subprocess, SegvChildIsContainedAndClassified)
