@@ -9,36 +9,15 @@ namespace tsoper::campaign
 Json
 CellReport::toJson() const
 {
+    // The request's fields, then the result as runResultToJson writes
+    // it (cellReportFromJson reads it back with runResultFromJson),
+    // with the cell's own fields ahead of the bulky stats.
     Json j = request.toJson();
-    j.set("status", Json(toString(result.status)))
-        .set("attempts", Json(attempts))
-        .set("wall_ms", Json(wallMs));
-    if (!result.detail.empty())
-        j.set("detail", Json(result.detail));
-    j.set("cycles", Json(result.cycles))
-        .set("drain_cycles", Json(result.drainCycles));
-    if (result.crashCycle)
-        j.set("crash_cycle", Json(result.crashCycle));
-    j.set("ops", Json(result.ops)).set("stores", Json(result.stores));
-    if (!result.recoverySummary.empty())
-        j.set("recovery_summary", Json(result.recoverySummary));
-    if (result.audited) {
-        Json audit = Json::object();
-        audit.set("durable_lines", Json(result.durableLines))
-            .set("durable_words", Json(result.durableWords))
-            .set("buffer_recovered_lines",
-                 Json(result.bufferRecoveredLines))
-            .set("required_stores", Json(result.requiredStores))
-            .set("ok", Json(result.status != RunStatus::CheckFailed));
-        j.set("audit", std::move(audit));
-    }
-    if (result.exitCode >= 0)
-        j.set("exit_code", Json(static_cast<std::int64_t>(
-                               result.exitCode)));
-    if (!result.signalName.empty())
-        j.set("signal", Json(result.signalName));
-    if (!result.stderrTail.empty())
-        j.set("stderr_tail", Json(result.stderrTail));
+    const Json res = runResultToJson(result);
+    for (const auto &[key, value] : res.members())
+        if (key != "stats")
+            j.set(key, value);
+    j.set("attempts", Json(attempts)).set("wall_ms", Json(wallMs));
     if (quarantined)
         j.set("quarantined", Json(true));
     if (attemptLog.size() >= 2) {
@@ -55,7 +34,7 @@ CellReport::toJson() const
         }
         j.set("attempt_log", std::move(logArr));
     }
-    j.set("stats", result.stats);
+    j.set("stats", res["stats"]);
     return j;
 }
 

@@ -279,6 +279,27 @@ fillAudit(RunResult *res, const RecoveryReport &report)
     }
 }
 
+void
+fillTrace(RunResult *res, const trace::TraceSession::Outcome &out)
+{
+    if (out.audited) {
+        res->persistAudited = true;
+        res->persistAuditOk = out.audit.ok;
+        res->persistAuditDetail = out.audit.detail;
+        res->persistCommits = out.audit.commits;
+        res->persistEdges = out.audit.edges;
+        res->persistGroups = out.audit.groups;
+        if (!out.audit.ok && res->status == RunStatus::Ok) {
+            res->status = RunStatus::CheckFailed;
+            res->detail = out.audit.detail;
+        }
+    }
+    if (!out.perfettoError.empty() && res->status == RunStatus::Ok) {
+        res->status = RunStatus::Crashed;
+        res->detail = out.perfettoError;
+    }
+}
+
 } // namespace
 
 RunResult
@@ -288,6 +309,21 @@ runOne(const RunRequest &r, const RunHooks &hooks)
     SystemConfig cfg;
     if (!resolveConfig(r, &cfg, &res.detail))
         return res; // BadRequest: unknown engine
+
+    trace::TraceOptions topt;
+    topt.categories = r.traceCategories;
+    topt.perfettoPath = r.traceOut;
+    topt.auditPersists = r.auditPersists;
+    topt.auditFault = r.auditFault;
+    topt.flightRecorderDepth = r.flightRecorder;
+    topt.faultSeed = r.seed;
+    // Only TSOPER and STW persist each core's groups strictly in
+    // creation order; BSP skips empty epochs and HW-RP interleaves
+    // spontaneous persists, so they get the order-graph checks only.
+    topt.strictCoreFifo = cfg.engine == EngineKind::Tsoper ||
+                          cfg.engine == EngineKind::Stw;
+    if (!topt.check(&res.detail))
+        return res; // BadRequest: unknown trace category or audit fault
 
     if (r.traceFile.empty() && !findProfile(r.bench)) {
         res.detail = "unknown benchmark: " + r.bench;
@@ -311,50 +347,6 @@ runOne(const RunRequest &r, const RunHooks &hooks)
     res.ops = w.totalOps();
     res.stores = w.totalStores();
 
-    trace::TraceOptions topt;
-    topt.categories = r.traceCategories;
-    topt.perfettoPath = r.traceOut;
-    topt.auditPersists = r.auditPersists;
-    topt.auditFault = r.auditFault;
-    topt.flightRecorderDepth = r.flightRecorder;
-    topt.faultSeed = r.seed;
-    // Only TSOPER and STW persist each core's groups strictly in
-    // creation order; BSP skips empty epochs and HW-RP interleaves
-    // spontaneous persists, so they get the order-graph checks only.
-    topt.strictCoreFifo = cfg.engine == EngineKind::Tsoper ||
-                          cfg.engine == EngineKind::Stw;
-
-    // Started just before the measured System is built (crash requests
-    // run an untraced timing run first whose restarted group ids would
-    // otherwise pollute the audit log).
-    std::unique_ptr<trace::TraceSession> session;
-    const auto startTrace = [&] {
-        if (topt.any())
-            session = std::make_unique<trace::TraceSession>(topt);
-    };
-    const auto finishTrace = [&] {
-        if (!session)
-            return;
-        const trace::TraceSession::Outcome out = session->finish();
-        if (out.audited) {
-            res.persistAudited = true;
-            res.persistAuditOk = out.audit.ok;
-            res.persistAuditDetail = out.audit.detail;
-            res.persistCommits = out.audit.commits;
-            res.persistEdges = out.audit.edges;
-            res.persistGroups = out.audit.groups;
-            if (!out.audit.ok && res.status == RunStatus::Ok) {
-                res.status = RunStatus::CheckFailed;
-                res.detail = out.audit.detail;
-            }
-        }
-        if (!out.perfettoError.empty() &&
-            res.status == RunStatus::Ok) {
-            res.status = RunStatus::Crashed;
-            res.detail = out.perfettoError;
-        }
-    };
-
     try {
         const PersistModel model = cfg.engine == EngineKind::HwRp
                                        ? PersistModel::RelaxedSfr
@@ -371,8 +363,8 @@ runOne(const RunRequest &r, const RunHooks &hooks)
                 res.drainCycles =
                     timing.stats().get("sys.drain_cycles");
             }
-            startTrace();
             System sys(cfg, w);
+            trace::TraceSession session(sys.tracer(), topt);
             sys.runUntilCrash(crashCycle);
             res.crashCycle = crashCycle;
             res.status = RunStatus::Ok;
@@ -380,19 +372,19 @@ runOne(const RunRequest &r, const RunHooks &hooks)
             // The checks are prefix-sound (groups the cold stop left
             // incomplete are skipped), so the audit applies to the
             // pre-crash persist stream as well.
-            finishTrace();
+            fillTrace(&res, session.finish());
             res.stats = statsToJson(sys.stats());
             if (hooks.onFinished)
                 hooks.onFinished(sys);
             return res;
         }
 
-        startTrace();
         System sys(cfg, w);
+        trace::TraceSession session(sys.tracer(), topt);
         res.cycles = sys.run(r.maxCycles);
         res.drainCycles = sys.stats().get("sys.drain_cycles");
         res.status = RunStatus::Ok;
-        finishTrace();
+        fillTrace(&res, session.finish());
         if (r.check)
             fillAudit(&res, recover(sys, model));
         res.stats = statsToJson(sys.stats());

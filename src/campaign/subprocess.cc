@@ -17,8 +17,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "sim/debug.hh"
-
 namespace tsoper::campaign
 {
 
@@ -205,9 +203,6 @@ runSubprocess(const RunRequest &r, const SubprocessOptions &opt)
         cargv.push_back(a.data());
     cargv.push_back(nullptr);
 
-    // Resolved before fork: the child only setenv()s a ready string.
-    const std::string debugFlags = debug::flagsCsv();
-
     int errPipe[2];
     if (::pipe(errPipe) != 0)
         return fail(std::string("pipe: ") + std::strerror(errno));
@@ -221,10 +216,7 @@ runSubprocess(const RunRequest &r, const SubprocessOptions &opt)
 
     if (pid == 0) {
         // Child: cap memory, route stderr into the pipe, silence the
-        // banner on stdout, become tsoper_sim.  Debug flags enabled in
-        // this process follow the cell across the exec.
-        if (!debugFlags.empty())
-            ::setenv("TSOPER_DEBUG", debugFlags.c_str(), 1);
+        // banner on stdout, become tsoper_sim.
         if (opt.memLimitMb) {
             const rlim_t bytes =
                 static_cast<rlim_t>(opt.memLimitMb) << 20;

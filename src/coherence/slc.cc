@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/debug.hh"
 #include "sim/log.hh"
 #include "sim/trace.hh"
 
@@ -467,8 +466,6 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
     }
     invalidateBelow(core, line, t, exposedInDataPath);
     n = &node(core, line);
-    TSOPER_TRACE(Slc, t, "core " << core << " is the new head writer of "
-                 "line 0x" << std::hex << line << std::dec);
     trace::instant(trace::Event::SlcNewHead, core, t, line);
     n->words[wordOf(addr)] = store;
     n->dirty = true;
@@ -515,10 +512,6 @@ SlcProtocol::invalidateBelow(CoreId newHead, LineAddr line, Cycle t,
         const CoreId next = v.fwd;
         if (v.valid) {
             v.valid = false;
-            TSOPER_TRACE(Slc, t, "core " << cur << "'s copy of line 0x"
-                         << std::hex << line << std::dec
-                         << " invalidated non-destructively (dirty="
-                         << v.dirty << ")");
             trace::instant(trace::Event::SlcInvalidate, cur, t, line,
                            v.dirty);
             // Background invalidation: a real fire-and-forget message
@@ -625,8 +618,6 @@ SlcProtocol::teardownEntry(LineAddr victim, Cycle t)
     Entry &e = eit->second;
     tsoper_assert(!e.zombie, "double teardown");
     e.zombie = true;
-    TSOPER_TRACE(Slc, t, "directory eviction of line 0x" << std::hex
-                 << victim << std::dec << ": teardown begins");
     trace::instant(trace::Event::SlcDirEvict, invalidCore, t, victim);
     capacity_.evictBufferEnter(victim);
     // Invalidate every valid node; dirty versions freeze their AGs and
@@ -800,9 +791,6 @@ SlcProtocol::persistComplete(CoreId core, LineAddr line, Cycle now)
     coherenceWb_.inc();
     bus_.arrival(bus_.coreNode(core), bus_.bankNode(bankOf(line)),
                 lineBytes + cfg_.ctrlMsgBytes, now);
-    TSOPER_TRACE(Slc, now, "core " << core << "'s version of line 0x"
-                 << std::hex << line << std::dec
-                 << " persisted (valid=" << n.valid << ")");
     trace::instant(trace::Event::SlcPersist, core, now, line);
     const CoreId above = n.bwd;
     if (!n.valid || n.evicted) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/debug.hh"
 #include "sim/log.hh"
 #include "sim/trace.hh"
 
@@ -90,9 +89,6 @@ Agb::grant(AgRec &ag)
 {
     agsAllocated_.inc();
     ag.granted = true;
-    TSOPER_TRACE(Agb, eq_.now(), "AG handle " << ag.handle << " ("
-                 << ag.lines.size() << " lines from core " << ag.from
-                 << ") allocated");
     for (unsigned s = 0; s < slices_; ++s)
         sliceUsed_[s] += ag.sliceNeeds[s];
     unsigned total = 0;
@@ -163,8 +159,6 @@ Agb::bufferLine(AgHandle h, LineAddr line, const LineWords &words,
             done(eq_.now());
         if (rec.remaining == 0) {
             rec.complete = true;
-            TSOPER_TRACE(Agb, eq_.now(), "AG handle " << h
-                         << " fully buffered — joins the super group");
             advanceCommitted();
         }
     });

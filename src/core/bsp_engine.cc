@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/debug.hh"
 #include "sim/log.hh"
 #include "sim/trace.hh"
 
@@ -160,9 +159,6 @@ BspEngine::closeEpoch(CoreId core, Cycle now)
     EpochPtr e = q.back();
     e->closed = true;
     epochsClosed_.inc();
-    TSOPER_TRACE(Bsp, now, "core " << core << " epoch#" << e->uid
-                 << " closed (" << e->order.size() << " lines, "
-                 << e->storeCount << " stores)");
     epochLines_.add(e->order.size());
     trace::instant(trace::Event::EpochClosed, core, now, e->uid,
                    e->order.size(), e->storeCount);
@@ -330,8 +326,6 @@ void
 BspEngine::markPersisted(const EpochPtr &e)
 {
     e->persisted = true;
-    TSOPER_TRACE(Bsp, eq_.now(), "core " << e->core << " epoch#"
-                 << e->uid << " persisted");
     trace::span(trace::Event::EpochPersisted, e->core, e->openedAt,
                 eq_.now(), e->uid, e->order.size());
     // In AGB mode the buffer emits the group-durable record at the

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "sim/debug.hh"
 #include "sim/log.hh"
+#include "sim/trace.hh"
 
 namespace tsoper
 {
@@ -268,8 +268,9 @@ Cpu::execLockAcqGranted(const TraceOp &op)
 {
     auto rmw = [this, &op] {
         lockAcquires_.inc();
-        TSOPER_TRACE(Cpu, eq_.now(), "core " << id_ << " acquires lock "
-                     << op.arg);
+        trace::instant(trace::Event::SyncOp, id_, eq_.now(), op.arg,
+                       static_cast<unsigned>(
+                           PersistEngine::SyncEvent::LockAcquire));
         engine_.onSyncEvent(id_, eq_.now(),
                             PersistEngine::SyncEvent::LockAcquire,
                             op.arg);
@@ -319,8 +320,9 @@ Cpu::execBarrier(const TraceOp &op)
         }
         issueDirectStore(op.addr, [this, &op] {
             barriers_.inc();
-            TSOPER_TRACE(Cpu, eq_.now(), "core " << id_
-                         << " arrives at barrier " << op.arg);
+            trace::instant(trace::Event::SyncOp, id_, eq_.now(), op.arg,
+                           static_cast<unsigned>(
+                               PersistEngine::SyncEvent::BarrierArrive));
             syncBoundary();
             engine_.onSyncEvent(id_, eq_.now(),
                                 PersistEngine::SyncEvent::BarrierArrive,

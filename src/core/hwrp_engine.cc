@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/debug.hh"
 #include "sim/log.hh"
 #include "sim/trace.hh"
 
@@ -179,9 +178,6 @@ HwRpEngine::flushSfr(CoreId core, Cycle now)
     // start after the previous batch's entries; within the batch, no
     // order.
     const Cycle start = std::max(now, batchDoneAt_[c]);
-    TSOPER_TRACE(HwRp, now, "core " << core << " SFR flush ("
-                 << lines.size() << " lines), batch starts at "
-                 << start);
     const std::uint64_t tag = trace::groupTag(core, batchSeq_[c]);
     Cycle done = start;
     unsigned persisted = 0;

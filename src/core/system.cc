@@ -15,20 +15,10 @@ namespace tsoper
 {
 
 System::System(const SystemConfig &cfg, const Workload &workload)
-    : cfg_(cfg),
-      logCycle_(
-          [](const void *eq) {
-              return static_cast<const EventQueue *>(eq)->now();
-          },
-          &eq_),
-      mesh_(cfg_, stats_), nvm_(cfg_, eq_, stats_),
+    : cfg_(cfg), mesh_(cfg_, stats_), nvm_(cfg_, eq_, stats_),
       llc_(cfg_, nvm_, stats_), sync_(cfg_.numCores, eq_)
 {
     cfg_.validate();
-    if (!cfg_.traceCategories.empty())
-        trace::setCategories(cfg_.traceCategories);
-    if (cfg_.flightRecorderDepth > 0)
-        trace::enableFlightRecorder(cfg_.flightRecorderDepth);
     tsoper_assert(workload.perCore.size() == cfg_.numCores,
                   "workload core count (", workload.perCore.size(),
                   ") != configured cores (", cfg_.numCores, ")");
@@ -107,6 +97,7 @@ System::~System() = default;
 Cycle
 System::run(Cycle maxCycles)
 {
+    const trace::Scope scope(tracer_, eq_);
     const WatchdogConfig watchdog{cfg_.watchdogCheckEvents,
                                   cfg_.watchdogStallChecks,
                                   /*frozenChecks=*/2};
@@ -130,6 +121,7 @@ System::run(Cycle maxCycles)
 std::unordered_map<LineAddr, LineWords>
 System::runUntilCrash(Cycle crashAt)
 {
+    const trace::Scope scope(tracer_, eq_);
     for (auto &cpu : cpus_)
         cpu->start();
     if (!cfg_.watchdogCheckEvents) {
@@ -220,7 +212,7 @@ System::dumpState() const
     os << "  nvm: " << stats_.get("nvm.writes_issued") << " issued, "
        << stats_.get("nvm.writes_done") << " done, "
        << stats_.get("nvm.reads") << " reads";
-    if (const std::string tail = trace::flightRecorderDump();
+    if (const std::string tail = tracer_.flightRecorderDump();
         !tail.empty())
         os << "\n" << tail;
     return os.str();

@@ -34,9 +34,9 @@
 #include "noc/mesh.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
-#include "sim/log.hh"
 #include "sim/stats.hh"
 #include "sim/store_log.hh"
+#include "sim/trace.hh"
 #include "workload/trace.hh"
 
 namespace tsoper
@@ -95,6 +95,9 @@ class System
     const StoreLog &storeLog() const { return *log_; }
     const SystemConfig &config() const { return cfg_; }
     EventQueue &eventQueue() { return eq_; }
+    /** This machine's trace bus; run() and runUntilCrash() bind it to
+     *  the calling thread (a TraceSession configures it). */
+    trace::Tracer &tracer() { return tracer_; }
 
     PersistEngine &engine() { return *engine_; }
     CoherenceProtocol &protocol() { return *proto_; }
@@ -111,8 +114,7 @@ class System
     /** The event kernel: every timed activity of every component is
      *  an event on this one queue. */
     EventQueue eq_;
-    /** Timestamps warn/panic lines with eq_'s cycle while we're live. */
-    ScopedLogCycleSource logCycle_;
+    trace::Tracer tracer_;
     Mesh mesh_;
     Nvm nvm_;
     Llc llc_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/debug.hh"
 #include "sim/log.hh"
 #include "sim/trace.hh"
 
@@ -112,10 +111,6 @@ TsoperEngine::freezeGroupOf(CoreId core, LineAddr line, FreezeReason why,
                   core, " line=", line, ")");
     if (!ag->frozen) {
         mgr.freezeOpen(why);
-        TSOPER_TRACE(Ag, now, "core " << core << " AG#" << ag->id
-                     << " frozen (" << ag->members.size()
-                     << " lines, reason=" << static_cast<int>(why)
-                     << ")");
         agStores_.add(ag->storeCount);
         agStoresT_.sample(now, static_cast<double>(ag->storeCount));
         noteFrozen(core, *ag, why, now);
@@ -273,9 +268,6 @@ TsoperEngine::onGranted(CoreId core, AgId id, Cycle now)
     AtomicGroup *ag = findAg(core, id);
     tsoper_assert(ag, "grant for a retired AG");
     ag->granted = true;
-    TSOPER_TRACE(Ag, eq_.now(), "core " << core << " AG#" << id
-                 << " allocation granted; streaming " << ag->unbuffered
-                 << " dirty lines");
     if (ag->unbuffered == 0) {
         maybeRetire(core);
         return;
@@ -317,8 +309,6 @@ TsoperEngine::maybeRetire(CoreId core)
     while (AtomicGroup *front = mgr.oldest()) {
         if (!(front->frozen && front->granted && front->unbuffered == 0))
             break;
-        TSOPER_TRACE(Ag, eq_.now(), "core " << core << " AG#"
-                     << front->id << " fully persisted, retiring");
         trace::span(trace::Event::AgRetired, core, front->openedAt,
                     eq_.now(), trace::groupTag(core, front->id),
                     front->dirtyCount(), front->storeCount);

@@ -121,14 +121,6 @@ struct SystemConfig
     // --- Instrumentation -------------------------------------------------
     bool recordStores = false;  ///< Keep the store log for crash checking.
     std::uint64_t seed = 1;
-    /** Structured-trace categories to enable at construction
-     *  ("ag,agb,slc" or "all"; see sim/trace.hh).  Empty leaves the
-     *  process-global trace mask untouched, so a TraceSession set up
-     *  by the caller (campaign runner, tsoper_sim) stays in charge. */
-    std::string traceCategories;
-    /** Flight-recorder depth (last-N trace records kept for crash
-     *  dumps); 0 leaves the recorder as the caller configured it. */
-    unsigned flightRecorderDepth = 0;
 
     // --- Progress watchdog (sim/watchdog.hh) ---------------------------
     /** Events between livelock checks; 0 disables the watchdog and

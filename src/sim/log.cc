@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "sim/event_queue.hh"
 #include "sim/trace.hh"
 
 namespace tsoper
@@ -11,43 +12,29 @@ namespace tsoper
 namespace
 {
 
-thread_local ScopedLogCycleSource::Fn cycleFn_ = nullptr;
-thread_local const void *cycleCtx_ = nullptr;
-
-/** "[     cycle] " when a System is live on this thread, else "". */
+/** "[     cycle] " when a System runs on this thread, else "". */
 std::string
 cyclePrefix()
 {
-    if (!cycleFn_)
+    const EventQueue *clock = trace::current().clock;
+    if (!clock)
         return {};
     char buf[32];
     std::snprintf(buf, sizeof(buf), "[%10llu] ",
-                  static_cast<unsigned long long>(cycleFn_(cycleCtx_)));
+                  static_cast<unsigned long long>(clock->now()));
     return buf;
 }
 
 } // namespace
-
-ScopedLogCycleSource::ScopedLogCycleSource(Fn fn, const void *ctx)
-    : prevFn_(cycleFn_), prevCtx_(cycleCtx_)
-{
-    cycleFn_ = fn;
-    cycleCtx_ = ctx;
-}
-
-ScopedLogCycleSource::~ScopedLogCycleSource()
-{
-    cycleFn_ = prevFn_;
-    cycleCtx_ = prevCtx_;
-}
 
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
     std::string full = cyclePrefix() + "panic: " + msg + " (" + file +
                        ":" + std::to_string(line) + ")";
-    if (trace::flightRecorderActive())
-        full += "\n" + trace::flightRecorderDump();
+    if (const trace::Tracer *t = trace::current().tracer)
+        if (const std::string tail = t->flightRecorderDump(); !tail.empty())
+            full += "\n" + tail;
     std::fprintf(stderr, "%s\n", full.c_str());
     throw std::logic_error(full);
 }

@@ -5,12 +5,15 @@
  * panic()  — an internal invariant of the simulator was violated.
  * fatal()  — the user supplied an impossible configuration.
  * warn()   — something is suspicious but the simulation continues.
+ *
+ * While a System runs on the calling thread (trace::Scope), warn and
+ * panic lines start with its cycle ("[     cycle] ") and a panic appends
+ * the System's flight-recorder tail.
  */
 
 #ifndef TSOPER_SIM_LOG_HH
 #define TSOPER_SIM_LOG_HH
 
-#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -22,31 +25,6 @@ namespace tsoper
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const char *file, int line, const std::string &msg);
-
-/**
- * RAII: while alive, tsoper_warn / tsoper_panic lines carry the
- * current simulated cycle in the same "[     cycle] " prefix the debug
- * tracer uses.  System installs one over its event queue, so any
- * warning or panic raised while a machine is live is timestamped.
- *
- * Nested scopes stack (the innermost wins); the source is thread-local
- * so concurrent campaign workers don't read each other's clocks.
- */
-class ScopedLogCycleSource
-{
-  public:
-    using Fn = std::uint64_t (*)(const void *ctx);
-
-    ScopedLogCycleSource(Fn fn, const void *ctx);
-    ~ScopedLogCycleSource();
-
-    ScopedLogCycleSource(const ScopedLogCycleSource &) = delete;
-    ScopedLogCycleSource &operator=(const ScopedLogCycleSource &) = delete;
-
-  private:
-    Fn prevFn_;
-    const void *prevCtx_;
-};
 
 /** Build a message from stream-insertable parts. */
 template <typename... Args>

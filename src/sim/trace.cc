@@ -2,81 +2,39 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <mutex>
+#include <iterator>
 #include <sstream>
-
-#include "sim/log.hh"
 
 namespace tsoper::trace
 {
 
-namespace detail
-{
-bool mask_[static_cast<unsigned>(Category::NumCategories)] = {};
-} // namespace detail
-
 namespace
 {
-
-constexpr auto numCategories =
-    static_cast<unsigned>(Category::NumCategories);
-constexpr auto numEvents = static_cast<unsigned>(Event::NumEvents);
 
 constexpr const char *categoryNames_[numCategories] = {
     "ag", "agb", "slc", "sb", "llc", "noc", "persist",
 };
 
-struct EventInfo
-{
-    Category cat;
-    const char *name;
+/** Indexed by Event; one row per category. */
+constexpr const char *eventNames_[] = {
+    "ag_frozen", "ag_retired", "epoch_closed", "epoch_persisted",
+    "sfr_flushed", "stw_stall", "sync_op",
+    "agb_grant", "agb_occupancy", "agb_drained",
+    "slc_new_head", "slc_invalidate", "slc_dir_evict", "slc_persist",
+    "sb_depth",
+    "llc_access",
+    "noc_msg",
+    "persist_issue", "persist_commit", "group_durable", "pb_edge",
 };
-
-constexpr EventInfo events_[numEvents] = {
-    {Category::Ag, "ag_frozen"},
-    {Category::Ag, "ag_retired"},
-    {Category::Ag, "epoch_closed"},
-    {Category::Ag, "epoch_persisted"},
-    {Category::Ag, "sfr_flushed"},
-    {Category::Ag, "stw_stall"},
-    {Category::Agb, "agb_grant"},
-    {Category::Agb, "agb_occupancy"},
-    {Category::Agb, "agb_drained"},
-    {Category::Slc, "slc_new_head"},
-    {Category::Slc, "slc_invalidate"},
-    {Category::Slc, "slc_dir_evict"},
-    {Category::Slc, "slc_persist"},
-    {Category::Sb, "sb_depth"},
-    {Category::Llc, "llc_access"},
-    {Category::Noc, "noc_msg"},
-    {Category::Persist, "persist_issue"},
-    {Category::Persist, "persist_commit"},
-    {Category::Persist, "group_durable"},
-    {Category::Persist, "pb_edge"},
-};
-
-/** Serializes sink dispatch and the flight ring.  The mask itself is
- *  written only between runs (setCategories), never under the lock. */
-std::mutex mutex_;
-std::vector<Sink *> sinks_;
-
-std::vector<Record> flightRing_;
-std::size_t flightNext_ = 0;
-std::size_t flightCount_ = 0;
-bool flightOn_ = false;
+static_assert(std::size(eventNames_) ==
+              static_cast<unsigned>(Event::NumEvents));
 
 } // namespace
-
-Category
-categoryOf(Event e)
-{
-    return events_[static_cast<unsigned>(e)].cat;
-}
 
 const char *
 eventName(Event e)
 {
-    return events_[static_cast<unsigned>(e)].name;
+    return eventNames_[static_cast<unsigned>(e)];
 }
 
 const char *
@@ -85,22 +43,10 @@ categoryName(Category c)
     return categoryNames_[static_cast<unsigned>(c)];
 }
 
-const std::vector<std::string> &
-categoryNames()
+bool
+parseCategories(const std::string &csv, Mask *out, std::string *err)
 {
-    static const std::vector<std::string> all = [] {
-        std::vector<std::string> v;
-        for (unsigned c = 0; c < numCategories; ++c)
-            v.push_back(categoryNames_[c]);
-        return v;
-    }();
-    return all;
-}
-
-void
-setCategories(const std::string &csv)
-{
-    bool next[numCategories] = {};
+    Mask next{};
     std::size_t pos = 0;
     while (pos <= csv.size() && !csv.empty()) {
         const std::size_t comma = csv.find(',', pos);
@@ -108,91 +54,28 @@ setCategories(const std::string &csv)
             csv.substr(pos, comma == std::string::npos ? std::string::npos
                                                        : comma - pos);
         if (tok == "all") {
-            std::fill(next, next + numCategories, true);
+            next.fill(true);
         } else if (!tok.empty()) {
-            bool known = false;
-            for (unsigned c = 0; c < numCategories; ++c) {
-                if (tok == categoryNames_[c]) {
-                    next[c] = true;
-                    known = true;
+            const auto it = std::find(std::begin(categoryNames_),
+                                      std::end(categoryNames_), tok);
+            if (it == std::end(categoryNames_)) {
+                if (err) {
+                    *err = "unknown trace category '" + tok +
+                           "' (valid: all";
+                    for (const char *name : categoryNames_)
+                        *err += std::string(",") + name;
+                    *err += ")";
                 }
+                return false;
             }
-            if (!known) {
-                std::string valid = "all";
-                for (unsigned c = 0; c < numCategories; ++c)
-                    valid += std::string(",") + categoryNames_[c];
-                tsoper_fatal("unknown trace category '", tok,
-                             "' (valid: ", valid, ")");
-            }
+            next[it - std::begin(categoryNames_)] = true;
         }
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
     }
-    std::copy(next, next + numCategories, detail::mask_);
-}
-
-std::string
-categoriesCsv()
-{
-    std::string csv;
-    for (unsigned c = 0; c < numCategories; ++c) {
-        if (!detail::mask_[c])
-            continue;
-        if (!csv.empty())
-            csv += ',';
-        csv += categoryNames_[c];
-    }
-    return csv;
-}
-
-void
-addSink(Sink *sink)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    sinks_.push_back(sink);
-}
-
-void
-removeSink(Sink *sink)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink),
-                 sinks_.end());
-}
-
-bool
-anySink()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return !sinks_.empty() || flightOn_;
-}
-
-void
-enableFlightRecorder(unsigned depth)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    flightRing_.assign(depth ? depth : 1, Record{});
-    flightNext_ = 0;
-    flightCount_ = 0;
-    flightOn_ = depth > 0;
-}
-
-void
-disableFlightRecorder()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    flightOn_ = false;
-    flightRing_.clear();
-    flightNext_ = 0;
-    flightCount_ = 0;
-}
-
-bool
-flightRecorderActive()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return flightOn_;
+    *out = next;
+    return true;
 }
 
 std::string
@@ -210,38 +93,51 @@ formatRecord(const Record &r)
     return os.str();
 }
 
-std::string
-flightRecorderDump()
+void
+Tracer::addSink(Sink *sink)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!flightOn_ || flightCount_ == 0)
+    sinks_.push_back(sink);
+}
+
+void
+Tracer::removeSink(Sink *sink)
+{
+    sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink),
+                 sinks_.end());
+}
+
+void
+Tracer::setFlightRecorderDepth(unsigned depth)
+{
+    ring_.assign(depth, Record{});
+    ringNext_ = 0;
+    ringCount_ = 0;
+}
+
+std::string
+Tracer::flightRecorderDump() const
+{
+    if (ringCount_ == 0)
         return {};
     std::ostringstream os;
-    os << "flight recorder (last " << flightCount_ << " trace records):";
-    const std::size_t depth = flightRing_.size();
-    const std::size_t first =
-        flightCount_ < depth ? 0 : flightNext_ % depth;
-    for (std::size_t i = 0; i < flightCount_; ++i)
-        os << "\n  " << formatRecord(flightRing_[(first + i) % depth]);
+    os << "flight recorder (last " << ringCount_ << " trace records):";
+    const std::size_t depth = ring_.size();
+    const std::size_t first = ringCount_ < depth ? 0 : ringNext_;
+    for (std::size_t i = 0; i < ringCount_; ++i)
+        os << "\n  " << formatRecord(ring_[(first + i) % depth]);
     return os.str();
 }
 
-namespace detail
-{
-
 void
-emitRecord(const Record &r)
+Tracer::record(const Record &r)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (flightOn_) {
-        flightRing_[flightNext_] = r;
-        flightNext_ = (flightNext_ + 1) % flightRing_.size();
-        flightCount_ = std::min(flightCount_ + 1, flightRing_.size());
+    if (!ring_.empty()) {
+        ring_[ringNext_] = r;
+        ringNext_ = (ringNext_ + 1) % ring_.size();
+        ringCount_ = std::min(ringCount_ + 1, ring_.size());
     }
     for (Sink *s : sinks_)
         s->record(r);
 }
-
-} // namespace detail
 
 } // namespace tsoper::trace

@@ -5,31 +5,37 @@
  * (sim/trace_sink.hh — Perfetto export, persist-order audit, flight
  * recorder).
  *
- * Unlike sim/debug.hh (free-form text for humans), trace records are
- * machine-consumable: every record carries its event kind, category,
- * core, one or two cycles (instant or span), and up to three integer
- * arguments whose meaning is fixed per event kind.
+ * Every record carries its event kind, category, core, one or two
+ * cycles (instant or span), and up to three integer arguments whose
+ * meaning is fixed per event kind.
  *
- * Cost model: each emit site is a single branch on the category mask
- * when tracing is off — no record is built, no virtual call is made.
- * Enable categories with setCategories("ag,agb,slc") or "all"; unknown
- * names are fatal (same contract as debug::setFlags).
+ * Each System owns one Tracer (the category mask, the sinks and the
+ * flight ring).  System::run and System::runUntilCrash bind it to the
+ * calling thread with a trace::Scope, and the emit functions below
+ * publish to whatever tracer the thread has bound.  Concurrent Systems
+ * on different threads therefore never see each other's records, and
+ * nothing here takes a lock.
  *
- * Concurrency: the mask is process-global and sinks are shared, so at
- * most one traced System should run per process at a time — the
- * campaign runner's subprocess isolation gives every traced cell its
- * own process.  Sink dispatch itself is serialized by an internal
- * mutex, so a stray concurrent emitter corrupts nothing.
+ * Cost model: with no System running on the thread an emit site is one
+ * thread-local load and a branch; while one runs, a second load checks
+ * the category.  No record is built and no virtual call is made for a
+ * disabled category.
  */
 
 #ifndef TSOPER_SIM_TRACE_HH
 #define TSOPER_SIM_TRACE_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "sim/types.hh"
+
+namespace tsoper
+{
+class EventQueue;
+} // namespace tsoper
 
 namespace tsoper::trace
 {
@@ -55,6 +61,8 @@ enum class Event : unsigned
     EpochPersisted, ///< span open..persisted; id=epoch tag, a=lines.
     SfrFlushed,   ///< instant; id=batch tag, a=lines.
     StwStall,     ///< span stall..resume; id=0.
+    SyncOp,       ///< instant; id=lock/barrier id, a=SyncEvent (lock
+                  ///  acquire or barrier arrival: an SFR boundary).
 
     // Category::Agb.
     AgbGrant,     ///< instant; id=audit tag, a=lines, b=occupancy.
@@ -105,8 +113,19 @@ class Sink
     virtual void record(const Record &r) = 0;
 };
 
-/** Category of @p e (fixed mapping). */
-Category categoryOf(Event e);
+/** Category of @p e.  Events are declared grouped by category, in
+ *  category order, so a constant @p e folds to a constant here. */
+constexpr Category
+categoryOf(Event e)
+{
+    return e <= Event::SyncOp       ? Category::Ag
+           : e <= Event::AgbDrained ? Category::Agb
+           : e <= Event::SlcPersist ? Category::Slc
+           : e <= Event::SbDepth    ? Category::Sb
+           : e <= Event::LlcAccess  ? Category::Llc
+           : e <= Event::NocMsg     ? Category::Noc
+                                    : Category::Persist;
+}
 
 /** Short names ("ag_frozen", "persist_commit", ...). */
 const char *eventName(Event e);
@@ -115,65 +134,120 @@ const char *eventName(Event e);
  *  "persist"). */
 const char *categoryName(Category c);
 
-/** All category names, in enum order (CLI listings). */
-const std::vector<std::string> &categoryNames();
+constexpr unsigned numCategories =
+    static_cast<unsigned>(Category::NumCategories);
+
+/** One flag per category, indexed by Category. */
+using Mask = std::array<bool, numCategories>;
+
+/**
+ * Parse the comma-separated categories in @p csv ("ag,slc"); "all" is
+ * every category and "" none.  @return false for an unknown name, with
+ * a message naming the valid set in @p err (@p out is then untouched).
+ */
+bool parseCategories(const std::string &csv, Mask *out, std::string *err);
+
+/** Format one record as a "[     cycle] cat.event ..." text line
+ *  (flight dumps, tests). */
+std::string formatRecord(const Record &r);
+
+/**
+ * One System's trace bus: which categories are on, the sinks that see
+ * their records, and the flight recorder — a ring of the last records
+ * of the enabled categories, kept here so panic paths can reach it
+ * without owning a sink.  Used by one thread at a time.
+ */
+class Tracer
+{
+  public:
+    bool on(Category c) const { return mask_[static_cast<unsigned>(c)]; }
+    void setMask(const Mask &mask) { mask_ = mask; }
+
+    /** Register / unregister a sink (not owned).  A sink sees every
+     *  record of every enabled category. */
+    void addSink(Sink *sink);
+    void removeSink(Sink *sink);
+
+    /** Keep the last @p depth records; 0 turns the recorder off. */
+    void setFlightRecorderDepth(unsigned depth);
+
+    /** Human-readable tail of the flight ring, oldest first; "" when
+     *  the recorder is off or empty.  Dumped by tsoper_panic and
+     *  System::dumpState. */
+    std::string flightRecorderDump() const;
+
+    /** Hand @p r to the ring and every sink (no category check). */
+    void record(const Record &r);
+
+  private:
+    Mask mask_{};
+    std::vector<Sink *> sinks_;
+    std::vector<Record> ring_;
+    std::size_t ringNext_ = 0;
+    std::size_t ringCount_ = 0;
+};
+
+/** What the calling thread is simulating: the running System's tracer
+ *  and event queue, or nulls between runs. */
+struct Current
+{
+    Tracer *tracer = nullptr;
+    const EventQueue *clock = nullptr;
+};
 
 namespace detail
 {
-extern bool mask_[static_cast<unsigned>(Category::NumCategories)];
-void emitRecord(const Record &r);
+/** constinit and trivially destructible, so every access is a plain
+ *  thread-pointer-relative load with no TLS-init wrapper call. */
+inline constinit thread_local Current current_{};
 } // namespace detail
 
-/** Is @p c enabled?  This is the one branch a disabled emit site pays. */
-inline bool
-on(Category c)
+inline const Current &
+current()
 {
-    return detail::mask_[static_cast<unsigned>(c)];
+    return detail::current_;
 }
 
 /**
- * Enable exactly the comma-separated categories in @p csv ("ag,slc");
- * "all" enables everything, "" disables everything.  Unknown names are
- * fatal and the message lists the valid set.
+ * RAII: binds @p tracer and @p clock to the calling thread for its
+ * lifetime.  Emit sites publish to @p tracer; tsoper_warn/tsoper_panic
+ * lines carry @p clock's cycle and panics append the flight ring.
+ * Scopes nest (the innermost wins).
  */
-void setCategories(const std::string &csv);
+class Scope
+{
+  public:
+    Scope(Tracer &tracer, const EventQueue &clock)
+        : saved_(detail::current_)
+    {
+        detail::current_ = Current{&tracer, &clock};
+    }
+    ~Scope() { detail::current_ = saved_; }
 
-/** Currently enabled categories as a canonical csv ("" when off). */
-std::string categoriesCsv();
+    Scope(const Scope &) = delete;
+    Scope &operator=(const Scope &) = delete;
 
-/** Register / unregister a sink (not owned).  A sink sees every record
- *  of every enabled category. */
-void addSink(Sink *sink);
-void removeSink(Sink *sink);
+  private:
+    Current saved_;
+};
 
-/** Any sink registered?  (Flight recording counts.) */
-bool anySink();
-
-/**
- * Flight recorder: a fixed ring of the last @p depth records of the
- * enabled categories, kept inside the bus so panic paths can reach it
- * without owning a sink.  Dumped by tsoper_panic and System::dumpState.
- */
-void enableFlightRecorder(unsigned depth);
-void disableFlightRecorder();
-bool flightRecorderActive();
-
-/** Human-readable tail of the flight ring, oldest first; "" when the
- *  recorder is off or empty. */
-std::string flightRecorderDump();
-
-/** Format one record as a debug.hh-style text line (flight dumps,
- *  tests). */
-std::string formatRecord(const Record &r);
+/** Is @p c enabled on the thread's running System?  The check every
+ *  emit site pays. */
+inline bool
+on(Category c)
+{
+    const Tracer *t = detail::current_.tracer;
+    return t && t->on(c);
+}
 
 /** Emit a duration span (begin..end). */
 inline void
 span(Event e, CoreId core, Cycle begin, Cycle end, std::uint64_t id,
      std::uint64_t a = 0, std::uint64_t b = 0)
 {
-    if (!on(categoryOf(e)))
-        return;
-    detail::emitRecord(Record{e, core, begin, end, id, a, b});
+    if (on(categoryOf(e)))
+        detail::current_.tracer->record(
+            Record{e, core, begin, end, id, a, b});
 }
 
 /** Emit an instantaneous event. */
@@ -181,18 +255,18 @@ inline void
 instant(Event e, CoreId core, Cycle when, std::uint64_t id,
         std::uint64_t a = 0, std::uint64_t b = 0)
 {
-    if (!on(categoryOf(e)))
-        return;
-    detail::emitRecord(Record{e, core, when, when, id, a, b});
+    if (on(categoryOf(e)))
+        detail::current_.tracer->record(
+            Record{e, core, when, when, id, a, b});
 }
 
 /** Emit a counter sample (occupancy, depth). */
 inline void
 counter(Event e, CoreId core, Cycle when, std::uint64_t value)
 {
-    if (!on(categoryOf(e)))
-        return;
-    detail::emitRecord(Record{e, core, when, when, 0, value, 0});
+    if (on(categoryOf(e)))
+        detail::current_.tracer->record(
+            Record{e, core, when, when, 0, value, 0});
 }
 
 /**

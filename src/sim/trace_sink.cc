@@ -1,6 +1,5 @@
 #include "sim/trace_sink.hh"
 
-#include <atomic>
 #include <deque>
 #include <sstream>
 #include <unordered_map>
@@ -335,75 +334,66 @@ AuditSink::check() const
 // TraceSession
 //
 
-namespace
+bool
+TraceOptions::check(std::string *err) const
 {
-/** The trace bus is process-global; only one session may drive it. */
-std::atomic<bool> sessionActive_{false};
-} // namespace
-
-TraceSession::TraceSession(const TraceOptions &opt)
-    : opt_(opt)
-{
-    if (!opt_.any())
-        return;
-    if (!opt_.auditFault.empty() && opt_.auditFault != "reorder")
-        tsoper_fatal("unknown audit fault '", opt_.auditFault,
-                     "' (valid: reorder)");
-    if (sessionActive_.exchange(true)) {
-        tsoper_warn("a trace session is already active in this process; "
-                    "tracing request ignored (trace campaign cells with "
-                    "--isolate=subprocess)");
-        return;
+    Mask mask;
+    if (!parseCategories(categories, &mask, err))
+        return false;
+    if (!auditFault.empty() && auditFault != "reorder") {
+        if (err)
+            *err = "unknown audit fault '" + auditFault +
+                   "' (valid: reorder)";
+        return false;
     }
-    active_ = true;
-    savedCategories_ = categoriesCsv();
+    return true;
+}
 
-    std::string cats = opt_.categories;
-    // --trace-out / --flight-recorder without --trace: record everything.
-    if (cats.empty() && (!opt_.perfettoPath.empty() ||
-                         opt_.flightRecorderDepth > 0))
-        cats = "all";
+TraceSession::TraceSession(Tracer &tracer, const TraceOptions &opt)
+    : tracer_(tracer), opt_(opt)
+{
+    Mask mask{};
+    std::string err;
+    tsoper_assert(parseCategories(opt_.categories, &mask, &err), err);
+    // --trace-out / --flight-recorder without categories: record
+    // everything.
+    if (opt_.categories.empty() && (!opt_.perfettoPath.empty() ||
+                                    opt_.flightRecorderDepth > 0))
+        mask.fill(true);
     // The audit needs the persist stream regardless of what the user
     // picked for the other consumers.
-    if (opt_.auditPersists && cats != "all" &&
-        cats.find("persist") == std::string::npos)
-        cats = cats.empty() ? "persist" : cats + ",persist";
-    setCategories(cats);
+    if (opt_.auditPersists)
+        mask[static_cast<unsigned>(Category::Persist)] = true;
+    tracer_.setMask(mask);
 
     if (!opt_.perfettoPath.empty()) {
         perfetto_ = std::make_unique<PerfettoSink>(opt_.perfettoPath);
-        addSink(perfetto_.get());
+        tracer_.addSink(perfetto_.get());
     }
     if (opt_.auditPersists) {
         audit_ = std::make_unique<AuditSink>();
         audit_->setStrictCoreFifo(opt_.strictCoreFifo);
-        addSink(audit_.get());
+        tracer_.addSink(audit_.get());
     }
-    if (opt_.flightRecorderDepth > 0)
-        enableFlightRecorder(opt_.flightRecorderDepth);
+    tracer_.setFlightRecorderDepth(opt_.flightRecorderDepth);
 }
 
 TraceSession::~TraceSession()
 {
-    if (!active_)
-        return;
     finish();
-    disableFlightRecorder();
-    setCategories(savedCategories_);
-    sessionActive_.store(false);
 }
 
 TraceSession::Outcome
 TraceSession::finish()
 {
-    if (!active_ || finished_)
+    if (finished_)
         return outcome_;
     finished_ = true;
 
     if (perfetto_)
-        removeSink(perfetto_.get());
+        tracer_.removeSink(perfetto_.get());
     if (audit_)
-        removeSink(audit_.get());
+        tracer_.removeSink(audit_.get());
 
     if (audit_) {
         outcome_.audited = true;

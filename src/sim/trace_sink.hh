@@ -16,9 +16,9 @@
  *    swaps two group-durable records so tests can prove the checker
  *    actually rejects invalid orders.
  *
- *  - TraceSession: RAII wiring used by campaign::runOne and the CLI —
- *    resolves the requested categories, registers the sinks, and on
- *    finish() flushes the Perfetto file and runs the audit.
+ *  - TraceSession: one run's wiring, used by campaign::runOne — sets
+ *    the System's tracer up from TraceOptions, registers the sinks,
+ *    and on finish() flushes the Perfetto file and runs the audit.
  */
 
 #ifndef TSOPER_SIM_TRACE_SINK_HH
@@ -114,7 +114,7 @@ class AuditSink : public Sink
  *  TraceSession.  Mirrors the campaign::RunRequest trace fields. */
 struct TraceOptions
 {
-    std::string categories;  ///< csv for setCategories; "" = none.
+    std::string categories;  ///< csv for parseCategories; "" = none.
     std::string perfettoPath;///< trace_event JSON output; "" = none.
     bool auditPersists = false;
     std::string auditFault;  ///< "" or "reorder" (test the checker).
@@ -122,20 +122,16 @@ struct TraceOptions
     std::uint64_t faultSeed = 1;
     bool strictCoreFifo = false;
 
-    bool
-    any() const
-    {
-        return !categories.empty() || !perfettoPath.empty() ||
-               auditPersists || flightRecorderDepth > 0;
-    }
+    /** Are the user-typed values (categories, audit fault) known?
+     *  @return false with a message naming the valid set in @p err. */
+    bool check(std::string *err) const;
 };
 
 /**
- * RAII trace wiring for one run.  The bus is process-global, so only
- * one session can be active at a time; a second concurrent session
- * warns and stays inactive (use subprocess isolation to trace campaign
- * cells).  The destructor always unhooks the sinks and restores the
- * previous category mask.
+ * The trace wiring of one run, bound to its System's tracer: sets the
+ * categories, registers the sinks and sizes the flight ring.  Build it
+ * after the System and before the System runs, from options that pass
+ * TraceOptions::check.  The destructor unhooks the sinks.
  */
 class TraceSession
 {
@@ -147,22 +143,19 @@ class TraceSession
         std::string perfettoError; ///< "" unless the file write failed.
     };
 
-    explicit TraceSession(const TraceOptions &opt);
+    TraceSession(Tracer &tracer, const TraceOptions &opt);
     ~TraceSession();
 
     TraceSession(const TraceSession &) = delete;
     TraceSession &operator=(const TraceSession &) = delete;
 
-    bool active() const { return active_; }
-
     /** Flush the Perfetto file and run the audit (idempotent). */
     Outcome finish();
 
   private:
+    Tracer &tracer_;
     TraceOptions opt_;
-    bool active_ = false;
     bool finished_ = false;
-    std::string savedCategories_;
     Outcome outcome_;
     std::unique_ptr<PerfettoSink> perfetto_;
     std::unique_ptr<AuditSink> audit_;

@@ -451,9 +451,9 @@ TEST(CampaignDeterminism, CanonicalReportIdenticalAtOneAndFourJobs)
 {
     // Cells across cores is the simulator's one parallelism axis: the
     // same cells run on one job and on four must give byte-identical
-    // canonical reports, every cell's full statistics included.
-    // Tracing and the persist audit stay off: the trace bus is
-    // process-global, so concurrent cells would share it.
+    // canonical reports, every cell's full statistics and persist
+    // audit included.  Each System has its own trace bus, so audited
+    // cells running at once must not see each other's records.
     std::vector<RunRequest> cells =
         expand(findBuiltinCampaign("mini")->spec);
     RunRequest crash;
@@ -464,6 +464,8 @@ TEST(CampaignDeterminism, CanonicalReportIdenticalAtOneAndFourJobs)
     crash.crashAt = 0.5;
     crash.check = true;
     cells.push_back(crash);
+    for (RunRequest &r : cells)
+        r.auditPersists = true;
 
     RunnerOptions opt;
     opt.backoffBaseMs = 0;
@@ -475,8 +477,16 @@ TEST(CampaignDeterminism, CanonicalReportIdenticalAtOneAndFourJobs)
     ASSERT_TRUE(serial.allOk()) << serial.summary();
     ASSERT_TRUE(parallel.allOk()) << parallel.summary();
     ASSERT_EQ(serial.cells.size(), 5u);
-    for (const CellReport &c : serial.cells)
-        EXPECT_GT(c.result.stats["counters"].size(), 0u) << c.request.id;
+    for (const CampaignReport *report : {&serial, &parallel}) {
+        for (const CellReport &c : report->cells) {
+            EXPECT_GT(c.result.stats["counters"].size(), 0u)
+                << c.request.id;
+            EXPECT_TRUE(c.result.persistAudited) << c.request.id;
+            EXPECT_TRUE(c.result.persistAuditOk)
+                << c.request.id << ": " << c.result.persistAuditDetail;
+            EXPECT_GT(c.result.persistCommits, 0u) << c.request.id;
+        }
+    }
     EXPECT_GT(serial.cells.back().result.crashCycle, 0u);
     EXPECT_EQ(canonicalReportJson(serial).dump(),
               canonicalReportJson(parallel).dump());
@@ -592,10 +602,20 @@ TEST(Journal, AppendAndLoadRoundTrip)
         ::testing::TempDir() + "tsoper_journal_rt.jsonl";
     std::string err;
 
+    // Cell "a" carries both audits: a resumed cell must keep them.
+    CellReport audited = okCell("a", 10);
+    audited.result.audited = true;
+    audited.result.durableWords = 7;
+    audited.result.persistAudited = true;
+    audited.result.persistAuditOk = true;
+    audited.result.persistCommits = 3;
+    audited.result.persistEdges = 1;
+    audited.result.persistGroups = 2;
+
     CampaignJournal journal;
     ASSERT_TRUE(journal.open(path, "rt", /*truncate=*/true, &err))
         << err;
-    journal.append(okCell("a", 10));
+    journal.append(audited);
     journal.append(okCell("b", 20));
     journal.close();
 
@@ -603,7 +623,17 @@ TEST(Journal, AppendAndLoadRoundTrip)
     ASSERT_TRUE(loadJournal(path, &idx, &err)) << err;
     EXPECT_EQ(idx.campaign, "rt");
     ASSERT_EQ(idx.cells.size(), 2u);
-    EXPECT_EQ(idx.cells.at("a").result.cycles, 10u);
+    const RunResult &a = idx.cells.at("a").result;
+    EXPECT_EQ(a.cycles, 10u);
+    EXPECT_TRUE(a.audited);
+    EXPECT_EQ(a.durableWords, 7u);
+    EXPECT_TRUE(a.persistAudited);
+    EXPECT_TRUE(a.persistAuditOk);
+    EXPECT_EQ(a.persistCommits, 3u);
+    EXPECT_EQ(a.persistEdges, 1u);
+    EXPECT_EQ(a.persistGroups, 2u);
+    EXPECT_EQ(idx.cells.at("a").toJson().dump(), audited.toJson().dump());
+    EXPECT_FALSE(idx.cells.at("b").result.persistAudited);
     EXPECT_EQ(idx.cells.at("b").result.cycles, 20u);
     std::remove(path.c_str());
 }

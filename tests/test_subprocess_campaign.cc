@@ -148,9 +148,9 @@ TEST(Subprocess, OkCellHasFullFidelityVersusInProcess)
 
 TEST(Subprocess, TraceFileNamedLikeACategoryListStillDrivesTheChild)
 {
-    // "all" is also a trace-category list, so a child handed the file
-    // through the ambiguous --trace= would run its default benchmark
-    // with tracing on; the executor must pass it as --trace-file=.
+    // "all" is also a trace-category list: a trace file of that name
+    // must still reach the child as its workload (--trace-file=), not
+    // turn tracing on over the default benchmark.
     namespace fs = std::filesystem;
     const fs::path cwd = fs::current_path();
     const fs::path dir =
@@ -241,6 +241,26 @@ TEST(Subprocess, BadEngineClassifiesAsBadRequest)
     expectReaped(out.pid);
     EXPECT_EQ(out.result.status, RunStatus::BadRequest)
         << out.result.detail;
+
+    // An unknown trace category or audit fault is a usage error too
+    // (exit 2, the valid set on stderr), never a simulation error that
+    // the runner would retry and quarantine.
+    RunRequest badCategory = tinyRequest("bad-category");
+    badCategory.traceCategories = "ag,bogus";
+    RunRequest badFault = tinyRequest("bad-fault");
+    badFault.auditPersists = true;
+    badFault.auditFault = "bogus";
+    for (const RunRequest &bad : {badCategory, badFault}) {
+        const SubprocessOutcome o = runSubprocess(bad, simOptions());
+        expectReaped(o.pid);
+        EXPECT_EQ(o.result.status, RunStatus::BadRequest)
+            << bad.id << ": " << o.result.detail;
+        EXPECT_EQ(o.result.exitCode, 2) << bad.id;
+        EXPECT_NE(o.result.stderrTail.find("'bogus' (valid: "),
+                  std::string::npos)
+            << o.result.stderrTail;
+        EXPECT_EQ(runOne(bad).status, RunStatus::BadRequest) << bad.id;
+    }
 }
 
 // --- Campaign level ---------------------------------------------------

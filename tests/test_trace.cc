@@ -9,28 +9,41 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "campaign/run_request.hh"
+#include "core/system.hh"
+#include "sim/event_queue.hh"
 #include "sim/json.hh"
 #include "sim/log.hh"
 #include "sim/trace.hh"
 #include "sim/trace_sink.hh"
+#include "workload/generators.hh"
 
 using namespace tsoper;
 
 namespace
 {
 
-/** Every test leaves the process-global bus exactly as it found it. */
+/** A tracer bound to the test's thread, the way System::run binds its
+ *  own; each test gets a fresh one. */
 struct TraceFixture : public ::testing::Test
 {
-    ~TraceFixture() override
+    EventQueue clock;
+    trace::Tracer tracer;
+    trace::Scope scope{tracer, clock};
+
+    void
+    enable(const std::string &csv)
     {
-        trace::disableFlightRecorder();
-        trace::setCategories("");
+        trace::Mask mask;
+        std::string err;
+        ASSERT_TRUE(trace::parseCategories(csv, &mask, &err)) << err;
+        tracer.setMask(mask);
     }
 };
 
@@ -56,44 +69,81 @@ persistRec(trace::Event e, CoreId core, Cycle cycle, std::uint64_t id,
     return trace::Record{e, core, cycle, cycle, id, a, 0};
 }
 
+/** The enabled categories of the thread's tracer, canonical csv. */
+std::string
+enabledCsv()
+{
+    std::string csv;
+    for (unsigned c = 0; c < trace::numCategories; ++c) {
+        if (!trace::on(static_cast<trace::Category>(c)))
+            continue;
+        if (!csv.empty())
+            csv += ',';
+        csv += trace::categoryName(static_cast<trace::Category>(c));
+    }
+    return csv;
+}
+
 } // namespace
 
 // --------------------------------------------------------------------
-// Bus basics: category mask, csv round-trip, flight ring.
+// Bus basics: category mask, csv parsing, flight ring, thread scope.
 // --------------------------------------------------------------------
 
 TEST_F(TraceFixture, CategoriesCsvRoundTrip)
 {
-    trace::setCategories("slc,ag");
+    enable("slc,ag");
     EXPECT_TRUE(trace::on(trace::Category::Ag));
     EXPECT_TRUE(trace::on(trace::Category::Slc));
     EXPECT_FALSE(trace::on(trace::Category::Persist));
-    EXPECT_EQ(trace::categoriesCsv(), "ag,slc"); // canonical enum order
-    trace::setCategories("");
-    EXPECT_EQ(trace::categoriesCsv(), "");
+    EXPECT_EQ(enabledCsv(), "ag,slc"); // canonical enum order
+    enable("");
+    EXPECT_EQ(enabledCsv(), "");
+    enable("all");
+    EXPECT_EQ(enabledCsv(), "ag,agb,slc,sb,llc,noc,persist");
 }
 
 TEST_F(TraceFixture, UnknownCategoryIsFatal)
 {
-    try {
-        trace::setCategories("ag,bogus");
-        FAIL() << "unknown category must be fatal";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("bogus"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("valid:"),
-                  std::string::npos);
-    }
+    // Fatal to the request, not the process: the parse fails with the
+    // valid set, leaves its output alone, and runOne refuses the run.
+    trace::Mask mask{};
+    mask[0] = true;
+    std::string err;
+    EXPECT_FALSE(trace::parseCategories("ag,bogus", &mask, &err));
+    EXPECT_NE(err.find("'bogus'"), std::string::npos) << err;
+    EXPECT_NE(err.find("valid: all,ag,agb,slc,sb,llc,noc,persist"),
+              std::string::npos)
+        << err;
+    EXPECT_TRUE(mask[0]);
+    EXPECT_FALSE(mask[1]);
+
+    campaign::RunRequest r;
+    r.bench = "dedup";
+    r.scale = 0.05;
+    r.traceCategories = "bogus";
+    campaign::RunResult res = campaign::runOne(r);
+    EXPECT_EQ(res.status, campaign::RunStatus::BadRequest);
+    EXPECT_NE(res.detail.find("valid:"), std::string::npos) << res.detail;
+    EXPECT_TRUE(res.stats.isNull()); // no System was built
+
+    r.traceCategories.clear();
+    r.auditPersists = true;
+    r.auditFault = "bogus";
+    res = campaign::runOne(r);
+    EXPECT_EQ(res.status, campaign::RunStatus::BadRequest);
+    EXPECT_NE(res.detail.find("valid: reorder"), std::string::npos)
+        << res.detail;
 }
 
 TEST_F(TraceFixture, FlightRecorderKeepsLastN)
 {
-    trace::setCategories("persist");
-    trace::enableFlightRecorder(4);
+    enable("persist");
+    tracer.setFlightRecorderDepth(4);
     for (Cycle c = 1; c <= 6; ++c)
         trace::instant(trace::Event::PersistCommit, 0, c * 10,
                        /*line=*/c);
-    const std::string dump = trace::flightRecorderDump();
+    const std::string dump = tracer.flightRecorderDump();
     EXPECT_NE(dump.find("last 4 trace records"), std::string::npos);
     // Records 1 and 2 were overwritten; 3..6 survive, oldest first.
     EXPECT_EQ(dump.find("id=0x1 "), std::string::npos);
@@ -103,21 +153,28 @@ TEST_F(TraceFixture, FlightRecorderKeepsLastN)
     EXPECT_NE(p3, std::string::npos);
     EXPECT_NE(p6, std::string::npos);
     EXPECT_LT(p3, p6);
-    trace::disableFlightRecorder();
-    EXPECT_EQ(trace::flightRecorderDump(), "");
+    EXPECT_NE(dump.find("\n  [        60] persist.persist_commit core=0 "
+                        "id=0x6 a=0 b=0"),
+              std::string::npos)
+        << dump;
+    tracer.setFlightRecorderDepth(0);
+    EXPECT_EQ(tracer.flightRecorderDump(), "");
 }
 
 TEST_F(TraceFixture, PanicCarriesFlightRecorderTail)
 {
-    trace::setCategories("persist");
-    trace::enableFlightRecorder(8);
+    enable("persist");
+    tracer.setFlightRecorderDepth(8);
     trace::instant(trace::Event::PersistCommit, 1, 77, /*line=*/0xabc);
+    clock.schedule(42, [] { tsoper_panic("boom in test"); });
     try {
-        tsoper_panic("boom in test");
+        clock.run();
         FAIL() << "panic must throw";
     } catch (const std::logic_error &e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find("boom in test"), std::string::npos);
+        // The bound clock stamps the line with the panic's cycle.
+        EXPECT_EQ(what.rfind("[        42] panic: boom in test", 0), 0u)
+            << what;
         EXPECT_NE(what.find("flight recorder"), std::string::npos);
         EXPECT_NE(what.find("id=0xabc"), std::string::npos);
     }
@@ -125,16 +182,118 @@ TEST_F(TraceFixture, PanicCarriesFlightRecorderTail)
 
 TEST_F(TraceFixture, DisabledCategoryCostsNothing)
 {
-    trace::setCategories("");
-    trace::enableFlightRecorder(4);
+    EXPECT_EQ(enabledCsv(), ""); // a new tracer records nothing
+    tracer.setFlightRecorderDepth(4);
     trace::instant(trace::Event::PersistCommit, 0, 5, 1);
-    EXPECT_EQ(trace::flightRecorderDump(), "");
+    EXPECT_EQ(tracer.flightRecorderDump(), "");
+
+    // A thread with no System running has no tracer at all.
+    enable("all");
+    bool sawTracer = true;
+    std::thread([&] {
+        sawTracer = trace::current().tracer != nullptr ||
+                    trace::on(trace::Category::Persist);
+        trace::instant(trace::Event::PersistCommit, 0, 6, 2);
+    }).join();
+    EXPECT_FALSE(sawTracer);
+    EXPECT_EQ(tracer.flightRecorderDump(), "");
 }
 
 TEST_F(TraceFixture, GroupTagSeparatesCores)
 {
     EXPECT_NE(trace::groupTag(0, 1), trace::groupTag(1, 1));
     EXPECT_EQ(trace::groupTag(2, 7) & 0xffffffffffffull, 7ull);
+}
+
+namespace
+{
+
+/** Counts and digests (FNV-1a) every record it sees, and remembers
+ *  their categories. */
+struct DigestSink : public trace::Sink
+{
+    std::uint64_t records = 0;
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    std::set<std::string> categories;
+
+    void
+    record(const trace::Record &r) override
+    {
+        ++records;
+        for (std::uint64_t v : {static_cast<std::uint64_t>(r.event),
+                                static_cast<std::uint64_t>(r.core),
+                                r.begin, r.end, r.id, r.a, r.b})
+            digest = (digest ^ v) * 0x100000001b3ull;
+        categories.insert(trace::categoryName(trace::categoryOf(r.event)));
+    }
+};
+
+/** One traced System: @p categories on, a ring of @p depth. */
+struct TracedCell
+{
+    std::string engine;
+    std::string bench;
+    std::string categories;
+    unsigned depth;
+    DigestSink sink;
+    std::string ring;
+
+    void
+    run()
+    {
+        campaign::RunRequest r;
+        r.engine = engine;
+        r.bench = bench;
+        r.scale = 0.05;
+        SystemConfig cfg;
+        std::string err;
+        ASSERT_TRUE(campaign::resolveConfig(r, &cfg, &err)) << err;
+        const Workload w = generateByName(bench, cfg.numCores, 1, 0.05);
+        System sys(cfg, w);
+        trace::Mask mask;
+        ASSERT_TRUE(trace::parseCategories(categories, &mask, &err));
+        sys.tracer().setMask(mask);
+        sys.tracer().addSink(&sink);
+        sys.tracer().setFlightRecorderDepth(depth);
+        sys.run();
+        ring = sys.tracer().flightRecorderDump();
+    }
+};
+
+} // namespace
+
+TEST_F(TraceFixture, ConcurrentSystemsRecordOnlyTheirOwnRecords)
+{
+    // Two Systems on two threads, different categories and ring
+    // depths: each tracer must see exactly what it sees running alone.
+    TracedCell alone[2] = {{"tsoper", "dedup", "persist", 8, {}, {}},
+                           {"stw", "radix", "slc,noc", 32, {}, {}}};
+    TracedCell together[2] = {alone[0], alone[1]};
+    for (TracedCell &c : alone)
+        c.run();
+    {
+        std::jthread other([&] { together[1].run(); });
+        together[0].run();
+    }
+
+    const std::set<std::string> persistOnly{"persist"};
+    const std::set<std::string> slcNoc{"noc", "slc"};
+    EXPECT_EQ(together[0].sink.categories, persistOnly);
+    EXPECT_EQ(together[1].sink.categories, slcNoc);
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_GT(together[i].sink.records, 0u);
+        EXPECT_EQ(together[i].sink.records, alone[i].sink.records) << i;
+        EXPECT_EQ(together[i].sink.digest, alone[i].sink.digest) << i;
+        EXPECT_EQ(together[i].ring, alone[i].ring) << i;
+    }
+    EXPECT_NE(together[0].ring.find("last 8 trace records"),
+              std::string::npos);
+    EXPECT_EQ(together[0].ring.find(" slc."), std::string::npos);
+    EXPECT_NE(together[1].ring.find("last 32 trace records"),
+              std::string::npos);
+    EXPECT_EQ(together[1].ring.find(" persist."), std::string::npos);
+    // Neither run left anything on this thread's own tracer.
+    EXPECT_EQ(tracer.flightRecorderDump(), "");
 }
 
 // --------------------------------------------------------------------

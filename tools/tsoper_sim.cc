@@ -7,7 +7,7 @@
  * cell execute identical code paths (src/campaign/run_request.cc).
  *
  *   tsoper_sim --engine=tsoper --bench=ocean_cp --scale=0.5 --stats
- *   tsoper_sim --engine=stw --trace=my.trace --crash-at=0.5 --check
+ *   tsoper_sim --engine=stw --trace-file=my.trace --crash-at=0.5 --check
  *   tsoper_sim --list-benchmarks
  *   tsoper_sim --engine=tsoper --bench=radix --save-trace=radix.trace
  *
@@ -15,11 +15,7 @@
  *   --engine=<baseline|baseline-mesi|hwrp|bsp|bsp-slc|bsp-slc-agb|
  *             stw|tsoper>                       (default tsoper)
  *   --bench=<name>         workload profile     (default ocean_cp)
- *   --trace=<file|cats>    drive from a trace file — or, when every
- *                          comma token is a structured-trace category
- *                          ("ag,agb,slc" / "all"), enable those trace
- *                          categories; --trace-file= /
- *                          --trace-categories= disambiguate
+ *   --trace-file=<file>    drive from a trace file instead
  *   --scale=<f>            workload scale       (default 1.0)
  *   --seed=<n>             workload seed        (default 1)
  *   --cores=<n>            core count           (default 8)
@@ -39,14 +35,17 @@
  *   --max-cycles=<n>       simulated-cycle budget (default 4e9)
  *   --trace-out=<file>     export the run as Chrome/Perfetto
  *                          trace_event JSON (docs/observability.md)
+ *   --trace-categories=<c> structured-trace categories to record
+ *                          ("ag,agb,slc" / "all"; default all with
+ *                          --trace-out or --flight-recorder)
  *   --audit-persists       collect the persist stream and verify it is
  *                          a valid strict-persistency order
  *   --audit-fault=reorder  corrupt the audit log before checking, to
  *                          prove the checker rejects invalid orders
  *   --flight-recorder=<n>  keep the last n trace records for crash /
  *                          hang dumps
- *   --list-debug-flags     print TSOPER_DEBUG flags and structured-
- *                          trace categories, then exit
+ *   --list-debug-flags     print the structured-trace categories,
+ *                          then exit
  *   --result-json=<file>   write the full campaign::RunResult as JSON
  *                          (the subprocess executor's wire format)
  *   --selftest=<mode>      fault-injection hooks for the subprocess
@@ -58,7 +57,8 @@
  * them — keep docs/campaigns.md in sync):
  *   0  success (with --check / --crash-at: the audit passed)
  *   1  consistency audit failed
- *   2  usage error (unknown option or malformed value)
+ *   2  usage error (unknown option or malformed value, including an
+ *      unknown trace category or audit fault)
  *   3  unknown --engine
  *   4  unknown --bench
  *   5  invalid workload (bad trace file or failed validation)
@@ -67,7 +67,6 @@
  *      simulated-cycle budget ran out)
  */
 
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -82,9 +81,8 @@
 
 #include "campaign/run_request.hh"
 #include "core/system.hh"
-#include "sim/debug.hh"
 #include "sim/stats_json.hh"
-#include "sim/trace.hh"
+#include "sim/trace_sink.hh"
 #include "workload/generators.hh"
 #include "workload/trace_io.hh"
 
@@ -118,30 +116,6 @@ struct CliOptions
     bool listBenchmarks = false;
     bool listDebugFlags = false;
 };
-
-/** Is @p csv entirely structured-trace category names ("ag,slc",
- *  "all")?  Distinguishes --trace=<categories> from --trace=<file>. */
-bool
-looksLikeTraceCategories(const std::string &csv)
-{
-    if (csv.empty())
-        return false;
-    const std::vector<std::string> &names = trace::categoryNames();
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        const std::size_t comma = csv.find(',', pos);
-        const std::string tok =
-            csv.substr(pos, comma == std::string::npos ? std::string::npos
-                                                       : comma - pos);
-        if (tok != "all" &&
-            std::find(names.begin(), names.end(), tok) == names.end())
-            return false;
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return true;
-}
 
 /**
  * Deliberate misbehaviour for the subprocess executor's ctest: a
@@ -177,7 +151,7 @@ runSelftest(const std::string &mode)
 [[noreturn]] void
 usage(int code)
 {
-    std::printf("usage: tsoper_sim [--engine=E] [--bench=B|--trace=F] "
+    std::printf("usage: tsoper_sim [--engine=E] [--bench=B|--trace-file=F] "
                 "[--scale=F] [--seed=N]\n"
                 "                  [--cores=N] [--crash-at=C] "
                 "[--check] [--stats] [--stats-out=F]\n"
@@ -206,13 +180,7 @@ parseCli(int argc, char **argv)
                 opt.run.engine = val("--engine=");
             else if (arg.rfind("--bench=", 0) == 0)
                 opt.run.bench = val("--bench=");
-            else if (arg.rfind("--trace=", 0) == 0) {
-                const std::string v = val("--trace=");
-                if (looksLikeTraceCategories(v))
-                    opt.run.traceCategories = v;
-                else
-                    opt.run.traceFile = v;
-            } else if (arg.rfind("--trace-file=", 0) == 0)
+            else if (arg.rfind("--trace-file=", 0) == 0)
                 opt.run.traceFile = val("--trace-file=");
             else if (arg.rfind("--trace-categories=", 0) == 0)
                 opt.run.traceCategories = val("--trace-categories=");
@@ -298,21 +266,28 @@ main(int argc, char **argv)
     }
 
     if (opt.listDebugFlags) {
-        std::printf("debug flags (TSOPER_DEBUG=, comma-separated; "
-                    "'all' enables everything):\n");
-        for (const std::string &name : debug::flagNames())
-            std::printf("  %s\n", name.c_str());
         std::printf("trace categories (--trace-categories=, "
-                    "--trace=):\n");
-        for (const std::string &name : trace::categoryNames())
-            std::printf("  %s\n", name.c_str());
+                    "comma-separated; 'all' for every one):\n");
+        for (unsigned c = 0; c < trace::numCategories; ++c)
+            std::printf("  %s\n", trace::categoryName(
+                                       static_cast<trace::Category>(c)));
         return ExitOk;
+    }
+
+    // An unknown trace category or audit fault is a usage error,
+    // caught before anything is built.
+    std::string err;
+    trace::TraceOptions traceValues;
+    traceValues.categories = opt.run.traceCategories;
+    traceValues.auditFault = opt.run.auditFault;
+    if (!traceValues.check(&err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return ExitUsage;
     }
 
     // Resolve the engine up front: --describe and --save-trace need
     // the config before any run, and unknown names must exit 3.
     SystemConfig cfg;
-    std::string err;
     if (!campaign::resolveConfig(opt.run, &cfg, &err)) {
         std::fprintf(stderr, "%s\n", err.c_str());
         return ExitUnknownEngine;
