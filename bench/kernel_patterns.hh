@@ -1,8 +1,7 @@
 /**
  * @file
- * Synthetic event-kernel workloads shared by bench/micro_kernel.cc
- * (google-benchmark registration) and tools/tsoper_bench.cc (the
- * wall-clock driver that emits BENCH_kernel.json).
+ * Synthetic event-kernel workloads for tools/tsoper_bench.cc, the
+ * wall-clock driver that emits BENCH_kernel.json.
  *
  * Each pattern drives a fresh EventQueue through a deterministic
  * schedule shaped like one of the simulator's real event mixes and

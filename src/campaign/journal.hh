@@ -51,8 +51,8 @@ struct JournalIndex
 };
 
 /**
- * Append-side handle.  Thread-safe: the pool's workers append from
- * completion context.  Every append is flushed and fsync'd before
+ * Append-side handle.  Thread-safe: the runner's job threads append
+ * as their cells finish.  Every append is flushed and fsync'd before
  * returning — the write-ahead guarantee the resume path relies on.
  */
 class CampaignJournal

@@ -142,9 +142,6 @@ CampaignReport::summary() const
         os << " none";
     if (const std::size_t r = resumedCount())
         os << "; " << r << " resumed from journal";
-    if (orphanedThreads)
-        os << "; " << orphanedThreads << " orphaned attempt thread"
-           << (orphanedThreads == 1 ? "" : "s");
     return os.str();
 }
 
@@ -167,7 +164,6 @@ CampaignReport::toJson() const
     j.set("campaign", Json(name))
         .set("jobs", Json(jobs))
         .set("wall_ms", Json(wallMs))
-        .set("orphaned_threads", Json(orphanedThreads))
         .set("totals", std::move(totals))
         .set("cells", std::move(cellArr));
     return j;
@@ -182,7 +178,7 @@ isVolatileKey(const std::string &key, bool topLevel)
     if (key == "wall_ms")
         return true;
     if (topLevel)
-        return key == "jobs" || key == "orphaned_threads";
+        return key == "jobs";
     return key == "attempts" || key == "attempt_log" ||
            key == "stderr_tail";
 }

@@ -4,15 +4,16 @@
  * to a single JSON artifact (BENCH_campaign.json).
  *
  * Cells appear in spec-expansion order regardless of the order the
- * pool finished them, and everything derived from the simulation
- * (status, cycles, audit, stats) is deterministic given the spec —
- * only the "wall_ms"/"attempts" bookkeeping fields vary between runs.
+ * job threads finished them, and everything derived from the
+ * simulation (status, cycles, audit, stats) is deterministic given the
+ * spec — only the "wall_ms"/"attempts" bookkeeping fields vary between
+ * runs.
  *
- * Cells whose transient failures (timeout/crashed) survived every
- * retry are *quarantined*: they keep their full detail but are
- * bucketed separately in totals() and summary() so a single sick cell
- * cannot poison a sweep's aggregates.  See docs/campaigns.md for the
- * schema and the journal format built from these records.
+ * Cells whose retryable failures (a timeout, a signal-killed child)
+ * survived every retry are *quarantined*: they keep their full detail
+ * but are bucketed separately in totals() and summary() so a single
+ * sick cell cannot poison a sweep's aggregates.  See docs/campaigns.md
+ * for the schema and the journal format built from these records.
  */
 
 #ifndef TSOPER_CAMPAIGN_REPORT_HH
@@ -73,11 +74,6 @@ struct CampaignReport
     double wallMs = 0.0; ///< End-to-end campaign wall-clock.
     std::vector<CellReport> cells; ///< Spec-expansion order.
 
-    /** Attempt threads still detached when the campaign finished
-     *  (in-process executor only; each one burns a core until the
-     *  process exits — see RunnerOptions::isolation). */
-    unsigned orphanedThreads = 0;
-
     /** Cells with this final status, quarantined cells excluded. */
     std::size_t count(RunStatus status) const;
 
@@ -90,7 +86,7 @@ struct CampaignReport
     bool allOk() const;
 
     /** One-line outcome: "54 cells: 52 ok, 1 check-failed,
-     *  1 quarantined; 1 orphaned attempt thread". */
+     *  1 quarantined; 2 resumed from journal". */
     std::string summary() const;
 
     Json toJson() const;
@@ -99,11 +95,11 @@ struct CampaignReport
 /**
  * The report reduced to its deterministic content: toJson() minus the
  * fields that legitimately vary between runs of the same spec —
- * wall-clock ("wall_ms" everywhere), scheduling ("jobs",
- * "orphaned_threads") and retry bookkeeping ("attempts",
- * "attempt_log", "stderr_tail").  Two runs of one spec at any job
- * count must dump() byte-identical canonical forms; the campaign
- * determinism test (tests/test_campaign.cc) enforces exactly that.
+ * wall-clock ("wall_ms" everywhere), scheduling ("jobs") and retry
+ * bookkeeping ("attempts", "attempt_log", "stderr_tail").  Two runs
+ * of one spec at any job count must dump() byte-identical canonical
+ * forms; the campaign determinism test (tests/test_campaign.cc)
+ * enforces exactly that.
  */
 Json canonicalReportJson(const CampaignReport &report);
 

@@ -356,7 +356,7 @@ runOne(const RunRequest &r, const RunHooks &hooks)
             Cycle crashCycle = static_cast<Cycle>(r.crashAt);
             if (r.crashAt <= 1.0) {
                 System timing(cfg, w);
-                const Cycle full = timing.run(r.maxCycles);
+                const Cycle full = timing.run(r.maxCycles, hooks.deadline);
                 crashCycle = static_cast<Cycle>(
                     static_cast<double>(full) * r.crashAt);
                 res.cycles = full;
@@ -365,7 +365,7 @@ runOne(const RunRequest &r, const RunHooks &hooks)
             }
             System sys(cfg, w);
             trace::TraceSession session(sys.tracer(), topt);
-            sys.runUntilCrash(crashCycle);
+            sys.runUntilCrash(crashCycle, hooks.deadline);
             res.crashCycle = crashCycle;
             res.status = RunStatus::Ok;
             fillAudit(&res, recover(sys, model));
@@ -381,7 +381,7 @@ runOne(const RunRequest &r, const RunHooks &hooks)
 
         System sys(cfg, w);
         trace::TraceSession session(sys.tracer(), topt);
-        res.cycles = sys.run(r.maxCycles);
+        res.cycles = sys.run(r.maxCycles, hooks.deadline);
         res.drainCycles = sys.stats().get("sys.drain_cycles");
         res.status = RunStatus::Ok;
         fillTrace(&res, session.finish());
@@ -397,6 +397,10 @@ runOne(const RunRequest &r, const RunHooks &hooks)
         // deterministic verdict (same seed, same livelock), so the
         // runner does not retry it.
         res.status = RunStatus::Hung;
+        res.detail = e.what();
+        return res;
+    } catch (const DeadlineExceeded &e) {
+        res.status = RunStatus::Timeout;
         res.detail = e.what();
         return res;
     } catch (const std::exception &e) {

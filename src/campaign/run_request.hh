@@ -22,6 +22,7 @@
 #include "sim/config.hh"
 #include "sim/json.hh"
 #include "sim/types.hh"
+#include "sim/watchdog.hh"
 
 namespace tsoper
 {
@@ -149,12 +150,19 @@ struct RunResult
 Json runResultToJson(const RunResult &res);
 bool runResultFromJson(const Json &j, RunResult *out, std::string *err);
 
-/** Optional observation points into runOne. */
+/** Optional observation points into runOne, and its wall-clock
+ *  budget.  Neither is part of the request, so they leave journal and
+ *  resume equality alone. */
 struct RunHooks
 {
     /** Called with the live System after the run (and audit) finished,
      *  before it is torn down — the CLI uses this to dump stats. */
     std::function<void(System &)> onFinished;
+
+    /** Every simulation phase stops at its next watchdog chunk
+     *  boundary once the wall clock passes this point, and the run
+     *  comes back RunStatus::Timeout. */
+    Deadline deadline = noDeadline;
 };
 
 /**
@@ -168,7 +176,8 @@ bool resolveConfig(const RunRequest &r, SystemConfig *cfg,
 /**
  * Execute @p r to completion and classify the outcome.  Never throws:
  * simulator panics and I/O failures come back as RunStatus::Crashed /
- * BadRequest with the message in RunResult::detail.
+ * BadRequest, a passed hooks.deadline as Timeout, with the message in
+ * RunResult::detail.
  */
 RunResult runOne(const RunRequest &r, const RunHooks &hooks = {});
 

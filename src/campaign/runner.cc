@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <future>
-#include <memory>
+#include <exception>
 #include <mutex>
 #include <ostream>
 #include <thread>
-
-#include "campaign/thread_pool.hh"
 
 namespace tsoper::campaign
 {
@@ -27,89 +24,46 @@ msSince(Clock::time_point start)
         .count();
 }
 
-std::atomic<unsigned> liveOrphans{0};
-
-/** Who settled the attempt first: the worker finishing (Done) or the
- *  timeout path abandoning it (Orphaned).  The loser of the exchange
- *  race learns what the winner did and adjusts the orphan counter —
- *  an orphan that eventually finishes un-counts itself. */
-enum class AttemptState : int
-{
-    Running = 0,
-    Done = 1,
-    Orphaned = 2,
-};
-
-/** One attempt with a wall-clock budget. */
+/** One in-process attempt, started at @p start, on the calling
+ *  thread. */
 RunResult
-attemptWithTimeout(const RunRequest &request,
-                   const std::function<RunResult(const RunRequest &)> &fn,
-                   std::chrono::milliseconds timeout)
+attemptInProcess(const RunRequest &request, const RunnerOptions &opt,
+                 Clock::time_point start)
 {
-    if (timeout.count() <= 0)
-        return fn(request);
-
-    auto state = std::make_shared<std::atomic<int>>(
-        static_cast<int>(AttemptState::Running));
-    auto prom = std::make_shared<std::promise<RunResult>>();
-    std::future<RunResult> future = prom->get_future();
-    std::thread worker([&fn, request, state, prom] {
-        try {
-            prom->set_value(fn(request));
-        } catch (...) {
-            prom->set_exception(std::current_exception());
-        }
-        const int prev = state->exchange(
-            static_cast<int>(AttemptState::Done));
-        if (prev == static_cast<int>(AttemptState::Orphaned))
-            liveOrphans.fetch_sub(1, std::memory_order_relaxed);
-    });
-    if (future.wait_for(timeout) == std::future_status::ready) {
-        worker.join();
-        return future.get();
+    RunResult crashed;
+    crashed.status = RunStatus::Crashed;
+    try {
+        if (opt.cellFn)
+            return opt.cellFn(request);
+        RunHooks hooks;
+        if (opt.timeout.count() > 0)
+            hooks.deadline = start + opt.timeout;
+        return runOne(request, hooks);
+    } catch (const std::exception &e) {
+        crashed.detail = e.what();
+    } catch (...) {
+        crashed.detail = "unknown exception";
     }
-    // The attempt overran its budget.  A simulation has no safe
-    // preemption point, so the thread is abandoned; whatever it
-    // eventually produces is dropped with the discarded future.
-    const int prev =
-        state->exchange(static_cast<int>(AttemptState::Orphaned));
-    if (prev == static_cast<int>(AttemptState::Done)) {
-        // It finished in the instant after the wait gave up — not an
-        // orphan after all, take the real result.
-        worker.join();
-        return future.get();
-    }
-    liveOrphans.fetch_add(1, std::memory_order_relaxed);
-    worker.detach();
-    RunResult result;
-    result.status = RunStatus::Timeout;
-    result.detail = "exceeded " + std::to_string(timeout.count()) +
-                    " ms wall-clock budget";
-    return result;
+    return crashed;
 }
 
+/** Can another attempt change this verdict?  See the file comment of
+ *  runner.hh. */
 bool
-retryable(RunStatus status)
+retryable(const RunResult &result)
 {
-    return status == RunStatus::Timeout || status == RunStatus::Crashed;
+    return result.status == RunStatus::Timeout ||
+           (result.status == RunStatus::Crashed &&
+            !result.signalName.empty());
 }
 
 } // namespace
-
-unsigned
-liveOrphanCount()
-{
-    return liveOrphans.load(std::memory_order_relaxed);
-}
 
 CellReport
 runCell(const RunRequest &request, const RunnerOptions &opt)
 {
     const bool isolate =
         opt.isolation == Isolation::Subprocess && !opt.cellFn;
-    const std::function<RunResult(const RunRequest &)> fn =
-        opt.cellFn ? opt.cellFn
-                   : [](const RunRequest &r) { return runOne(r); };
 
     CellReport cell;
     cell.request = request;
@@ -131,16 +85,16 @@ runCell(const RunRequest &request, const RunnerOptions &opt)
             cell.result = std::move(outcome.result);
             cell.wallMs = outcome.wallMs;
         } else {
-            cell.result = attemptWithTimeout(request, fn, opt.timeout);
+            cell.result = attemptInProcess(request, opt, start);
             cell.wallMs = msSince(start);
         }
         cell.attempts = attempt + 1;
         cell.attemptLog.push_back(
             {cell.result.status, cell.wallMs, cell.result.detail});
-        if (!retryable(cell.result.status))
+        if (!retryable(cell.result))
             return cell;
         if (attempt >= opt.retries) {
-            // Transient failure survived every attempt: quarantine the
+            // Still retryable after the last attempt: quarantine the
             // cell so one sick run cannot poison the sweep's totals.
             cell.quarantined = true;
             return cell;
@@ -163,16 +117,15 @@ runCampaign(const std::string &name,
     report.jobs = jobs;
 
     const Clock::time_point start = Clock::now();
-    std::atomic<std::size_t> done{0};
     std::mutex progressMutex;
+    std::size_t finished = 0; // under progressMutex
 
-    const auto progressLine = [&](const CellReport &cell,
-                                  std::size_t finished) {
+    const auto progressLine = [&](const CellReport &cell) {
         if (!opt.progress)
             return;
         std::lock_guard<std::mutex> lock(progressMutex);
         char head[64];
-        std::snprintf(head, sizeof(head), "[%3zu/%zu] %-12s", finished,
+        std::snprintf(head, sizeof(head), "[%3zu/%zu] %-12s", ++finished,
                       cells.size(),
                       cell.fromJournal ? "resumed"
                                        : toString(cell.result.status));
@@ -191,41 +144,44 @@ runCampaign(const std::string &name,
         *opt.progress << "\n" << std::flush;
     };
 
-    {
-        ThreadPool pool(jobs);
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (opt.resumeFrom) {
-                const auto it = opt.resumeFrom->cells.find(cells[i].id);
-                // Reuse only if the journaled request is the manifest
-                // request — a spec edited under the journal re-runs
-                // its stale cells instead of silently reusing them.
-                if (it != opt.resumeFrom->cells.end() &&
-                    it->second.request == cells[i]) {
-                    CellReport cell = it->second;
-                    cell.fromJournal = true;
-                    const std::size_t finished =
-                        done.fetch_add(1, std::memory_order_relaxed) +
-                        1;
-                    progressLine(cell, finished);
-                    report.cells[i] = std::move(cell);
-                    continue;
-                }
-            }
-            pool.submit([&, i] {
-                CellReport cell = runCell(cells[i], opt);
+    // Reuse a journaled cell only if its request is the manifest
+    // request — a spec edited under the journal re-runs its stale
+    // cells instead of silently reusing them.
+    const auto journaled = [&](const RunRequest &r) -> const CellReport * {
+        if (!opt.resumeFrom)
+            return nullptr;
+        const auto it = opt.resumeFrom->cells.find(r.id);
+        return it != opt.resumeFrom->cells.end() && it->second.request == r
+                   ? &it->second
+                   : nullptr;
+    };
+
+    std::atomic<std::size_t> next{0};
+    const auto job = [&] {
+        for (std::size_t i = next++; i < cells.size(); i = next++) {
+            CellReport cell;
+            if (const CellReport *old = journaled(cells[i])) {
+                cell = *old;
+                cell.fromJournal = true;
+            } else {
+                cell = runCell(cells[i], opt);
                 if (opt.journal)
                     opt.journal->append(cell);
-                const std::size_t finished =
-                    done.fetch_add(1, std::memory_order_relaxed) + 1;
-                progressLine(cell, finished);
-                report.cells[i] = std::move(cell);
-            });
+            }
+            progressLine(cell);
+            report.cells[i] = std::move(cell);
         }
-        pool.wait();
+    };
+    {
+        // jthreads join on destruction, on the exception path too.
+        std::vector<std::jthread> helpers;
+        helpers.reserve(jobs - 1);
+        for (unsigned t = 1; t < jobs; ++t)
+            helpers.emplace_back(job);
+        job();
     }
 
     report.wallMs = msSince(start);
-    report.orphanedThreads = liveOrphanCount();
     return report;
 }
 

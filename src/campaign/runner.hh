@@ -1,31 +1,36 @@
 /**
  * @file
- * Campaign runner: executes a list of run manifests on the
- * work-stealing pool with per-cell wall-clock timeout, retry with
- * exponential backoff on transient failure, and live progress
- * reporting, then aggregates everything into a CampaignReport.
+ * Campaign runner: executes a list of run manifests on `jobs` threads
+ * — the caller plus jobs − 1 it starts and joins — with a per-cell
+ * wall-clock budget, retry with exponential backoff where another
+ * attempt can change the verdict, and live progress reporting, then
+ * aggregates everything into a CampaignReport.
  *
  * Two isolation modes (RunnerOptions::isolation):
  *
- *  - InProcess (default): each attempt calls runOne() on its own
- *    thread.  Fast, but a cell that SIGSEGVs takes the campaign down
- *    with it, and a timed-out attempt's thread can only be detached —
- *    it burns a core until the process exits.  The count of such
- *    orphans is tracked (liveOrphanCount()) and surfaced in the
- *    report.
+ *  - InProcess (default): each attempt calls runOne() on the job
+ *    thread that took the cell.  The budget is cooperative: runOne
+ *    gets it as a deadline (RunHooks::deadline) that the System checks
+ *    at the watchdog's 2 M-event chunk boundaries, so an overrun stops
+ *    at the next boundary and comes back as Timeout.  A cell that
+ *    SIGSEGVs takes the campaign down with it, and a cell stuck inside
+ *    one event never reaches a boundary.
  *  - Subprocess: each attempt fork/execs `tsoper_sim` with a memory
  *    rlimit and a hard SIGKILL on timeout.  A crashing or runaway
  *    cell is contained: its signal, exit code and stderr tail land in
  *    the CellReport and nothing outlives the attempt.
  *
- * Retries apply to Timeout and Crashed outcomes only: CheckFailed,
- * BadRequest and Hung are deterministic verdicts and re-running them
- * cannot change the answer.  Between attempts the cell backs off
- * exponentially (backoffBaseMs · 2^attempt, capped at backoffMaxMs) so
- * a machine-level hiccup — OOM pressure, a full /tmp — gets time to
- * clear.  A cell whose final status is still transient after the last
- * attempt is *quarantined*: reported separately, excluded from the
- * per-status totals.
+ * Only a verdict another attempt can change is retried: Timeout (the
+ * host may have been slow), and a subprocess attempt whose child died
+ * by a signal (SIGSEGV, SIGKILL, or SIGABRT from an RLIMIT_AS
+ * bad_alloc).  Everything else reproduces under the cell's seed — Ok,
+ * CheckFailed, BadRequest, Hung, and an in-process Crashed (a panic or
+ * exception) — and is final after one attempt.  Between attempts the
+ * cell backs off exponentially (backoffBaseMs · 2^attempt, capped at
+ * backoffMaxMs) so a machine-level hiccup — OOM pressure, a full /tmp
+ * — gets time to clear.  A cell whose last attempt is still retryable
+ * is *quarantined*: reported separately, excluded from the per-status
+ * totals.
  *
  * When a journal is attached (RunnerOptions::journal), every finished
  * cell is durably appended before the campaign moves on; with
@@ -51,19 +56,20 @@ namespace tsoper::campaign
 
 enum class Isolation
 {
-    InProcess,  ///< runOne() on a pool thread (default).
+    InProcess,  ///< runOne() on the job thread (default).
     Subprocess, ///< fork/exec tsoper_sim per attempt.
 };
 
 struct RunnerOptions
 {
-    /** Worker threads; 0 = std::thread::hardware_concurrency(). */
+    /** Job threads, the caller included; 0 =
+     *  std::thread::hardware_concurrency(). */
     unsigned jobs = 0;
 
-    /** Per-attempt wall-clock budget; <= 0 disables the timeout. */
+    /** Per-attempt wall-clock budget; <= 0 disables it. */
     std::chrono::milliseconds timeout{120000};
 
-    /** Extra attempts after a Timeout/Crashed outcome. */
+    /** Extra attempts after a retryable outcome (see file comment). */
     unsigned retries = 1;
 
     /** How each attempt executes (see file comment). */
@@ -91,28 +97,25 @@ struct RunnerOptions
      *  nullptr = run everything. */
     const JournalIndex *resumeFrom = nullptr;
 
-    /** Cell executor; defaults to runOne().  Tests substitute fakes
-     *  (hung cells, flaky cells) to exercise timeout/retry.  When set
-     *  it is used even in Subprocess mode. */
+    /** Cell executor; defaults to runOne() under the budget.  Tests
+     *  substitute fakes (timed-out cells, flaky cells) to exercise
+     *  retry; a substitute runs without the budget.  When set it is
+     *  used even in Subprocess mode.  An exception escaping it
+     *  classifies the attempt as Crashed. */
     std::function<RunResult(const RunRequest &)> cellFn;
 };
 
 /**
- * Attempt threads detached by in-process timeouts that have not (yet)
- * finished on their own.  Process-global: campaigns accumulate.  The
- * CLI warns on stderr when this is non-zero at exit.
- */
-unsigned liveOrphanCount();
-
-/**
- * Run one cell under the timeout/retry/backoff policy (no pool
- * involved); the building block runCampaign schedules, exposed for
+ * Run one cell under the budget/retry/backoff policy on the calling
+ * thread; the building block runCampaign's jobs call, exposed for
  * tests.
  */
 CellReport runCell(const RunRequest &request, const RunnerOptions &opt);
 
 /**
- * Execute @p cells in parallel and aggregate.  Cell order in the
+ * Execute @p cells on opt.jobs threads — the calling thread plus
+ * jobs − 1 that it starts and joins before returning — each taking the
+ * next cell from a shared cursor, and aggregate.  Cell order in the
  * report matches @p cells regardless of completion order.
  */
 CampaignReport runCampaign(const std::string &name,

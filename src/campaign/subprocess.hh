@@ -4,9 +4,9 @@
  *
  * The in-process executor (runner.cc) is fast but fragile by design:
  * a cell that trips a simulator assert takes the whole sweep down,
- * and a hung cell can only be *detached*, leaking a thread that burns
- * a core until the campaign process exits.  This executor instead
- * fork/execs `tsoper_sim` per cell:
+ * and its budget is cooperative — checked only between the watchdog's
+ * 2 M-event chunks, so a cell stuck inside one event is never stopped.
+ * This executor instead fork/execs `tsoper_sim` per cell:
  *
  *  - the RunRequest round-trips through argv (requestToArgv) and the
  *    full RunResult — stats included — comes back through a JSON
@@ -14,7 +14,7 @@
  *    loses no fidelity versus an in-process one;
  *  - an optional RLIMIT_AS cap contains runaway memory growth;
  *  - a wall-clock timeout is enforced with SIGKILL plus a blocking
- *    waitpid, so a hung cell is reaped, never orphaned;
+ *    waitpid, so a hung cell is killed and reaped wherever it is stuck;
  *  - failures are captured structurally: exit code (mapped through
  *    tsoper_sim's documented codes), terminating signal name, and a
  *    redacted tail of the child's stderr.

@@ -114,18 +114,6 @@ class SlcProtocol : public CoherenceProtocol
     /** Number of *valid* nodes on @p line's list (coherence view). */
     unsigned validListLength(LineAddr line) const;
 
-    /** Walk every existing node (testing / final drain):
-     *  @p fn(core, line, dirty, valid). */
-    template <typename Fn>
-    void
-    forEachNode(Fn &&fn) const
-    {
-        for (unsigned c = 0; c < nodes_.size(); ++c) {
-            for (const auto &[line, n] : nodes_[c])
-                fn(static_cast<CoreId>(c), line, n.dirty, n.valid);
-        }
-    }
-
   private:
     struct Node
     {

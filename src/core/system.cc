@@ -94,59 +94,48 @@ System::System(const SystemConfig &cfg, const Workload &workload)
 
 System::~System() = default;
 
+namespace
+{
+
+/** Chunk size and trip counts of every System run's watchdog. */
+constexpr WatchdogConfig watchdog{};
+
+} // namespace
+
 Cycle
-System::run(Cycle maxCycles)
+System::run(Cycle maxCycles, Deadline deadline)
 {
     const trace::Scope scope(tracer_, eq_);
-    const WatchdogConfig watchdog{cfg_.watchdogCheckEvents,
-                                  cfg_.watchdogStallChecks,
-                                  /*frozenChecks=*/2};
     const auto progress = [this] { return progressSignature(); };
     const auto dump = [this] { return dumpState(); };
 
     for (auto &cpu : cpus_)
         cpu->start();
     runGuarded(eq_, [this] { return allFinished(); }, maxCycles, watchdog,
-               progress, dump, "execution");
+               progress, dump, "execution", deadline);
     const Cycle finish = finishCycle();
     stats_.counter("sys.exec_cycles").inc(finish);
     bool drained = false;
     engine_->drain([&drained] { drained = true; });
     runGuarded(eq_, [&drained] { return drained; }, maxCycles, watchdog,
-               progress, dump, "persistency drain");
+               progress, dump, "persistency drain", deadline);
     stats_.counter("sys.drain_cycles").inc(eq_.now() - finish);
     return finish;
 }
 
 std::unordered_map<LineAddr, LineWords>
-System::runUntilCrash(Cycle crashAt)
+System::runUntilCrash(Cycle crashAt, Deadline deadline)
 {
     const trace::Scope scope(tracer_, eq_);
     for (auto &cpu : cpus_)
         cpu->start();
-    if (!cfg_.watchdogCheckEvents) {
-        eq_.run(crashAt);
-        return durableImage();
-    }
     // Reaching crashAt (or draining early) is normal completion here,
     // so only the livelock checks apply — a zero-delay event cycle
-    // before the crash point would otherwise spin forever inside
-    // EventQueue::run.
-    const WatchdogConfig watchdog{cfg_.watchdogCheckEvents,
-                                  cfg_.watchdogStallChecks,
-                                  /*frozenChecks=*/2};
-    ProgressWatchdog dog(watchdog);
-    for (;;) {
-        const std::uint64_t before = eq_.executed();
-        eq_.runFor([] { return false; }, crashAt, watchdog.checkEveryEvents);
-        if (eq_.executed() == before || eq_.empty())
-            break; // passed crashAt, or the machine went idle
-        const std::string reason =
-            dog.check(progressSignature(), eq_.now());
-        if (!reason.empty())
-            throw HungError("hung during pre-crash execution: " +
-                            reason + "\n" + dumpState());
-    }
+    // before the crash point would otherwise spin forever.
+    runWatched(eq_, [] { return false; }, crashAt, watchdog,
+               [this] { return progressSignature(); },
+               [this] { return dumpState(); }, "pre-crash execution",
+               deadline);
     return durableImage();
 }
 

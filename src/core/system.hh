@@ -37,6 +37,7 @@
 #include "sim/stats.hh"
 #include "sim/store_log.hh"
 #include "sim/trace.hh"
+#include "sim/watchdog.hh"
 #include "workload/trace.hh"
 
 namespace tsoper
@@ -57,20 +58,24 @@ class System
      * execution-time metric; the drain tail is excluded).
      *
      * The run is supervised by the progress watchdog (sim/watchdog.hh,
-     * knobs on SystemConfig): a protocol livelock, a drained event
-     * queue with unfinished cores, or blowing the @p maxCycles budget
-     * all throw HungError carrying dumpState() — which the campaign
-     * layer classifies as RunStatus::Hung instead of an opaque
-     * wall-clock timeout.
+     * 2 M-event chunks): a protocol livelock, a drained event queue
+     * with unfinished cores, or blowing the @p maxCycles budget all
+     * throw HungError carrying dumpState() — which the campaign layer
+     * classifies as RunStatus::Hung instead of an opaque wall-clock
+     * timeout.  Once the wall clock passes @p deadline the run stops
+     * at the next chunk boundary with DeadlineExceeded.
      */
-    Cycle run(Cycle maxCycles = 4'000'000'000ull);
+    Cycle run(Cycle maxCycles = 4'000'000'000ull,
+              Deadline deadline = noDeadline);
 
     /**
-     * Run until @p crashAt, then stop the machine cold.
+     * Run until @p crashAt, then stop the machine cold.  The livelock
+     * and @p deadline checks of run() apply.
      * @return the durable state: the NVM image plus the engine's
      * persistent-domain overlay (committed AGB prefix).
      */
-    std::unordered_map<LineAddr, LineWords> runUntilCrash(Cycle crashAt);
+    std::unordered_map<LineAddr, LineWords>
+    runUntilCrash(Cycle crashAt, Deadline deadline = noDeadline);
 
     /** Durable state at the current instant (NVM + overlay). */
     std::unordered_map<LineAddr, LineWords> durableImage() const;

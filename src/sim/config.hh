@@ -122,13 +122,6 @@ struct SystemConfig
     bool recordStores = false;  ///< Keep the store log for crash checking.
     std::uint64_t seed = 1;
 
-    // --- Progress watchdog (sim/watchdog.hh) ---------------------------
-    /** Events between livelock checks; 0 disables the watchdog and
-     *  leaves only the simulated-cycle budget as a backstop. */
-    std::uint64_t watchdogCheckEvents = 2'000'000;
-    /** Flat-progress chunks before the run is declared hung. */
-    unsigned watchdogStallChecks = 8;
-
     /** Throw (fatal) if the configuration is internally inconsistent. */
     void validate() const;
 

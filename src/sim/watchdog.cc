@@ -68,43 +68,51 @@ throwHung(const char *phase, const std::string &reason,
 } // namespace
 
 void
+runWatched(EventQueue &eq, const std::function<bool()> &pred,
+           Cycle maxCycles, const WatchdogConfig &cfg,
+           const std::function<std::uint64_t()> &progressFn,
+           const std::function<std::string()> &dumpFn, const char *phase,
+           Deadline deadline)
+{
+    ProgressWatchdog dog(cfg);
+    for (;;) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+            std::ostringstream os;
+            os << "wall-clock budget exhausted during " << phase
+               << " at cycle " << eq.now() << " after " << eq.executed()
+               << " events";
+            throw DeadlineExceeded(os.str());
+        }
+        const std::uint64_t before = eq.executed();
+        eq.runFor(pred, maxCycles, cfg.checkEveryEvents);
+        if (pred() || eq.empty() || eq.executed() == before)
+            return;
+        const std::string reason =
+            dog.check(progressFn ? progressFn() : 0, eq.now());
+        if (!reason.empty())
+            throwHung(phase, reason, dumpFn);
+    }
+}
+
+void
 runGuarded(EventQueue &eq, const std::function<bool()> &pred,
            Cycle maxCycles, const WatchdogConfig &cfg,
            const std::function<std::uint64_t()> &progressFn,
-           const std::function<std::string()> &dumpFn, const char *phase)
+           const std::function<std::string()> &dumpFn, const char *phase,
+           Deadline deadline)
 {
-    const std::uint64_t chunk = cfg.checkEveryEvents;
-    ProgressWatchdog dog(cfg);
-    for (;;) {
-        const std::uint64_t before = eq.executed();
-        if (chunk)
-            eq.runFor(pred, maxCycles, chunk);
-        else
-            eq.runUntil(pred, maxCycles);
-        if (pred())
-            return;
-        if (eq.empty()) {
-            std::ostringstream os;
-            os << "event queue drained at cycle " << eq.now()
-               << " with the " << phase
-               << " phase incomplete (deadlock)";
-            throwHung(phase, os.str(), dumpFn);
-        }
-        if (eq.executed() == before) {
-            // Queue non-empty, nothing ran: the next event lies
-            // beyond the cycle budget.
-            std::ostringstream os;
-            os << "exceeded the " << maxCycles
-               << "-cycle simulated budget at cycle " << eq.now();
-            throwHung(phase, os.str(), dumpFn);
-        }
-        if (chunk) {
-            const std::string reason =
-                dog.check(progressFn ? progressFn() : 0, eq.now());
-            if (!reason.empty())
-                throwHung(phase, reason, dumpFn);
-        }
-    }
+    runWatched(eq, pred, maxCycles, cfg, progressFn, dumpFn, phase,
+               deadline);
+    if (pred())
+        return;
+    std::ostringstream os;
+    if (eq.empty())
+        os << "event queue drained at cycle " << eq.now() << " with the "
+           << phase << " phase incomplete (deadlock)";
+    else // the next event lies beyond the cycle budget
+        os << "exceeded the " << maxCycles
+           << "-cycle simulated budget at cycle " << eq.now();
+    throwHung(phase, os.str(), dumpFn);
 }
 
 } // namespace tsoper

@@ -23,11 +23,16 @@
  * maps HungError to RunStatus::Hung (tsoper_sim exit code 7), which
  * the runner treats as a deterministic verdict: livelocks reproduce
  * under the same seed, so re-running them cannot change the answer.
+ *
+ * The chunk boundaries are also the run's only safe preemption
+ * points: a caller's wall-clock Deadline is checked there and an
+ * overrun throws DeadlineExceeded (RunStatus::Timeout).
  */
 
 #ifndef TSOPER_SIM_WATCHDOG_HH
 #define TSOPER_SIM_WATCHDOG_HH
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -49,9 +54,24 @@ struct HungError : std::runtime_error
     }
 };
 
+/** Wall-clock point after which a run stops at its next chunk
+ *  boundary; noDeadline never expires. */
+using Deadline = std::chrono::steady_clock::time_point;
+inline constexpr Deadline noDeadline = Deadline::max();
+
+/** The run passed its Deadline; what() names the phase, the cycle and
+ *  the events executed so far. */
+struct DeadlineExceeded : std::runtime_error
+{
+    explicit DeadlineExceeded(const std::string &msg)
+        : std::runtime_error(msg)
+    {
+    }
+};
+
 struct WatchdogConfig
 {
-    /** Events per chunk between checks; 0 disables the watchdog. */
+    /** Events per chunk between checks (> 0). */
     std::uint64_t checkEveryEvents = 2'000'000;
 
     /** Consecutive chunks with a flat progress signature before the
@@ -95,28 +115,37 @@ class ProgressWatchdog
 };
 
 /**
- * Run @p eq until @p pred holds, watching for livelock.
+ * Run @p eq in chunks of cfg.checkEveryEvents until @p pred holds, the
+ * queue drains, or the next event lies beyond @p maxCycles, whichever
+ * comes first.  Before every chunk, the first included, it throws
+ * DeadlineExceeded once the wall clock has passed @p deadline.  After
+ * every chunk that leaves the run going, it evaluates the watchdog over
+ * @p progressFn (a monotonic forward-progress signature — retired ops,
+ * persisted lines; pick something that moves whenever the phase is
+ * genuinely advancing) and throws HungError, appending @p dumpFn's
+ * state dump, when it proves a frozen-time or flat-signature livelock.
+ */
+void runWatched(EventQueue &eq, const std::function<bool()> &pred,
+                Cycle maxCycles, const WatchdogConfig &cfg,
+                const std::function<std::uint64_t()> &progressFn,
+                const std::function<std::string()> &dumpFn,
+                const char *phase, Deadline deadline);
+
+/**
+ * runWatched() for a phase that must reach @p pred: it also throws
+ * HungError when
  *
- * Executes events in chunks of cfg.checkEveryEvents and between
- * chunks evaluates the watchdog over @p progressFn (a monotonic
- * forward-progress signature — retired ops, persisted lines; pick
- * something that moves whenever the phase is genuinely advancing).
- * Throws HungError — appending @p dumpFn's state dump — when
- *
- *  - the watchdog proves a frozen-time or flat-signature livelock,
  *  - the next event lies beyond @p maxCycles (cycle budget blown), or
  *  - the queue drains with @p pred still false (deadlock: everything
  *    is waiting on something that will never happen).
  *
- * With cfg.checkEveryEvents == 0 only the budget/deadlock checks run
- * (single runUntil, seed behaviour).  Returns normally iff @p pred
- * became true.
+ * Returns normally iff @p pred became true.
  */
 void runGuarded(EventQueue &eq, const std::function<bool()> &pred,
                 Cycle maxCycles, const WatchdogConfig &cfg,
                 const std::function<std::uint64_t()> &progressFn,
                 const std::function<std::string()> &dumpFn,
-                const char *phase);
+                const char *phase, Deadline deadline = noDeadline);
 
 } // namespace tsoper
 

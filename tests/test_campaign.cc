@@ -1,5 +1,5 @@
 /** @file Tests for the campaign subsystem: spec expansion, the
- *  work-stealing pool, timeout/retry classification, runOne,
+ *  cooperative budget and retry classification, the job loop, runOne,
  *  determinism across job counts, report aggregation, and the
  *  journal. */
 
@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "campaign/report.hh"
 #include "campaign/runner.hh"
 #include "campaign/spec.hh"
-#include "campaign/thread_pool.hh"
 
 using namespace tsoper;
 using namespace tsoper::campaign;
@@ -155,57 +155,7 @@ TEST(CampaignSpec, BuiltinCampaignsAreValid)
     EXPECT_EQ(findBuiltinCampaign("nope"), nullptr);
 }
 
-// --- Thread pool ------------------------------------------------------
-
-TEST(ThreadPool, ExecutesEveryTaskExactlyOnceUnderContention)
-{
-    constexpr int kTasks = 500;
-    std::vector<std::atomic<int>> hits(kTasks);
-    for (auto &h : hits)
-        h.store(0);
-
-    ThreadPool pool(8);
-    for (int i = 0; i < kTasks; ++i)
-        pool.submit([&hits, i] {
-            // A tiny stagger so deques drain unevenly and stealing
-            // actually happens.
-            if (i % 7 == 0)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(200));
-            hits[i].fetch_add(1);
-        });
-    pool.wait();
-
-    for (int i = 0; i < kTasks; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "task " << i;
-}
-
-TEST(ThreadPool, TasksCanSubmitTasks)
-{
-    std::atomic<int> count{0};
-    ThreadPool pool(4);
-    for (int i = 0; i < 10; ++i)
-        pool.submit([&] {
-            count.fetch_add(1);
-            pool.submit([&] { count.fetch_add(1); });
-        });
-    pool.wait();
-    EXPECT_EQ(count.load(), 20);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    std::atomic<int> count{0};
-    ThreadPool pool(2);
-    pool.submit([&] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 2);
-}
-
-// --- Timeout / retry classification ----------------------------------
+// --- Budget / retry classification -----------------------------------
 
 namespace
 {
@@ -222,46 +172,39 @@ fakeRequest(const std::string &id)
 
 TEST(Runner, HungCellClassifiesAsTimeoutAfterRetry)
 {
-    std::atomic<int> attempts{0};
+    int attempts = 0;
     RunnerOptions opt;
-    opt.timeout = std::chrono::milliseconds(25);
     opt.retries = 1;
     opt.backoffBaseMs = 0;
     opt.cellFn = [&](const RunRequest &) {
-        attempts.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(400));
+        ++attempts;
         RunResult res;
-        res.status = RunStatus::Ok;
+        res.status = RunStatus::Timeout;
         return res;
     };
 
     const CellReport cell = runCell(fakeRequest("hung"), opt);
     EXPECT_EQ(cell.result.status, RunStatus::Timeout);
     EXPECT_EQ(cell.attempts, 2u);
-    EXPECT_EQ(attempts.load(), 2);
-    EXPECT_NE(cell.result.detail.find("budget"), std::string::npos);
-    // Out of retries with a transient verdict -> quarantined, and the
+    EXPECT_EQ(attempts, 2);
+    // Out of retries with a retryable verdict -> quarantined, and the
     // full attempt history is preserved.
     EXPECT_TRUE(cell.quarantined);
     ASSERT_EQ(cell.attemptLog.size(), 2u);
     EXPECT_EQ(cell.attemptLog[0].status, RunStatus::Timeout);
     EXPECT_EQ(cell.attemptLog[1].status, RunStatus::Timeout);
-    // Orphaned attempt threads outlive runCell; let them drain before
-    // their atomics go out of scope.
-    std::this_thread::sleep_for(std::chrono::milliseconds(900));
 }
 
 TEST(Runner, FlakyCellSucceedsOnRetry)
 {
-    std::atomic<int> attempts{0};
+    int attempts = 0;
     RunnerOptions opt;
-    opt.timeout = std::chrono::milliseconds(5000);
     opt.retries = 1;
     opt.backoffBaseMs = 0;
     opt.cellFn = [&](const RunRequest &) {
         RunResult res;
-        if (attempts.fetch_add(1) == 0) {
-            res.status = RunStatus::Crashed;
+        if (attempts++ == 0) {
+            res.status = RunStatus::Timeout;
             res.detail = "transient";
         } else {
             res.status = RunStatus::Ok;
@@ -274,22 +217,21 @@ TEST(Runner, FlakyCellSucceedsOnRetry)
     EXPECT_EQ(cell.attempts, 2u);
     EXPECT_FALSE(cell.quarantined);
     ASSERT_EQ(cell.attemptLog.size(), 2u);
-    EXPECT_EQ(cell.attemptLog[0].status, RunStatus::Crashed);
+    EXPECT_EQ(cell.attemptLog[0].status, RunStatus::Timeout);
     EXPECT_EQ(cell.attemptLog[0].detail, "transient");
     EXPECT_EQ(cell.attemptLog[1].status, RunStatus::Ok);
 }
 
 TEST(Runner, RetriesBackOffExponentially)
 {
-    std::atomic<int> attempts{0};
+    int attempts = 0;
     RunnerOptions opt;
-    opt.timeout = std::chrono::milliseconds(5000);
     opt.retries = 2;
     opt.backoffBaseMs = 40;
     opt.cellFn = [&](const RunRequest &) {
-        attempts.fetch_add(1);
+        ++attempts;
         RunResult res;
-        res.status = RunStatus::Crashed;
+        res.status = RunStatus::Timeout;
         return res;
     };
 
@@ -298,7 +240,7 @@ TEST(Runner, RetriesBackOffExponentially)
     const auto elapsed =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - start);
-    EXPECT_EQ(attempts.load(), 3);
+    EXPECT_EQ(attempts, 3);
     EXPECT_TRUE(cell.quarantined);
     // Backoff before attempt 2 is 40 ms, before attempt 3 is 80 ms.
     EXPECT_GE(elapsed.count(), 120);
@@ -306,89 +248,148 @@ TEST(Runner, RetriesBackOffExponentially)
 
 TEST(Runner, DeterministicVerdictsAreNotRetried)
 {
-    std::atomic<int> attempts{0};
+    // An in-process crash is a panic or exception: it reproduces under
+    // the same seed, like the other verdicts here.
+    for (const RunStatus status :
+         {RunStatus::CheckFailed, RunStatus::BadRequest, RunStatus::Hung,
+          RunStatus::Crashed}) {
+        int attempts = 0;
+        RunnerOptions opt;
+        opt.retries = 3;
+        opt.cellFn = [&](const RunRequest &) {
+            ++attempts;
+            RunResult res;
+            res.status = status;
+            return res;
+        };
+
+        const CellReport cell = runCell(fakeRequest("torn"), opt);
+        EXPECT_EQ(cell.result.status, status) << toString(status);
+        EXPECT_EQ(cell.attempts, 1u) << toString(status);
+        EXPECT_EQ(attempts, 1) << toString(status);
+        EXPECT_FALSE(cell.quarantined) << toString(status);
+    }
+}
+
+TEST(Runner, EscapingExceptionClassifiesAsCrashed)
+{
     RunnerOptions opt;
-    opt.timeout = std::chrono::milliseconds(5000);
-    opt.retries = 3;
-    opt.cellFn = [&](const RunRequest &) {
-        attempts.fetch_add(1);
-        RunResult res;
-        res.status = RunStatus::CheckFailed;
-        return res;
+    opt.cellFn = [](const RunRequest &) -> RunResult {
+        throw std::runtime_error("cell blew up");
     };
 
-    const CellReport cell = runCell(fakeRequest("torn"), opt);
-    EXPECT_EQ(cell.result.status, RunStatus::CheckFailed);
+    const CellReport cell = runCell(fakeRequest("throws"), opt);
+    EXPECT_EQ(cell.result.status, RunStatus::Crashed);
+    EXPECT_EQ(cell.result.detail, "cell blew up");
     EXPECT_EQ(cell.attempts, 1u);
-    EXPECT_EQ(attempts.load(), 1);
+}
+
+namespace
+{
+
+/** Threads of this process, from /proc/self/status. */
+unsigned
+threadCount()
+{
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    unsigned n = 0;
+    while (status >> key) {
+        if (key == "Threads:") {
+            status >> n;
+            break;
+        }
+    }
+    return n;
+}
+
+} // namespace
+
+TEST(Runner, BudgetShorterThanFirstChunkTimesOutRealCell)
+{
+    // radix at x10 executes about 4.2 M events, more than two 2 M-event
+    // watchdog chunks, and no host runs a chunk within 1 ms, so every
+    // attempt stops at a chunk boundary: the first, or the second if
+    // set-up beat the budget.
+    RunRequest r;
+    r.id = "tsoper/radix/x10/s1";
+    r.bench = "radix";
+    r.scale = 10;
+    RunnerOptions opt;
+    opt.timeout = std::chrono::milliseconds(1);
+    opt.retries = 1;
+    opt.backoffBaseMs = 0;
+
+    const unsigned threads = threadCount();
+    ASSERT_GT(threads, 0u);
+    const CellReport cell = runCell(r, opt);
+    EXPECT_EQ(cell.result.status, RunStatus::Timeout)
+        << cell.result.detail;
+    EXPECT_NE(cell.result.detail.find("wall-clock budget"),
+              std::string::npos)
+        << cell.result.detail;
+    EXPECT_EQ(cell.attempts, 2u);
+    EXPECT_TRUE(cell.quarantined);
+    // Each attempt ran on this thread, and nothing outlives runCell.
+    EXPECT_EQ(threadCount(), threads);
 }
 
 TEST(Runner, CampaignAggregatesInExpansionOrder)
 {
+    constexpr int kCells = 24;
     std::vector<RunRequest> cells;
-    for (int i = 0; i < 24; ++i)
+    for (int i = 0; i < kCells; ++i)
         cells.push_back(fakeRequest("cell" + std::to_string(i)));
 
-    RunnerOptions opt;
-    opt.jobs = 4;
-    opt.timeout = std::chrono::milliseconds(5000);
-    opt.backoffBaseMs = 0;
-    opt.cellFn = [](const RunRequest &r) {
-        // Finish out of order on purpose.
-        if (r.id == "cell0")
-            std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        RunResult res;
-        res.status = r.id == "cell7" ? RunStatus::Crashed
-                                     : RunStatus::Ok;
-        res.detail = r.id;
-        return res;
-    };
+    for (const unsigned jobs : {1u, 4u}) {
+        std::vector<std::atomic<int>> hits(kCells);
+        std::mutex idsMutex;
+        std::set<std::thread::id> ids; // under idsMutex
+        RunnerOptions opt;
+        opt.jobs = jobs;
+        opt.retries = 0;
+        opt.backoffBaseMs = 0;
+        opt.cellFn = [&](const RunRequest &r) {
+            hits[std::stoi(r.id.substr(4))].fetch_add(1);
+            {
+                std::lock_guard<std::mutex> lock(idsMutex);
+                ids.insert(std::this_thread::get_id());
+            }
+            // Finish out of order on purpose.
+            if (r.id == "cell0")
+                std::this_thread::sleep_for(std::chrono::milliseconds(30));
+            RunResult res;
+            res.status = r.id == "cell7" ? RunStatus::Timeout
+                                         : RunStatus::Ok;
+            res.detail = r.id;
+            return res;
+        };
 
-    const CampaignReport report = runCampaign("order", cells, opt);
-    ASSERT_EQ(report.cells.size(), 24u);
-    for (int i = 0; i < 24; ++i)
-        EXPECT_EQ(report.cells[i].request.id,
-                  "cell" + std::to_string(i));
-    EXPECT_EQ(report.count(RunStatus::Ok), 23u);
-    // cell7 crashes on every attempt, so it lands in quarantine and
-    // stays out of the per-status totals.
-    EXPECT_EQ(report.count(RunStatus::Crashed), 0u);
-    EXPECT_EQ(report.quarantinedCount(), 1u);
-    EXPECT_TRUE(report.cells[7].quarantined);
-    EXPECT_FALSE(report.allOk());
-    EXPECT_NE(report.summary().find("23 ok"), std::string::npos);
-    EXPECT_NE(report.summary().find("1 quarantined"), std::string::npos);
-}
-
-TEST(Runner, OrphanedAttemptThreadsAreCounted)
-{
-    const unsigned before = liveOrphanCount();
-
-    std::atomic<bool> release{false};
-    RunnerOptions opt;
-    opt.timeout = std::chrono::milliseconds(25);
-    opt.retries = 0;
-    opt.backoffBaseMs = 0;
-    opt.cellFn = [&](const RunRequest &) {
-        while (!release.load())
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        RunResult res;
-        res.status = RunStatus::Ok;
-        return res;
-    };
-
-    const CampaignReport report =
-        runCampaign("orphans", {fakeRequest("stuck")}, opt);
-    EXPECT_EQ(report.cells[0].result.status, RunStatus::Timeout);
-    EXPECT_GE(report.orphanedThreads, before + 1);
-    EXPECT_NE(report.summary().find("orphaned attempt thread"),
-              std::string::npos);
-
-    // Once the orphan finishes it un-counts itself.
-    release.store(true);
-    for (int i = 0; i < 200 && liveOrphanCount() > before; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    EXPECT_EQ(liveOrphanCount(), before);
+        const CampaignReport report = runCampaign("order", cells, opt);
+        ASSERT_EQ(report.cells.size(), std::size_t(kCells));
+        for (int i = 0; i < kCells; ++i) {
+            EXPECT_EQ(report.cells[i].request.id,
+                      "cell" + std::to_string(i));
+            // Every cell is taken by exactly one job.
+            EXPECT_EQ(hits[i].load(), 1) << "cell" << i;
+        }
+        // One job is the calling thread alone; N jobs are at most N
+        // threads, the caller included.
+        if (jobs == 1)
+            EXPECT_EQ(ids, std::set{std::this_thread::get_id()});
+        else
+            EXPECT_LE(ids.size(), jobs);
+        EXPECT_EQ(report.count(RunStatus::Ok), 23u);
+        // cell7 times out on its only attempt, so it lands in
+        // quarantine and stays out of the per-status totals.
+        EXPECT_EQ(report.count(RunStatus::Timeout), 0u);
+        EXPECT_EQ(report.quarantinedCount(), 1u);
+        EXPECT_TRUE(report.cells[7].quarantined);
+        EXPECT_FALSE(report.allOk());
+        EXPECT_NE(report.summary().find("23 ok"), std::string::npos);
+        EXPECT_NE(report.summary().find("1 quarantined"),
+                  std::string::npos);
+    }
 }
 
 // --- runOne on the real simulator ------------------------------------
@@ -428,6 +429,33 @@ TEST(RunOne, TinyAuditedRunProducesStats)
     const RunResult again = runOne(r);
     EXPECT_EQ(again.stats.dump(), res.stats.dump());
     EXPECT_EQ(again.cycles, res.cycles);
+}
+
+TEST(RunOne, PastDeadlineTimesOutBeforeAnyEvent)
+{
+    // The deadline is checked before the first event chunk of every
+    // phase: a plain run, a crash run's timing pre-run, and a run to
+    // an absolute crash cycle.
+    RunRequest run;
+    run.bench = "dedup";
+    run.scale = 0.05;
+    RunRequest crashFraction = run;
+    crashFraction.crashAt = 0.5;
+    RunRequest crashCycle = run;
+    crashCycle.crashAt = 5000;
+
+    bool finished = false;
+    RunHooks hooks;
+    hooks.deadline = std::chrono::steady_clock::now();
+    hooks.onFinished = [&](System &) { finished = true; };
+    for (const RunRequest &r : {run, crashFraction, crashCycle}) {
+        const RunResult res = runOne(r, hooks);
+        EXPECT_EQ(res.status, RunStatus::Timeout) << res.detail;
+        EXPECT_NE(res.detail.find("at cycle 0 after 0 events"),
+                  std::string::npos)
+            << res.detail;
+    }
+    EXPECT_FALSE(finished);
 }
 
 TEST(RunOne, CrashCellAuditsDurableState)

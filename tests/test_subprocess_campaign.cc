@@ -320,9 +320,6 @@ TEST(SubprocessCampaign, SickCellsAreQuarantinedHealthyOnesSurvive)
     EXPECT_TRUE(hang.quarantined);
     EXPECT_EQ(hang.result.status, RunStatus::Timeout);
     EXPECT_EQ(hang.result.signalName, "SIGKILL");
-
-    // Subprocess isolation never detaches threads.
-    EXPECT_EQ(report.orphanedThreads, liveOrphanCount());
 }
 
 TEST(SubprocessCampaign, JournalResumeSpawnsOnlyUnfinishedCells)

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "campaign/run_request.hh"
+#include "core/system.hh"
 #include "sim/event_queue.hh"
 #include "sim/watchdog.hh"
 
@@ -189,15 +190,21 @@ TEST(WatchdogSystem, HealthyRunIsUnaffected)
 {
     using namespace tsoper::campaign;
 
+    // radix at x10 executes about 4.2 M events, past two 2 M-event
+    // chunk boundaries, so the watchdog primes on the first and
+    // compares at the second: a legal run must not trip it.
     RunRequest r;
     r.id = "healthy";
-    r.bench = "dedup";
-    r.scale = 0.05;
+    r.bench = "radix";
+    r.scale = 10;
 
-    // Aggressive watchdog settings are exercised via the config the
-    // request resolves to: even a tiny check window must not misfire
-    // on a legal run.
-    const RunResult res = runOne(r);
+    std::uint64_t events = 0;
+    RunHooks hooks;
+    hooks.onFinished = [&](System &sys) {
+        events = sys.eventQueue().executed();
+    };
+    const RunResult res = runOne(r, hooks);
     EXPECT_EQ(res.status, RunStatus::Ok) << res.detail;
     EXPECT_GT(res.cycles, 0u);
+    EXPECT_GT(events, 2 * WatchdogConfig{}.checkEveryEvents);
 }

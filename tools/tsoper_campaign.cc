@@ -13,12 +13,13 @@
  *   tsoper_campaign --campaign=fig12 --dry-run
  *
  * A campaign expands into the cartesian grid of run manifests, runs
- * them on a work-stealing thread pool (per-cell timeout, retry with
- * exponential backoff on transient failure), and writes one JSON
- * report with every cell's status and full statistics (default:
- * BENCH_campaign.json).  Every finished cell is also appended durably
- * to a write-ahead journal (journal.jsonl next to the report) so an
- * interrupted sweep can be continued with --resume.
+ * them on --jobs threads (per-cell wall-clock budget, retry with
+ * exponential backoff when another attempt can change the verdict),
+ * and writes one JSON report with every cell's status and full
+ * statistics (default: BENCH_campaign.json).  Every finished cell is
+ * also appended durably to a write-ahead journal (journal.jsonl next
+ * to the report) so an interrupted sweep can be continued with
+ * --resume.
  *
  * Options:
  *   --campaign=<name>      built-in campaign (see --list-campaigns)
@@ -31,8 +32,10 @@
  *   --check                audit durable state per cell
  *   --cores=<n> --ag-max-lines=<n> --agb-slice-lines=<n>
  *   --name=<s>             campaign name in the report
- *   --jobs=<n>             worker threads   (default: hardware)
- *   --timeout-ms=<n>       per-cell budget  (default: spec's, 120000)
+ *   --jobs=<n>             job threads      (default: hardware)
+ *   --timeout-ms=<n>       per-cell budget  (default: spec's, 120000;
+ *                          in-process cells stop at the next 2M-event
+ *                          chunk, subprocess cells are SIGKILLed)
  *   --retries=<n>          extra attempts   (default: spec's, 1)
  *   --backoff-ms=<n>       first retry delay, doubling per attempt
  *                          (default 250; 0 disables backoff)
@@ -463,14 +466,6 @@ main(int argc, char **argv)
     std::printf("%s\nreport written to %s (%.0f ms wall)\n",
                 report.summary().c_str(), opt.out.c_str(),
                 report.wallMs);
-
-    if (const unsigned orphans = liveOrphanCount())
-        std::fprintf(stderr,
-                     "warning: %u timed-out attempt thread%s still "
-                     "running detached; %s with the process "
-                     "(use --isolate=subprocess for hard kills)\n",
-                     orphans, orphans == 1 ? "" : "s",
-                     orphans == 1 ? "it dies" : "they die");
 
     if (opt.verifyOut &&
         !verifyReportFile(opt.out, /*requireAllOk=*/true, &err)) {
