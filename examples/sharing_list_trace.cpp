@@ -22,11 +22,10 @@ using namespace tsoper;
 namespace
 {
 
-/** TSOPER-style hooks: keep invalid dirty versions, no downgrades. */
+/** TSOPER-style hooks: keep invalid dirty versions. */
 struct KeepVersionsHooks : ProtocolHooks
 {
     bool dropsInvalidDirty() const override { return false; }
-    bool writebackOnDowngrade() const override { return false; }
     Cycle
     onDirtyExpose(CoreId owner, LineAddr, CoreId requester, bool write,
                   Cycle now) override
@@ -56,7 +55,7 @@ printList(const SlcProtocol &slc, unsigned cores)
         std::printf("  core%d[%s%s%s]", c,
                     slc.nodeValid(c, kLine) ? "V" : "i",
                     slc.nodeDirty(c, kLine) ? "D" : "c",
-                    slc.nodeIsTail(c, kLine) ? ",tail" : "");
+                    slc.nodeFwd(c, kLine) == invalidCore ? ",tail" : "");
     }
     std::printf("\n");
 }

@@ -79,8 +79,6 @@ class CampaignJournal
 
     void close();
 
-    bool isOpen() const { return fd_ >= 0; }
-
   private:
     void writeLine(const std::string &line);
 

@@ -75,61 +75,4 @@ LineSerializer::release(LineAddr line)
     dispatch(line, it->second, std::move(next));
 }
 
-DirectoryCapacity::DirectoryCapacity(unsigned entriesPerBank, unsigned banks,
-                                     unsigned evictBufferEntries,
-                                     StatsRegistry &stats)
-    : array_(std::max(1u, entriesPerBank / 8) * banks, 8,
-             /*setShift=*/0),
-      evictions_(stats.counter("dir.evictions")),
-      evictBufferHist_(stats.histogram("dir.evict_buffer_occupancy")),
-      evictBufferCap_(evictBufferEntries)
-{
-}
-
-std::optional<LineAddr>
-DirectoryCapacity::allocate(LineAddr line)
-{
-    const auto result = array_.insert(line);
-    if (result.noSpace)
-        tsoper_panic("directory set fully pinned");
-    if (result.evicted) {
-        evictions_.inc();
-        return result.victim;
-    }
-    return std::nullopt;
-}
-
-void
-DirectoryCapacity::release(LineAddr line)
-{
-    array_.erase(line);
-}
-
-void
-DirectoryCapacity::evictBufferEnter(LineAddr line)
-{
-    evictBuffer_[line] = true;
-    evictBufferHist_.add(evictBuffer_.size());
-    // The paper sizes this buffer so it never backpressures (footnote:
-    // directory evictions are rare).  The model has no backpressure
-    // path, so exceeding the cap would silently simulate impossible
-    // hardware — make it a hard invariant instead.
-    tsoper_assert(evictBuffer_.size() <= evictBufferCap_,
-                  "directory eviction buffer over capacity: ",
-                  evictBuffer_.size(), " entries, cap ",
-                  evictBufferCap_);
-}
-
-void
-DirectoryCapacity::evictBufferLeave(LineAddr line)
-{
-    evictBuffer_.erase(line);
-}
-
-bool
-DirectoryCapacity::inEvictBuffer(LineAddr line) const
-{
-    return evictBuffer_.count(line) != 0;
-}
-
 } // namespace tsoper

@@ -12,14 +12,16 @@
  *    the paper's directory performs; a deferred body plus its reply
  *    handlers are the transaction's transient states.
  *
- *  - DirectoryCapacity: finite directory storage with set-associative
- *    victim selection and an eviction buffer for entries whose lines
- *    are still persisting (§III-B).
+ *  - DirectoryCapacity<Entry>: finite directory storage that owns each
+ *    line's protocol entry, with set-associative victim selection and
+ *    a fixed eviction buffer for entries whose lines are still
+ *    persisting (§III-B).
  */
 
 #ifndef TSOPER_COHERENCE_DIRECTORY_HH
 #define TSOPER_COHERENCE_DIRECTORY_HH
 
+#include <algorithm>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/fifo.hh"
+#include "sim/log.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -81,25 +84,61 @@ class LineSerializer
 };
 
 /**
- * Finite directory entry storage.  An entry exists while its line has
- * any presence in private caches.  Allocating into a full set evicts a
- * victim entry, whose teardown the protocol performs via the callback
- * given to allocate(); entries mid-teardown occupy the eviction buffer.
+ * Finite directory entry storage that owns the protocol's per-line
+ * Entry.  An entry exists while its line has any presence in private
+ * caches.  Allocating into a full set evicts a victim entry, which
+ * allocate() hands back for the protocol to tear down; an entry still
+ * mid-teardown lives in the fixed eviction buffer (§III-B).
  */
+template <typename Entry>
 class DirectoryCapacity
 {
   public:
     DirectoryCapacity(unsigned entriesPerBank, unsigned banks,
-                      unsigned evictBufferEntries, StatsRegistry &stats);
+                      unsigned evictBufferEntries, StatsRegistry &stats)
+        : array_(std::max(1u, entriesPerBank / 8) * banks, 8,
+                 /*setShift=*/0),
+          evictBuffer_(evictBufferEntries, "directory eviction buffer"),
+          evictions_(stats.counter("dir.evictions")),
+          evictBufferHist_(stats.histogram("dir.evict_buffer_occupancy"))
+    {
+    }
 
-    /**
-     * Ensure an entry for @p line exists.
-     * @return the victim line whose entry must be torn down, if any.
-     */
-    std::optional<LineAddr> allocate(LineAddr line);
+    /** Ensure an entry for @p line exists (a new one value-initialized);
+     *  a displaced victim's line and Entry come back for teardown. */
+    typename CacheArray<Entry>::Insert
+    allocate(LineAddr line)
+    {
+        auto result = array_.insert(line);
+        if (result.noSpace)
+            tsoper_panic("directory set fully pinned");
+        if (result.evicted)
+            evictions_.inc();
+        return result;
+    }
 
-    /** Drop @p line's entry (its sharing list / sharer set emptied). */
-    void release(LineAddr line);
+    /** @p line 's entry, resident or mid-teardown; null if none. */
+    Entry *
+    find(LineAddr line)
+    {
+        if (Entry *e = array_.find(line))
+            return e;
+        return evictBuffer_.find(line);
+    }
+
+    const Entry *
+    find(LineAddr line) const
+    {
+        return const_cast<DirectoryCapacity *>(this)->find(line);
+    }
+
+    /** Drop @p line's entry, resident or parked (presence emptied). */
+    void
+    release(LineAddr line)
+    {
+        if (!array_.erase(line))
+            evictBufferLeave(line);
+    }
 
     /** Pin @p line's entry while a deferred transaction holds it open:
      *  pinned entries are skipped by victim selection, so a teardown
@@ -110,26 +149,36 @@ class DirectoryCapacity
     void
     setPinned(LineAddr line, bool pinned)
     {
-        if (array_.contains(line))
-            array_.setPinned(line, pinned);
+        if (Entry *e = array_.find(line))
+            array_.setPinned(e, pinned);
     }
 
-    bool contains(LineAddr line) const { return array_.contains(line); }
+    /** Park an evicted @p entry for @p line until its teardown ends.
+     *  The paper sizes the buffer never to backpressure; the model has
+     *  no backpressure path, so exceeding the cap panics. */
+    Entry &
+    evictBufferEnter(LineAddr line, const Entry &entry)
+    {
+        Entry &parked = evictBuffer_.park(line, entry);
+        evictBufferHist_.add(evictBuffer_.size());
+        return parked;
+    }
 
-    /** Teardown bookkeeping for evicted entries. */
-    void evictBufferEnter(LineAddr line);
-    void evictBufferLeave(LineAddr line);
-    bool inEvictBuffer(LineAddr line) const;
+    void evictBufferLeave(LineAddr line) { evictBuffer_.erase(line); }
+
+    bool
+    inEvictBuffer(LineAddr line) const
+    {
+        return evictBuffer_.find(line) != nullptr;
+    }
+
     std::size_t evictBufferOccupancy() const { return evictBuffer_.size(); }
 
-    std::size_t entries() const { return array_.size(); }
-
   private:
-    CacheArray array_;
-    std::unordered_map<LineAddr, bool> evictBuffer_;
+    CacheArray<Entry> array_;
+    EvictBuffer<Entry> evictBuffer_;
     Counter &evictions_;
     Histogram &evictBufferHist_;
-    unsigned evictBufferCap_;
 };
 
 } // namespace tsoper

@@ -1,6 +1,7 @@
 #include "coherence/mesi.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/log.hh"
@@ -11,7 +12,7 @@ namespace tsoper
 MesiProtocol::MesiProtocol(const SystemConfig &cfg, EventQueue &eq,
                            Mesh &mesh, Llc &llc, Nvm &nvm,
                            StatsRegistry &stats)
-    : cfg_(cfg), eq_(eq), bus_(cfg, eq, mesh), llc_(llc), nvm_(nvm),
+    : cfg_(cfg), eq_(eq), bus_(eq, mesh), llc_(llc), nvm_(nvm),
       serializer_(eq), capacity_(cfg.dirEntriesPerBank, cfg.llcBanks,
                                  cfg.dirEvictBufferEntries, stats),
       txns_(stats), mshr_(eq, cfg.numCores, cfg.mshrEntries, stats),
@@ -21,7 +22,6 @@ MesiProtocol::MesiProtocol(const SystemConfig &cfg, EventQueue &eq,
       upgrades_(stats.counter("mesi.upgrades")),
       coherenceWb_(stats.counter("traffic.coherence_wb"))
 {
-    nodes_.resize(cfg.numCores);
     arrays_.reserve(cfg.numCores);
     for (unsigned c = 0; c < cfg.numCores; ++c)
         arrays_.emplace_back(cfg.privSets, cfg.privWays);
@@ -30,9 +30,11 @@ MesiProtocol::MesiProtocol(const SystemConfig &cfg, EventQueue &eq,
 MesiProtocol::Node *
 MesiProtocol::findNode(CoreId core, LineAddr line)
 {
-    auto &map = nodes_[static_cast<unsigned>(core)];
-    auto it = map.find(line);
-    return it == map.end() ? nullptr : &it->second;
+    if (Node *n = arrays_[static_cast<unsigned>(core)].find(line))
+        return n;
+    if (victim_.core == core && victim_.line == line)
+        return &victim_.node;
+    return nullptr;
 }
 
 const MesiProtocol::Node *
@@ -49,14 +51,22 @@ MesiProtocol::node(CoreId core, LineAddr line)
     return *n;
 }
 
+MesiProtocol::Entry &
+MesiProtocol::entry(LineAddr line)
+{
+    Entry *e = capacity_.find(line);
+    tsoper_assert(e, "missing MESI directory entry: line=", line);
+    return *e;
+}
+
 void
 MesiProtocol::load(CoreId core, Addr addr, LoadDone done)
 {
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line); n && n->st != St::I) {
         hits_.inc();
-        arrays_[static_cast<unsigned>(core)].touch(line);
-        const StoreId value = n->words[wordOf(addr)];
+        arrays_[static_cast<unsigned>(core)].touch(n);
+        const StoreId value = words_[n->words][wordOf(addr)];
         eq_.scheduleIn(cfg_.privLatency,
                        [this, value, done = std::move(done)]() mutable {
                            done(eq_.now(), value);
@@ -94,9 +104,9 @@ MesiProtocol::issueStore(CoreId core, Addr addr, StoreId store,
     if (Node *n = findNode(core, line);
         n && (n->st == St::M || n->st == St::E)) {
         hits_.inc();
-        arrays_[static_cast<unsigned>(core)].touch(line);
+        arrays_[static_cast<unsigned>(core)].touch(n);
         n->st = St::M;
-        n->words[wordOf(addr)] = store;
+        words_[n->words][wordOf(addr)] = store;
         hooks_->onStoreCommitted(core, line, eq_.now());
         logStore(core, addr, store);
         eq_.scheduleIn(cfg_.privLatency, [this, core, holdsMshr, line,
@@ -139,13 +149,12 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line); n && n->st != St::I) {
         // Raced: an earlier queued transaction already fetched it.
-        const StoreId value = n->words[wordOf(addr)];
+        const StoreId value = words_[n->words][wordOf(addr)];
         mshr_.complete(core, line, holdsMshr, done, t + dirLatency_, value);
         return t + dirLatency_;
     }
-    if (auto victim = capacity_.allocate(line))
-        teardownEntry(*victim, t);
-    Entry &e = entries_[line];
+    allocateEntry(line, t);
+    Entry &e = entry(line);
     if (e.owner != invalidCore) {
         // Owner forward.  The downgrade commits now — the directory's
         // serialization instant — while the forward request and data
@@ -157,19 +166,16 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
         Cycle exposeReady = t;
         if (wasM) {
             exposeReady = hooks_->onDirtyExpose(o, line, core, false, t);
-            llc_.install(line, on.words, true, t);
+            llc_.install(line, words_[on.words], true, t);
             coherenceWb_.inc();
         }
         const Cycle floor = std::max(on.dataReadyAt, exposeReady);
-        const LineWords words = on.words;
+        const LineWords words = words_[on.words];
         on.st = St::S;
         e.sharers = bit(o) | bit(core);
         e.owner = invalidCore;
-        Node &nn = nodes_[static_cast<unsigned>(core)][line];
-        nn.st = St::S;
-        nn.words = words;
-        nn.dataReadyAt = t; // Finalized before release by the reply leg.
-        insertResident(core, line, t);
+        // dataReadyAt is finalized before release by the reply leg.
+        fillNode(core, line, St::S, words, t);
         capacity_.setPinned(line, true);
         const StoreId value = words[wordOf(addr)];
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(o),
@@ -182,8 +188,6 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
                           bus_, bus_.coreNode(o), core, line, holdsMshr,
                           lineBytes + cfg_.ctrlMsgBytes, ready,
                           std::move(done), value);
-                      if (Node *n = findNode(core, line))
-                          n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
                       if (wasM) {
                           // ...then the MESI downgrade writeback
                           // (traffic; the LLC contents moved at
@@ -193,7 +197,7 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
                                        lineBytes + cfg_.ctrlMsgBytes,
                                        ready);
                       }
-                      finishTxn(line, dataAt);
+                      finishTxn(core, line, dataAt);
                   });
         return std::nullopt;
     }
@@ -201,11 +205,7 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
         if (llc_.contains(line)) {
             const LineWords words = llc_.lookup(line);
             e.sharers |= bit(core);
-            Node &nn = nodes_[static_cast<unsigned>(core)][line];
-            nn.st = St::S;
-            nn.words = words;
-            nn.dataReadyAt = t;
-            insertResident(core, line, t);
+            fillNode(core, line, St::S, words, t);
             capacity_.setPinned(line, true);
             const StoreId value = words[wordOf(addr)];
             eq_.schedule(llc_.access(line, t),
@@ -215,27 +215,18 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
                     bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
                     lineBytes + cfg_.ctrlMsgBytes, eq_.now(), std::move(done),
                     value);
-                if (Node *n = findNode(core, line))
-                    n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-                finishTxn(line, dataAt);
+                finishTxn(core, line, dataAt);
             });
             return std::nullopt;
         }
-        // LLC lost the shared copy; fetch from any sharer.
-        CoreId s = invalidCore;
-        for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c)
-            if (e.sharers & bit(c)) { s = c; break; }
-        tsoper_assert(s != invalidCore);
+        // LLC lost the shared copy; fetch from the first sharer.
+        const CoreId s = std::countr_zero(e.sharers);
         Node &sn = node(s, line);
         const Cycle floor = sn.dataReadyAt;
-        const LineWords words = sn.words;
+        const LineWords words = words_[sn.words];
         llc_.install(line, words, false, t);
         e.sharers |= bit(core);
-        Node &nn = nodes_[static_cast<unsigned>(core)][line];
-        nn.st = St::S;
-        nn.words = words;
-        nn.dataReadyAt = t;
-        insertResident(core, line, t);
+        fillNode(core, line, St::S, words, t);
         capacity_.setPinned(line, true);
         const StoreId value = words[wordOf(addr)];
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(s),
@@ -247,9 +238,7 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
                           bus_, bus_.coreNode(s), core, line, holdsMshr,
                           lineBytes + cfg_.ctrlMsgBytes, ready,
                           std::move(done), value);
-                      if (Node *n = findNode(core, line))
-                          n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-                      finishTxn(line, dataAt);
+                      finishTxn(core, line, dataAt);
                   });
         return std::nullopt;
     }
@@ -258,11 +247,7 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
     const LineWords words = nvm_.durable(line);
     llc_.install(line, words, false, t);
     e.owner = core;
-    Node &nn = nodes_[static_cast<unsigned>(core)][line];
-    nn.st = St::E;
-    nn.words = words;
-    nn.dataReadyAt = t;
-    insertResident(core, line, t);
+    fillNode(core, line, St::E, words, t);
     capacity_.setPinned(line, true);
     const StoreId value = words[wordOf(addr)];
     eq_.schedule(llc_.access(line, t), [this, core, holdsMshr, line, value,
@@ -271,9 +256,7 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
             bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
             lineBytes + cfg_.ctrlMsgBytes, nvm_.read(line, eq_.now()),
             std::move(done), value);
-        if (Node *n = findNode(core, line))
-            n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-        finishTxn(line, dataAt);
+        finishTxn(core, line, dataAt);
     });
     return std::nullopt;
 }
@@ -297,15 +280,14 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         n && (n->st == St::M || n->st == St::E)) {
         // Raced: already exclusive.
         n->st = St::M;
-        n->words[wordOf(addr)] = store;
+        words_[n->words][wordOf(addr)] = store;
         hooks_->onStoreCommitted(core, line, t);
         logStore(core, addr, store);
         mshr_.complete(core, line, holdsMshr, done, t + dirLatency_);
         return t + dirLatency_;
     }
-    if (auto victim = capacity_.allocate(line))
-        teardownEntry(*victim, t);
-    Entry &e = entries_[line];
+    allocateEntry(line, t);
+    Entry &e = entry(line);
     Node *mine = findNode(core, line);
     if (e.owner != invalidCore && e.owner != core) {
         // Owner invalidation + data forward, as one message chain.
@@ -316,17 +298,12 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         if (wasM)
             exposeReady = hooks_->onDirtyExpose(o, line, core, true, t);
         const Cycle floor = std::max(on.dataReadyAt, exposeReady);
-        const LineWords words = on.words;
-        arrays_[static_cast<unsigned>(o)].erase(line);
-        nodes_[static_cast<unsigned>(o)].erase(line);
+        LineWords words = words_[on.words];
+        dropNode(o, line);
         e.sharers = 0;
         e.owner = core;
-        Node &nn = nodes_[static_cast<unsigned>(core)][line];
-        nn.st = St::M;
-        nn.words = words;
-        nn.words[wordOf(addr)] = store;
-        nn.dataReadyAt = t;
-        insertResident(core, line, t);
+        words[wordOf(addr)] = store;
+        fillNode(core, line, St::M, words, t);
         hooks_->onStoreCommitted(core, line, t);
         logStore(core, addr, store);
         capacity_.setPinned(line, true);
@@ -339,9 +316,7 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
                           bus_, bus_.coreNode(o), core, line, holdsMshr,
                           lineBytes + cfg_.ctrlMsgBytes, ready,
                           std::move(done));
-                      if (Node *n = findNode(core, line))
-                          n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-                      finishTxn(line, dataAt);
+                      finishTxn(core, line, dataAt);
                   });
         return std::nullopt;
     }
@@ -350,28 +325,23 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         // invalidated sharer plus the home's permission grant; the SB
         // drains when the last leg lands.
         upgrades_.inc();
-        unsigned numInv = 0;
-        for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c)
-            if ((e.sharers & bit(c)) && c != core)
-                ++numInv;
+        const unsigned numInv = std::popcount(e.sharers & ~bit(core));
         const TxnTable::Id id = txns_.begin(
             line, core, numInv + 1,
             [this, core, holdsMshr, line,
              done = std::move(done)](Cycle readyAt) mutable {
-                if (Node *n = findNode(core, line))
-                    n->dataReadyAt = std::max(n->dataReadyAt, readyAt);
                 mshr_.complete(core, line, holdsMshr, done, readyAt);
-                finishTxn(line, readyAt);
+                finishTxn(core, line, readyAt);
             });
-        sendInvalidations(line, core, core, t, id);
+        sendInvalidations(line, core, t, id);
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(core),
                   cfg_.ctrlMsgBytes, t,
                   [this, id] { txns_.legDone(id, eq_.now()); });
         e.sharers = 0;
         e.owner = core;
         mine->st = St::M;
-        mine->words[wordOf(addr)] = store;
-        insertResident(core, line, t);
+        words_[mine->words][wordOf(addr)] = store;
+        arrays_[static_cast<unsigned>(core)].touch(mine);
         hooks_->onStoreCommitted(core, line, t);
         logStore(core, addr, store);
         capacity_.setPinned(line, true);
@@ -382,38 +352,23 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         // Data from the LLC (or a sharer when the LLC lost the copy)
         // plus one invalidation ack per sharer: the data leg and the
         // acks race, and the TxnTable folds their arrivals.
-        LineWords words;
-        if (llc_.contains(line)) {
-            words = llc_.lookup(line);
-        } else {
-            CoreId s = invalidCore;
-            for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c)
-                if (e.sharers & bit(c)) { s = c; break; }
-            tsoper_assert(s != invalidCore);
-            words = node(s, line).words;
-        }
-        unsigned numInv = 0;
-        for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c)
-            if ((e.sharers & bit(c)) && c != core)
-                ++numInv;
+        LineWords words =
+            llc_.contains(line)
+                ? llc_.lookup(line)
+                : words_[node(std::countr_zero(e.sharers), line).words];
+        const unsigned numInv = std::popcount(e.sharers & ~bit(core));
         const TxnTable::Id id = txns_.begin(
             line, core, numInv + 1,
             [this, core, holdsMshr, line,
              done = std::move(done)](Cycle readyAt) mutable {
-                if (Node *n = findNode(core, line))
-                    n->dataReadyAt = std::max(n->dataReadyAt, readyAt);
                 mshr_.complete(core, line, holdsMshr, done, readyAt);
-                finishTxn(line, readyAt);
+                finishTxn(core, line, readyAt);
             });
-        sendInvalidations(line, core, core, t, id);
+        sendInvalidations(line, core, t, id);
         e.sharers = 0;
         e.owner = core;
-        Node &nn = nodes_[static_cast<unsigned>(core)][line];
-        nn.st = St::M;
-        nn.words = words;
-        nn.words[wordOf(addr)] = store;
-        nn.dataReadyAt = t;
-        insertResident(core, line, t);
+        words[wordOf(addr)] = store;
+        fillNode(core, line, St::M, words, t);
         hooks_->onStoreCommitted(core, line, t);
         logStore(core, addr, store);
         capacity_.setPinned(line, true);
@@ -425,16 +380,12 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         return std::nullopt;
     }
     // Memory fill straight to M.
-    const LineWords memWords = nvm_.durable(line);
-    llc_.install(line, memWords, false, t);
+    LineWords words = nvm_.durable(line);
+    llc_.install(line, words, false, t);
     e.sharers = 0;
     e.owner = core;
-    Node &nn = nodes_[static_cast<unsigned>(core)][line];
-    nn.st = St::M;
-    nn.words = memWords;
-    nn.words[wordOf(addr)] = store;
-    nn.dataReadyAt = t;
-    insertResident(core, line, t);
+    words[wordOf(addr)] = store;
+    fillNode(core, line, St::M, words, t);
     hooks_->onStoreCommitted(core, line, t);
     logStore(core, addr, store);
     capacity_.setPinned(line, true);
@@ -444,33 +395,30 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
             bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
             lineBytes + cfg_.ctrlMsgBytes, nvm_.read(line, eq_.now()),
             std::move(done));
-        if (Node *n = findNode(core, line))
-            n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-        finishTxn(line, dataAt);
+        finishTxn(core, line, dataAt);
     });
     return std::nullopt;
 }
 
 void
-MesiProtocol::finishTxn(LineAddr line, Cycle at)
+MesiProtocol::finishTxn(CoreId core, LineAddr line, Cycle at)
 {
+    if (Node *n = findNode(core, line))
+        n->dataReadyAt = std::max(n->dataReadyAt, at);
     capacity_.setPinned(line, false);
     serializer_.releaseAt(line, at);
 }
 
-unsigned
-MesiProtocol::sendInvalidations(LineAddr line, CoreId except,
-                                CoreId requester, Cycle t, TxnTable::Id txn)
+void
+MesiProtocol::sendInvalidations(LineAddr line, CoreId requester, Cycle t,
+                                TxnTable::Id txn)
 {
-    Entry &e = entries_[line];
-    unsigned sent = 0;
+    Entry &e = entry(line);
     for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c) {
-        if (!(e.sharers & bit(c)) || c == except)
+        if (!(e.sharers & bit(c)) || c == requester)
             continue;
-        ++sent;
         // State commits now; the inv and its ack are timing legs.
-        arrays_[static_cast<unsigned>(c)].erase(line);
-        nodes_[static_cast<unsigned>(c)].erase(line);
+        dropNode(c, line);
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(c),
                   cfg_.ctrlMsgBytes, t, [this, c, requester, txn] {
                       bus_.send(bus_.coreNode(c), bus_.coreNode(requester),
@@ -479,26 +427,40 @@ MesiProtocol::sendInvalidations(LineAddr line, CoreId except,
                                 });
                   });
     }
-    e.sharers &= bit(except);
-    return sent;
+    e.sharers &= bit(requester);
 }
 
 void
-MesiProtocol::insertResident(CoreId core, LineAddr line, Cycle t)
+MesiProtocol::fillNode(CoreId core, LineAddr line, St st,
+                       const LineWords &words, Cycle t)
 {
     auto result = arrays_[static_cast<unsigned>(core)].insert(line);
     tsoper_assert(!result.noSpace, "private cache set fully pinned");
-    if (result.evicted)
+    if (result.hit)
+        words_.free(result.slot->words);
+    *result.slot = Node{st, words_.alloc(words), t};
+    if (result.evicted) {
+        victim_ = Victim{core, result.victim, result.victimPayload};
         handleVictim(core, result.victim, t);
+    }
+}
+
+void
+MesiProtocol::dropNode(CoreId core, LineAddr line)
+{
+    CacheArray<Node> &array = arrays_[static_cast<unsigned>(core)];
+    if (const Node *n = array.find(line)) {
+        words_.free(n->words);
+        array.erase(line);
+    }
 }
 
 void
 MesiProtocol::handleVictim(CoreId core, LineAddr victim, Cycle t)
 {
-    Node &v = node(core, victim);
-    Entry &e = entries_[victim];
+    const Node &v = victim_.node;
     if (v.st == St::M) {
-        llc_.install(victim, v.words, true, t);
+        llc_.install(victim, words_[v.words], true, t);
         coherenceWb_.inc();
         bus_.arrival(bus_.coreNode(core), bus_.bankNode(bankOf(victim)),
                     lineBytes + cfg_.ctrlMsgBytes, t);
@@ -508,54 +470,54 @@ MesiProtocol::handleVictim(CoreId core, LineAddr victim, Cycle t)
         bus_.arrival(bus_.coreNode(core), bus_.bankNode(bankOf(victim)),
                     cfg_.ctrlMsgBytes, t);
     }
-    if (e.owner == core)
-        e.owner = invalidCore;
-    e.sharers &= ~bit(core);
-    nodes_[static_cast<unsigned>(core)].erase(victim);
+    if (Entry *e = capacity_.find(victim)) {
+        if (e->owner == core)
+            e->owner = invalidCore;
+        e->sharers &= ~bit(core);
+    }
+    words_.free(v.words);
+    victim_.core = invalidCore;
     maybeReleaseEntry(victim);
 }
 
 void
-MesiProtocol::teardownEntry(LineAddr victim, Cycle t)
+MesiProtocol::allocateEntry(LineAddr line, Cycle t)
 {
-    Entry &e = entries_[victim];
-    if (e.owner != invalidCore) {
-        const CoreId o = e.owner;
-        Node &on = node(o, victim);
+    const auto result = capacity_.allocate(line);
+    if (result.evicted)
+        teardownEntry(result.victim, result.victimPayload, t);
+}
+
+void
+MesiProtocol::teardownEntry(LineAddr victim, const Entry &entry, Cycle t)
+{
+    if (entry.owner != invalidCore) {
+        const CoreId o = entry.owner;
+        const Node &on = node(o, victim);
         if (on.st == St::M) {
-            llc_.install(victim, on.words, true, t);
+            llc_.install(victim, words_[on.words], true, t);
             coherenceWb_.inc();
             bus_.arrival(bus_.coreNode(o), bus_.bankNode(bankOf(victim)),
                         lineBytes + cfg_.ctrlMsgBytes, t);
             hooks_->onDirtyEvict(o, victim, ExposeReason::DirEviction, t);
         }
-        arrays_[static_cast<unsigned>(o)].erase(victim);
-        nodes_[static_cast<unsigned>(o)].erase(victim);
-        e.owner = invalidCore;
+        dropNode(o, victim);
     }
     for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c) {
-        if (!(e.sharers & bit(c)))
+        if (!(entry.sharers & bit(c)))
             continue;
         bus_.arrival(bus_.bankNode(bankOf(victim)), bus_.coreNode(c),
                     cfg_.ctrlMsgBytes, t);
-        arrays_[static_cast<unsigned>(c)].erase(victim);
-        nodes_[static_cast<unsigned>(c)].erase(victim);
+        dropNode(c, victim);
     }
-    e.sharers = 0;
-    entries_.erase(victim);
-    capacity_.release(victim);
 }
 
 void
 MesiProtocol::maybeReleaseEntry(LineAddr line)
 {
-    auto it = entries_.find(line);
-    if (it == entries_.end())
-        return;
-    if (it->second.owner == invalidCore && it->second.sharers == 0) {
-        entries_.erase(it);
+    const Entry *e = capacity_.find(line);
+    if (e && e->owner == invalidCore && e->sharers == 0)
         capacity_.release(line);
-    }
 }
 
 bool
@@ -570,7 +532,7 @@ MesiProtocol::lineWords(CoreId core, LineAddr line) const
 {
     const Node *n = findNode(core, line);
     tsoper_assert(n, "lineWords on absent node");
-    return n->words;
+    return words_[n->words];
 }
 
 void
@@ -590,7 +552,7 @@ MesiProtocol::flushLine(CoreId core, LineAddr line, Cycle earliest,
         const Cycle at =
             bus_.arrival(bus_.coreNode(core), bus_.bankNode(bankOf(line)),
                         lineBytes + cfg_.ctrlMsgBytes, eq_.now());
-        llc_.install(line, n->words, true, eq_.now());
+        llc_.install(line, words_[n->words], true, eq_.now());
         coherenceWb_.inc();
         n->st = St::E;
         done(at, true);

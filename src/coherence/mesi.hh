@@ -23,7 +23,6 @@
 #ifndef TSOPER_COHERENCE_MESI_HH
 #define TSOPER_COHERENCE_MESI_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "coherence/directory.hh"
@@ -81,8 +80,8 @@ class MesiProtocol : public CoherenceProtocol
     struct Node
     {
         St st = St::I;
+        LinePool::Slot words = 0; ///< This copy's contents, in words_.
         Cycle dataReadyAt = 0;
-        LineWords words{};
     };
 
     struct Entry
@@ -101,6 +100,7 @@ class MesiProtocol : public CoherenceProtocol
     Node *findNode(CoreId core, LineAddr line);
     const Node *findNode(CoreId core, LineAddr line) const;
     Node &node(CoreId core, LineAddr line);
+    Entry &entry(LineAddr line);
 
     void submitTxn(CoreId core, LineAddr line, LineSerializer::Body body,
                    Cycle departAt);
@@ -121,22 +121,31 @@ class MesiProtocol : public CoherenceProtocol
     std::optional<Cycle> storeTxn(CoreId core, Addr addr, StoreId store,
                                   StoreDone done, bool holdsMshr, Cycle t);
 
-    /** Retire a deferred transaction: unpin the directory entry and
-     *  free the line's serializer slot at @p at. */
-    void finishTxn(LineAddr line, Cycle at);
+    /** Retire a deferred transaction whose data reached @p core at
+     *  @p at: final dataReadyAt, unpin the directory entry and free the
+     *  line's serializer slot then. */
+    void finishTxn(CoreId core, LineAddr line, Cycle at);
 
-    /**
-     * Invalidate all sharers except @p except (state commits now); each
-     * sharer's inv travels as a message and its ack (sharer ->
-     * requester) reports a leg of @p txn.  @return the number of
-     * invalidation legs sent.
-     */
-    unsigned sendInvalidations(LineAddr line, CoreId except,
-                               CoreId requester, Cycle t, TxnTable::Id txn);
+    /** Invalidate every sharer but @p requester (state commits now);
+     *  each inv travels as a message and its ack (sharer -> requester)
+     *  reports a leg of @p txn. */
+    void sendInvalidations(LineAddr line, CoreId requester, Cycle t,
+                           TxnTable::Id txn);
 
-    void insertResident(CoreId core, LineAddr line, Cycle t);
+    /** Give @p core a node for @p line in state @p st holding @p words,
+     *  then settle the victim it displaced: while the victim's hooks
+     *  fire, the new node is resident and the victim still findable. */
+    void fillNode(CoreId core, LineAddr line, St st, const LineWords &words,
+                  Cycle t);
+
+    /** Remove (core, line)'s node, if any, and free its contents. */
+    void dropNode(CoreId core, LineAddr line);
+
     void handleVictim(CoreId core, LineAddr victim, Cycle t);
-    void teardownEntry(LineAddr victim, Cycle t);
+
+    /** Allocate @p line's directory entry, tearing down a victim. */
+    void allocateEntry(LineAddr line, Cycle t);
+    void teardownEntry(LineAddr victim, const Entry &entry, Cycle t);
     void maybeReleaseEntry(LineAddr line);
 
     const SystemConfig &cfg_;
@@ -147,15 +156,21 @@ class MesiProtocol : public CoherenceProtocol
     Llc &llc_;
     Nvm &nvm_;
     LineSerializer serializer_;
-    DirectoryCapacity capacity_;
+    DirectoryCapacity<Entry> capacity_;
     TxnTable txns_;
     Mshr mshr_;
     unsigned banks_;
     Cycle dirLatency_ = 6;
 
-    std::vector<std::unordered_map<LineAddr, Node>> nodes_;
-    std::vector<CacheArray> arrays_;
-    std::unordered_map<LineAddr, Entry> entries_;
+    std::vector<CacheArray<Node>> arrays_; ///< Per core.
+    /** The private-cache victim being settled by handleVictim. */
+    struct Victim
+    {
+        CoreId core = invalidCore;
+        LineAddr line = 0;
+        Node node;
+    } victim_;
+    LinePool words_; ///< Every node's contents.
 
     Counter &hits_;
     Counter &misses_;

@@ -126,16 +126,6 @@ class ProtocolHooks
     virtual bool dropsInvalidDirty() const { return true; }
 
     /**
-     * SLC only: does a remote *read* of a dirty line write the data
-     * back to the LLC and clean the owner (a MESI-style M->S
-     * downgrade)?  Default false: SCI-like sharing lists — like the
-     * paper's baseline and like MOESI's O state — keep the dirty data
-     * with the owner; persistency engines must also keep the version
-     * dirty so it reaches the LLC through their persist path.
-     */
-    virtual bool writebackOnDowngrade() const { return false; }
-
-    /**
      * SLC only: is (core, line) a member of an unpersisted atomic
      * group?  Clean members must stay linked so the incoming pb
      * dependence they encode survives until satisfied.
@@ -216,13 +206,6 @@ class CoherenceProtocol
     virtual ProtocolComplexity complexity() const = 0;
 
   protected:
-    void
-    logLoad(CoreId core, Addr addr, StoreId value)
-    {
-        if (log_)
-            log_->loadObserved(core, addr, value);
-    }
-
     void
     logStore(CoreId core, Addr addr, StoreId id)
     {

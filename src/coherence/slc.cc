@@ -11,12 +11,11 @@ namespace tsoper
 
 SlcProtocol::SlcProtocol(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh,
                          Llc &llc, Nvm &nvm, StatsRegistry &stats)
-    : cfg_(cfg), eq_(eq), bus_(cfg, eq, mesh), llc_(llc), nvm_(nvm),
-      stats_(stats),
+    : cfg_(cfg), eq_(eq), bus_(eq, mesh), llc_(llc), nvm_(nvm),
       serializer_(eq), capacity_(cfg.dirEntriesPerBank, cfg.llcBanks,
                                  cfg.dirEvictBufferEntries, stats),
       mshr_(eq, cfg.numCores, cfg.mshrEntries, stats),
-      banks_(cfg.llcBanks), evictBufOcc_(cfg.numCores, 0),
+      banks_(cfg.llcBanks),
       hits_(stats.counter("slc.hits")),
       misses_(stats.counter("slc.misses")),
       upgrades_(stats.counter("slc.upgrades")),
@@ -25,18 +24,21 @@ SlcProtocol::SlcProtocol(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh,
       coherenceListLen_(stats.histogram("slc.coherence_list_len")),
       evictBufHist_(stats.histogram("slc.evict_buffer_occupancy"))
 {
-    nodes_.resize(cfg.numCores);
-    arrays_.reserve(cfg.numCores);
-    for (unsigned c = 0; c < cfg.numCores; ++c)
-        arrays_.emplace_back(cfg.privSets, cfg.privWays);
+    caches_.reserve(cfg.numCores);
+    for (unsigned c = 0; c < cfg.numCores; ++c) {
+        caches_.push_back(PrivateCache{
+            CacheArray<Node>(cfg.privSets, cfg.privWays),
+            EvictBuffer<Node>(cfg.evictBufferEntries, "SLC eviction buffer")});
+    }
 }
 
 SlcProtocol::Node *
 SlcProtocol::findNode(CoreId core, LineAddr line)
 {
-    auto &map = nodes_[static_cast<unsigned>(core)];
-    auto it = map.find(line);
-    return it == map.end() ? nullptr : &it->second;
+    PrivateCache &cache = caches_[static_cast<unsigned>(core)];
+    if (Node *n = cache.array.find(line))
+        return n;
+    return cache.evicted.find(line);
 }
 
 const SlcProtocol::Node *
@@ -51,6 +53,14 @@ SlcProtocol::node(CoreId core, LineAddr line)
     Node *n = findNode(core, line);
     tsoper_assert(n, "missing SLC node: core=", core, " line=", line);
     return *n;
+}
+
+SlcProtocol::Entry &
+SlcProtocol::entry(LineAddr line)
+{
+    Entry *e = capacity_.find(line);
+    tsoper_assert(e, "missing SLC directory entry: line=", line);
+    return *e;
 }
 
 // --------------------------------------------------------------------
@@ -70,8 +80,8 @@ SlcProtocol::issueLoad(CoreId core, Addr addr, LoadDone done, bool holdsMshr)
     if (Node *n = findNode(core, line); n && n->valid) {
         hits_.inc();
         if (!n->evicted)
-            arrays_[static_cast<unsigned>(core)].touch(line);
-        const StoreId value = n->words[wordOf(addr)];
+            caches_[static_cast<unsigned>(core)].array.touch(n);
+        const StoreId value = words_[n->words][wordOf(addr)];
         eq_.scheduleIn(cfg_.privLatency, [this, core, holdsMshr, line, value,
                                           done = std::move(done)]() mutable {
             mshr_.complete(core, line, holdsMshr, done, eq_.now(), value);
@@ -108,8 +118,8 @@ SlcProtocol::issueStore(CoreId core, Addr addr, StoreId store,
         // Silent write: we are the head and either already the
         // exclusive writer or the sole copy (E-like upgrade).
         hits_.inc();
-        arrays_[static_cast<unsigned>(core)].touch(line);
-        n->words[wordOf(addr)] = store;
+        caches_[static_cast<unsigned>(core)].array.touch(n);
+        words_[n->words][wordOf(addr)] = store;
         n->dirty = true;
         hooks_->onStoreCommitted(core, line, eq_.now());
         logStore(core, addr, store);
@@ -195,7 +205,7 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
                      Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    if (entries_[line].zombie) {
+    if (capacity_.inEvictBuffer(line)) {
         zombieWaiters_[line].push_back(
             retryLoad(core, addr, std::move(done), holdsMshr));
         return t + dirLatency_;
@@ -203,7 +213,7 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
     if (Node *n = findNode(core, line); n && n->valid) {
         // Raced with our own eviction-buffer revival or a queued
         // upgrade: serve as a hit.
-        const StoreId value = n->words[wordOf(addr)];
+        const StoreId value = words_[n->words][wordOf(addr)];
         mshr_.complete(core, line, holdsMshr, done, t + dirLatency_, value);
         return t + dirLatency_;
     }
@@ -214,12 +224,11 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
         return t + dirLatency_;
     }
 
-    if (auto victim = capacity_.allocate(line))
-        teardownEntry(*victim, t);
+    allocateEntry(line, t);
 
     // Re-fetch: the waiter/teardown paths above may have erased and
     // re-created the entry.
-    const CoreId h = entries_[line].head;
+    const CoreId h = entry(line).head;
     if (h == invalidCore || !node(h, line).valid) {
         // No valid cached copy: the LLC (or NVM) holds the current
         // version (invalid heads imply their successors' versions
@@ -236,9 +245,7 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
         } else {
             words = llc_.lookup(line);
         }
-        Node &nn = prependNode(core, line);
-        nn.words = words;
-        insertResident(core, line, t);
+        prependNode(core, line, words, 0, t);
         if (relinked)
             hooks_->onNodeRelinked(core, line, t);
         sampleListStats(line);
@@ -265,35 +272,24 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
     // Cache-to-cache: nonblocking (OBS 3).  The list re-links and the
     // hooks fire now — the directory's serialization instant — while
     // the forward request and data reply travel as messages.
-    Node &hn = node(h, line);
-    bool sourceDirty = hn.dirty;
+    // SCI-like lists keep dirty data with the owner on a remote read.
+    const Node &hn = node(h, line);
+    const bool sourceDirty = hn.dirty;
     Cycle exposeReady = t;
-    if (hn.dirty)
+    if (sourceDirty)
         exposeReady = hooks_->onDirtyExpose(h, line, core, false, t);
-    bool wb = false;
-    if (hn.dirty && hooks_->writebackOnDowngrade()) {
-        // The owner will write the dirty data back alongside the data
-        // reply and become a clean sharer; contents move now.
-        llc_.install(line, hn.words, true, t);
-        coherenceWb_.inc();
-        hn.dirty = false;
-        sourceDirty = false;
-        wb = true;
-    }
     const Cycle floor = std::max(hn.dataReadyAt, exposeReady);
-    const LineWords words = hn.words;
-    Node &nn = prependNode(core, line);
-    nn.words = words;
+    const LineWords words = words_[hn.words];
     // Estimate until the reply lands (uncontended legs); subsequent
     // same-line forwards read this as their data-readiness floor.
-    nn.dataReadyAt =
-        std::max(t + bus_.idealLatency(bus_.bankNode(bankOf(line)),
-                                       bus_.coreNode(h),
-                                       cfg_.ctrlMsgBytes),
-                 floor) +
-        bus_.idealLatency(bus_.coreNode(h), bus_.coreNode(core),
-                          lineBytes + cfg_.ctrlMsgBytes);
-    insertResident(core, line, t);
+    prependNode(core, line, words,
+                std::max(t + bus_.idealLatency(bus_.bankNode(bankOf(line)),
+                                               bus_.coreNode(h),
+                                               cfg_.ctrlMsgBytes),
+                         floor) +
+                    bus_.idealLatency(bus_.coreNode(h), bus_.coreNode(core),
+                                      lineBytes + cfg_.ctrlMsgBytes),
+                t);
     if (sourceDirty)
         hooks_->onReadDependence(core, line, t);
     if (relinked)
@@ -301,24 +297,14 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
     const StoreId value = words[wordOf(addr)];
     bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(h),
               cfg_.ctrlMsgBytes, t,
-              [this, h, core, holdsMshr, wb, line, value, floor,
+              [this, h, core, holdsMshr, line, value, floor,
                done = std::move(done)]() mutable {
-                  const Cycle ready = std::max(eq_.now(), floor);
-                  // The data reply leaves first (critical path)...
                   const Cycle dataAt = mshr_.reply(
                       bus_, bus_.coreNode(h), core, line, holdsMshr,
-                      lineBytes + cfg_.ctrlMsgBytes, ready, std::move(done),
-                      value);
+                      lineBytes + cfg_.ctrlMsgBytes,
+                      std::max(eq_.now(), floor), std::move(done), value);
                   if (Node *n = findNode(core, line))
                       n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-                  if (wb) {
-                      // ...then the conventional downgrade writeback
-                      // travels home (traffic accounting; the LLC
-                      // contents moved at dispatch).
-                      bus_.arrival(bus_.coreNode(h),
-                                   bus_.bankNode(bankOf(line)),
-                                   lineBytes + cfg_.ctrlMsgBytes, ready);
-                  }
               });
     sampleListStats(line);
     return t + dirLatency_;
@@ -329,7 +315,7 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
                       bool holdsMshr, Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    if (entries_[line].zombie) {
+    if (capacity_.inEvictBuffer(line)) {
         zombieWaiters_[line].push_back(
             retryStore(core, addr, store, std::move(done), holdsMshr));
         return t + dirLatency_;
@@ -350,8 +336,7 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
     // (A spliced stale clean member needs no onNodeRelinked here: the
     // store-commit hook below recomputes the dependence state.)
 
-    if (auto victim = capacity_.allocate(line))
-        teardownEntry(*victim, t);
+    allocateEntry(line, t);
 
     Node *n = findNode(core, line);
     bool deferred = false;
@@ -359,10 +344,9 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
     if (n && n->valid) {
         upgrades_.inc();
         if (n->evicted) {
-            // Revive from the eviction buffer.
-            n->evicted = false;
-            leaveEvictBuffer(core);
-            insertResident(core, line, t);
+            // Revive from the eviction buffer; the node changes place.
+            reviveNode(core, line, t);
+            n = &node(core, line);
         }
         if (n->bwd != invalidCore) {
             // Re-link as the new head above the current readers.  Our
@@ -378,7 +362,7 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
             if (wasTail && moved.bwd != invalidCore)
                 hooks_->onBecameTail(moved.bwd, line, t);
             // Prepend at the head.
-            Entry &e = entries_[line];
+            Entry &e = entry(line);
             const CoreId h = e.head;
             n->fwd = h;
             n->bwd = invalidCore;
@@ -394,7 +378,7 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
         n->dataReadyAt = std::max(n->dataReadyAt, permissionAt);
     } else {
         misses_.inc();
-        const CoreId h = entries_[line].head;
+        const CoreId h = entry(line).head;
         if (h == invalidCore || !node(h, line).valid) {
             // Fill from the LLC/NVM: blocking (the pipe reply frees the
             // line), same shape as the load-miss path.
@@ -406,9 +390,7 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
             } else {
                 words = llc_.lookup(line);
             }
-            Node &nn = prependNode(core, line);
-            nn.words = words;
-            insertResident(core, line, t);
+            prependNode(core, line, words, 0, t);
             capacity_.setPinned(line, true);
             const Cycle freeNoEarlier = t + dirLatency_;
             const Cycle bankAt = llc_.access(line, t);
@@ -437,17 +419,16 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
                 exposedInDataPath = h;
             }
             const Cycle floor = std::max(hn.dataReadyAt, exposeReady);
-            const LineWords words = hn.words;
-            Node &nn = prependNode(core, line);
-            nn.words = words;
-            nn.dataReadyAt =
-                std::max(t + bus_.idealLatency(
-                                 bus_.bankNode(bankOf(line)),
-                                 bus_.coreNode(h), cfg_.ctrlMsgBytes),
-                         floor) +
-                bus_.idealLatency(bus_.coreNode(h), bus_.coreNode(core),
-                                  lineBytes + cfg_.ctrlMsgBytes);
-            insertResident(core, line, t);
+            const LineWords words = words_[hn.words];
+            prependNode(core, line, words,
+                        std::max(t + bus_.idealLatency(
+                                         bus_.bankNode(bankOf(line)),
+                                         bus_.coreNode(h), cfg_.ctrlMsgBytes),
+                                 floor) +
+                            bus_.idealLatency(bus_.coreNode(h),
+                                              bus_.coreNode(core),
+                                              lineBytes + cfg_.ctrlMsgBytes),
+                        t);
             bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(h),
                       cfg_.ctrlMsgBytes, t,
                       [this, h, core, holdsMshr, line, floor,
@@ -467,7 +448,7 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
     invalidateBelow(core, line, t, exposedInDataPath);
     n = &node(core, line);
     trace::instant(trace::Event::SlcNewHead, core, t, line);
-    n->words[wordOf(addr)] = store;
+    words_[n->words][wordOf(addr)] = store;
     n->dirty = true;
     hooks_->onStoreCommitted(core, line, t);
     logStore(core, addr, store);
@@ -481,22 +462,31 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
 // List manipulation
 // --------------------------------------------------------------------
 
-SlcProtocol::Node &
-SlcProtocol::prependNode(CoreId core, LineAddr line)
+void
+SlcProtocol::prependNode(CoreId core, LineAddr line, const LineWords &words,
+                         Cycle dataReadyAt, Cycle t)
 {
-    Entry &e = entries_[line];
+    Entry &e = entry(line);
     tsoper_assert(!findNode(core, line),
                   "prepend with existing node: core=", core);
     Node nn;
     nn.fwd = e.head;
-    nn.bwd = invalidCore;
+    nn.words = words_.alloc(words);
+    nn.dataReadyAt = dataReadyAt;
     if (e.head != invalidCore)
         node(e.head, line).bwd = core;
     e.head = core;
-    auto [it, ok] =
-        nodes_[static_cast<unsigned>(core)].emplace(line, nn);
-    tsoper_assert(ok);
-    return it->second;
+    insertResident(core, line, nn, t);
+}
+
+void
+SlcProtocol::reviveNode(CoreId core, LineAddr line, Cycle t)
+{
+    EvictBuffer<Node> &evicted = caches_[static_cast<unsigned>(core)].evicted;
+    Node revived = *evicted.find(line);
+    evicted.erase(line);
+    revived.evicted = false;
+    insertResident(core, line, revived, t);
 }
 
 void
@@ -514,11 +504,11 @@ SlcProtocol::invalidateBelow(CoreId newHead, LineAddr line, Cycle t,
             v.valid = false;
             trace::instant(trace::Event::SlcInvalidate, cur, t, line,
                            v.dirty);
-            // Background invalidation: a real fire-and-forget message
+            // Background invalidation: a routed fire-and-forget leg
             // (write permission was already granted at link-up, OBS 3,
             // so nothing waits on its arrival).
-            bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(cur),
-                      cfg_.ctrlMsgBytes, t, [] {});
+            bus_.arrival(bus_.bankNode(bankOf(line)), bus_.coreNode(cur),
+                         cfg_.ctrlMsgBytes, t);
             if (v.dirty) {
                 if (cur != alreadyExposed)
                     hooks_->onDirtyExpose(cur, line, newHead, true, t);
@@ -536,7 +526,7 @@ void
 SlcProtocol::unlinkNode(CoreId core, LineAddr line, Cycle t)
 {
     Node &n = node(core, line);
-    Entry &e = entries_[line];
+    Entry &e = entry(line);
     const CoreId fwd = n.fwd;
     const CoreId bwd = n.bwd;
     if (bwd != invalidCore)
@@ -546,11 +536,10 @@ SlcProtocol::unlinkNode(CoreId core, LineAddr line, Cycle t)
     if (e.head == core)
         e.head = fwd;
     const bool wasTail = (fwd == invalidCore);
-    if (!n.evicted)
-        arrays_[static_cast<unsigned>(core)].erase(line);
-    else
-        leaveEvictBuffer(core);
-    nodes_[static_cast<unsigned>(core)].erase(line);
+    words_.free(n.words);
+    PrivateCache &cache = caches_[static_cast<unsigned>(core)];
+    if (!cache.array.erase(line))
+        cache.evicted.erase(line);
     if (wasTail && bwd != invalidCore) {
         hooks_->onBecameTail(bwd, line, t);
         // Cascade: a droppable invalid clean node that just became the
@@ -562,18 +551,23 @@ SlcProtocol::unlinkNode(CoreId core, LineAddr line, Cycle t)
             unlinkNode(bwd, line, t);
         }
     }
-    notifyNodeWaiters(core, line);
-    maybeReleaseEntry(line, t);
+    wake(nodeWaiters_, waiterKey(core, line));
+    maybeReleaseEntry(line);
     sampleListStats(line);
 }
 
 void
-SlcProtocol::insertResident(CoreId core, LineAddr line, Cycle t)
+SlcProtocol::insertResident(CoreId core, LineAddr line, const Node &n,
+                            Cycle t)
 {
-    auto result = arrays_[static_cast<unsigned>(core)].insert(line);
+    PrivateCache &cache = caches_[static_cast<unsigned>(core)];
+    auto result = cache.array.insert(line);
     tsoper_assert(!result.noSpace, "private cache set fully pinned");
-    if (result.evicted)
+    *result.slot = n;
+    if (result.evicted) {
+        cache.evicted.park(result.victim, result.victimPayload);
         handleVictim(core, result.victim, t);
+    }
 }
 
 void
@@ -585,7 +579,7 @@ SlcProtocol::handleVictim(CoreId core, LineAddr victim, Cycle t)
         if (hooks_->dropsInvalidDirty()) {
             // Baseline: write the version back if it is current.
             if (v.valid) {
-                llc_.install(victim, v.words, true, t);
+                llc_.install(victim, words_[v.words], true, t);
                 coherenceWb_.inc();
                 bus_.arrival(bus_.coreNode(core),
                             bus_.bankNode(bankOf(victim)),
@@ -595,31 +589,34 @@ SlcProtocol::handleVictim(CoreId core, LineAddr victim, Cycle t)
             }
             unlinkNode(core, victim, t);
         } else {
-            // §III-B: freeze and persist immediately; the line moves to
+            // §III-B: freeze and persist immediately; the line stays in
             // the eviction buffer and still behaves as an AG member.
             v.evicted = true;
-            enterEvictBuffer(core);
+            evictBufHist_.add(evictionBufferOccupancy(core));
             hooks_->onDirtyEvict(core, victim, ExposeReason::Eviction, t);
         }
     } else if (hooks_->lineInUnpersistedAg(core, victim)) {
         // Clean AG member: keep linked for the pb dependence it encodes.
         v.evicted = true;
-        enterEvictBuffer(core);
+        evictBufHist_.add(evictionBufferOccupancy(core));
     } else {
         unlinkNode(core, victim, t);
     }
 }
 
 void
-SlcProtocol::teardownEntry(LineAddr victim, Cycle t)
+SlcProtocol::allocateEntry(LineAddr line, Cycle t)
 {
-    auto eit = entries_.find(victim);
-    tsoper_assert(eit != entries_.end(), "teardown of absent entry");
-    Entry &e = eit->second;
-    tsoper_assert(!e.zombie, "double teardown");
-    e.zombie = true;
+    const auto result = capacity_.allocate(line);
+    if (result.evicted)
+        teardownEntry(result.victim, result.victimPayload, t);
+}
+
+void
+SlcProtocol::teardownEntry(LineAddr victim, const Entry &entry, Cycle t)
+{
     trace::instant(trace::Event::SlcDirEvict, invalidCore, t, victim);
-    capacity_.evictBufferEnter(victim);
+    const Entry &e = capacity_.evictBufferEnter(victim, entry);
     // Invalidate every valid node; dirty versions freeze their AGs and
     // persist from the side buffer (§III-B).
     CoreId cur = e.head;
@@ -638,7 +635,7 @@ SlcProtocol::teardownEntry(LineAddr victim, Cycle t)
                     cfg_.ctrlMsgBytes, t);
         if (v.dirty) {
             if (hooks_->dropsInvalidDirty()) {
-                llc_.install(victim, v.words, true, t);
+                llc_.install(victim, words_[v.words], true, t);
                 coherenceWb_.inc();
                 hooks_->onDirtyEvict(c, victim,
                                      ExposeReason::DirEviction, t);
@@ -651,39 +648,28 @@ SlcProtocol::teardownEntry(LineAddr victim, Cycle t)
             unlinkNode(c, victim, t);
         }
     }
-    maybeReleaseEntry(victim, t);
+    maybeReleaseEntry(victim);
 }
 
 void
-SlcProtocol::maybeReleaseEntry(LineAddr line, Cycle t)
+SlcProtocol::maybeReleaseEntry(LineAddr line)
 {
-    (void)t;
-    auto eit = entries_.find(line);
-    if (eit == entries_.end() || eit->second.head != invalidCore)
+    const Entry *e = capacity_.find(line);
+    if (!e || e->head != invalidCore)
         return;
-    const bool wasZombie = eit->second.zombie;
     capacity_.release(line);
-    if (wasZombie)
-        capacity_.evictBufferLeave(line);
-    entries_.erase(eit);
-    auto wit = zombieWaiters_.find(line);
-    if (wit != zombieWaiters_.end()) {
-        auto waiters = std::move(wit->second);
-        zombieWaiters_.erase(wit);
-        for (auto &w : waiters)
-            eq_.scheduleIn(0, std::move(w));
-    }
+    wake(zombieWaiters_, line);
 }
 
 void
-SlcProtocol::notifyNodeWaiters(CoreId core, LineAddr line)
+SlcProtocol::wake(Waiters &waiters, std::uint64_t key)
 {
-    auto it = nodeWaiters_.find(waiterKey(core, line));
-    if (it == nodeWaiters_.end())
+    auto it = waiters.find(key);
+    if (it == waiters.end())
         return;
-    auto waiters = std::move(it->second);
-    nodeWaiters_.erase(it);
-    for (auto &w : waiters)
+    auto woken = std::move(it->second);
+    waiters.erase(it);
+    for (auto &w : woken)
         eq_.scheduleIn(0, std::move(w));
 }
 
@@ -728,14 +714,6 @@ SlcProtocol::nodeBwd(CoreId core, LineAddr line) const
 }
 
 bool
-SlcProtocol::nodeIsTail(CoreId core, LineAddr line) const
-{
-    const Node *n = findNode(core, line);
-    tsoper_assert(n, "nodeIsTail on absent node");
-    return n->fwd == invalidCore;
-}
-
-bool
 SlcProtocol::nodeIsPersistTail(CoreId core, LineAddr line) const
 {
     const Node *n = findNode(core, line);
@@ -774,7 +752,7 @@ SlcProtocol::nodeWords(CoreId core, LineAddr line) const
 {
     const Node *n = findNode(core, line);
     tsoper_assert(n, "nodeWords on absent node");
-    return n->words;
+    return words_[n->words];
 }
 
 void
@@ -787,7 +765,7 @@ SlcProtocol::persistComplete(CoreId core, LineAddr line, Cycle now)
     tsoper_assert(n.dirty, "persistComplete of a clean version");
     // Parallel writeback: the LLC is updated with the persisted version
     // (§II-B — the LLC is constantly updated while the AGB enqueues).
-    llc_.install(line, n.words, true, now);
+    llc_.install(line, words_[n.words], true, now);
     coherenceWb_.inc();
     bus_.arrival(bus_.coreNode(core), bus_.bankNode(bankOf(line)),
                 lineBytes + cfg_.ctrlMsgBytes, now);
@@ -818,38 +796,20 @@ SlcProtocol::releaseCleanMember(CoreId core, LineAddr line, Cycle now)
             // tail (the unlink cascade); with its membership gone, any
             // access that stalled on the frozen group may now proceed
             // by splicing it.
-            notifyNodeWaiters(core, line);
+            wake(nodeWaiters_, waiterKey(core, line));
         }
     }
 }
 
-unsigned
-SlcProtocol::listLength(LineAddr line) const
+SlcProtocol::ListLengths
+SlcProtocol::listLengths(LineAddr line) const
 {
-    auto it = entries_.find(line);
-    if (it == entries_.end())
-        return 0;
-    unsigned len = 0;
-    CoreId cur = it->second.head;
-    while (cur != invalidCore) {
-        ++len;
-        cur = findNode(cur, line)->fwd;
-    }
-    return len;
-}
-
-unsigned
-SlcProtocol::validListLength(LineAddr line) const
-{
-    auto it = entries_.find(line);
-    if (it == entries_.end())
-        return 0;
-    unsigned len = 0;
-    CoreId cur = it->second.head;
-    while (cur != invalidCore) {
+    ListLengths len;
+    const Entry *e = capacity_.find(line);
+    for (CoreId cur = e ? e->head : invalidCore; cur != invalidCore;) {
         const Node *n = findNode(cur, line);
-        if (n->valid)
-            ++len;
+        ++len.all;
+        len.valid += n->valid ? 1 : 0;
         cur = n->fwd;
     }
     return len;
@@ -858,22 +818,9 @@ SlcProtocol::validListLength(LineAddr line) const
 void
 SlcProtocol::sampleListStats(LineAddr line)
 {
-    persistListLen_.add(listLength(line));
-    coherenceListLen_.add(validListLength(line));
-}
-
-void
-SlcProtocol::enterEvictBuffer(CoreId core)
-{
-    ++evictBufOcc_[static_cast<unsigned>(core)];
-    evictBufHist_.add(evictBufOcc_[static_cast<unsigned>(core)]);
-}
-
-void
-SlcProtocol::leaveEvictBuffer(CoreId core)
-{
-    tsoper_assert(evictBufOcc_[static_cast<unsigned>(core)] > 0);
-    --evictBufOcc_[static_cast<unsigned>(core)];
+    const ListLengths len = listLengths(line);
+    persistListLen_.add(len.all);
+    coherenceListLen_.add(len.valid);
 }
 
 ProtocolComplexity

@@ -32,6 +32,7 @@
 #ifndef TSOPER_COHERENCE_SLC_HH
 #define TSOPER_COHERENCE_SLC_HH
 
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -72,9 +73,6 @@ class SlcProtocol : public CoherenceProtocol
     CoreId nodeFwd(CoreId core, LineAddr line) const;
     CoreId nodeBwd(CoreId core, LineAddr line) const;
 
-    /** Is (core, line)'s node its sharing list's tail? */
-    bool nodeIsTail(CoreId core, LineAddr line) const;
-
     /**
      * Persist-token view of tailness: true iff no *dirty* (unpersisted)
      * version exists below (core, line)'s node.  Valid clean sharers
@@ -105,14 +103,18 @@ class SlcProtocol : public CoherenceProtocol
     /** Current occupancy of @p core's eviction buffer (§III-B). */
     unsigned evictionBufferOccupancy(CoreId core) const
     {
-        return evictBufOcc_[core];
+        return caches_[static_cast<unsigned>(core)].evicted.size();
     }
 
-    /** Number of nodes currently on @p line's sharing list. */
-    unsigned listLength(LineAddr line) const;
+    /** @p line's sharing-list length: every node (the persist view)
+     *  and the valid ones (the coherence view). */
+    struct ListLengths
+    {
+        unsigned all = 0;
+        unsigned valid = 0;
+    };
 
-    /** Number of *valid* nodes on @p line's list (coherence view). */
-    unsigned validListLength(LineAddr line) const;
+    ListLengths listLengths(LineAddr line) const;
 
   private:
     struct Node
@@ -122,19 +124,30 @@ class SlcProtocol : public CoherenceProtocol
         bool valid = true;
         bool dirty = false;
         bool evicted = false;      ///< Lives in the eviction buffer.
+        LinePool::Slot words = 0;  ///< This version's contents, in words_.
         Cycle dataReadyAt = 0;     ///< When this copy's data arrives.
-        LineWords words{};
     };
 
+    /** A directory entry; mid-teardown (a zombie) while parked in the
+     *  directory's eviction buffer after a directory eviction. */
     struct Entry
     {
         CoreId head = invalidCore;
-        bool zombie = false; ///< Mid-teardown after a directory eviction.
+    };
+
+    /** One core's private cache: nodes in their ways, and the §III-B
+     *  eviction buffer (footnote 3) where victims are settled and
+     *  evicted nodes wait to persist or be revived. */
+    struct PrivateCache
+    {
+        CacheArray<Node> array;
+        EvictBuffer<Node> evicted;
     };
 
     Node *findNode(CoreId core, LineAddr line);
     const Node *findNode(CoreId core, LineAddr line) const;
     Node &node(CoreId core, LineAddr line);
+    Entry &entry(LineAddr line);
 
     unsigned bankOf(LineAddr line) const
     {
@@ -177,8 +190,14 @@ class SlcProtocol : public CoherenceProtocol
     bool ownNodeBlocks(CoreId core, LineAddr line, Cycle t,
                        bool *relinked = nullptr);
 
-    /** Prepend @p core as the new head of @p line's list. */
-    Node &prependNode(CoreId core, LineAddr line);
+    /** Prepend @p core as @p line's new head holding @p words, ready
+     *  at @p dataReadyAt, then settle the private-cache victim it
+     *  displaced (the new node is linked while the victim's hooks fire). */
+    void prependNode(CoreId core, LineAddr line, const LineWords &words,
+                     Cycle dataReadyAt, Cycle t);
+
+    /** Move (core, line)'s evicted node back into its private cache. */
+    void reviveNode(CoreId core, LineAddr line, Cycle t);
 
     /**
      * Mark all valid nodes below @p newHead invalid (background inv).
@@ -199,22 +218,27 @@ class SlcProtocol : public CoherenceProtocol
      */
     void notifyPersistTailUpward(CoreId fromCore, LineAddr line, Cycle t);
 
-    /** Capacity insert into @p core's array; handles the victim. */
-    void insertResident(CoreId core, LineAddr line, Cycle t);
+    /** Put node @p n for @p line in @p core's array, then settle the
+     *  victim it displaced, parked and still findable meanwhile. */
+    void insertResident(CoreId core, LineAddr line, const Node &n, Cycle t);
 
     void handleVictim(CoreId core, LineAddr victim, Cycle t);
 
+    /** Allocate @p line's directory entry, tearing down a victim. */
+    void allocateEntry(LineAddr line, Cycle t);
+
     /** Directory-entry teardown after a directory eviction (§III-B). */
-    void teardownEntry(LineAddr victim, Cycle t);
+    void teardownEntry(LineAddr victim, const Entry &entry, Cycle t);
 
-    void maybeReleaseEntry(LineAddr line, Cycle t);
+    void maybeReleaseEntry(LineAddr line);
 
-    void notifyNodeWaiters(CoreId core, LineAddr line);
+    using Waiters =
+        std::unordered_map<std::uint64_t, std::vector<InlineCallback>>;
+
+    /** Reschedule (zero-delay) every waiter parked under @p key. */
+    void wake(Waiters &waiters, std::uint64_t key);
 
     void sampleListStats(LineAddr line);
-
-    void enterEvictBuffer(CoreId core);
-    void leaveEvictBuffer(CoreId core);
 
     // --- wiring -------------------------------------------------------
     const SystemConfig &cfg_;
@@ -225,24 +249,19 @@ class SlcProtocol : public CoherenceProtocol
     MessageBus bus_;
     Llc &llc_;
     Nvm &nvm_;
-    StatsRegistry &stats_;
     LineSerializer serializer_;
-    DirectoryCapacity capacity_;
+    DirectoryCapacity<Entry> capacity_;
     Mshr mshr_;
     unsigned banks_;
     Cycle dirLatency_ = 6;
 
-    std::vector<std::unordered_map<LineAddr, Node>> nodes_; ///< Per core.
-    std::vector<CacheArray> arrays_;                        ///< Per core.
-    std::unordered_map<LineAddr, Entry> entries_;
-    std::vector<unsigned> evictBufOcc_;
+    std::vector<PrivateCache> caches_; ///< Per core.
+    LinePool words_;                   ///< Every node's contents.
 
     /** Accesses blocked on the owning core's pending node. */
-    std::unordered_map<std::uint64_t, std::vector<InlineCallback>>
-        nodeWaiters_;
-    /** Transactions blocked on a zombie entry teardown. */
-    std::unordered_map<LineAddr, std::vector<InlineCallback>>
-        zombieWaiters_;
+    Waiters nodeWaiters_;
+    /** Transactions blocked on a zombie entry teardown, by line. */
+    Waiters zombieWaiters_;
 
     // --- stats ---------------------------------------------------------
     Counter &hits_;

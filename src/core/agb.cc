@@ -10,7 +10,7 @@ namespace tsoper
 
 Agb::Agb(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh, Nvm &nvm,
          Llc &llc, StatsRegistry &stats)
-    : cfg_(cfg), eq_(eq), bus_(cfg, eq, mesh), nvm_(nvm), llc_(llc),
+    : cfg_(cfg), eq_(eq), bus_(eq, mesh), nvm_(nvm), llc_(llc),
       distributed_(cfg.agbDistributed), unbounded_(cfg.agbUnbounded),
       slices_(cfg.agbDistributed ? cfg.nvmRanks : 1),
       sliceCapacity_(cfg.agbDistributed

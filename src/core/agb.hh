@@ -90,9 +90,6 @@ class Agb
 
     unsigned sliceCount() const { return slices_; }
 
-    /** Currently reserved lines in slice @p s. */
-    unsigned sliceUsed(unsigned s) const { return sliceUsed_[s]; }
-
   private:
     struct AgRec
     {

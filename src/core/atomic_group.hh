@@ -135,8 +135,6 @@ class AgManager
 
     bool empty() const { return queue_.empty(); }
 
-    AgId nextId() const { return nextId_; }
-
     /** Id of the open AG, or of the AG that would open next — the group
      *  an incoming pb dependence lands in (trace pb-edges). */
     AgId

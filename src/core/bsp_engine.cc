@@ -12,7 +12,7 @@ BspEngine::BspEngine(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh,
                      Llc &llc, Nvm &nvm, MesiProtocol *mesi,
                      SlcProtocol *slc, Agb *agb, StatsRegistry &stats,
                      Mode mode)
-    : cfg_(cfg), eq_(eq), bus_(cfg, eq, mesh), llc_(llc), nvm_(nvm), mesi_(mesi),
+    : cfg_(cfg), eq_(eq), bus_(eq, mesh), llc_(llc), nvm_(nvm), mesi_(mesi),
       slc_(slc), agb_(agb), mode_(mode), banks_(cfg.llcBanks),
       epochs_(cfg.numCores), latest_(cfg.numCores),
       carriedDeps_(cfg.numCores), storeWaiters_(cfg.numCores),

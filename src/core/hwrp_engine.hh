@@ -65,13 +65,6 @@ class HwRpEngine : public PersistEngine
     bool quiescent() const override;
     std::unordered_map<LineAddr, LineWords> crashOverlay() const override;
 
-    /** Current SFR's accumulated store count for @p core (Fig. 15). */
-    std::uint64_t
-    sfrStores(CoreId core) const
-    {
-        return sfrStoreCount_[static_cast<unsigned>(core)];
-    }
-
   private:
     void flushSfr(CoreId core, Cycle now);
     void lineDone(CoreId core, LineAddr line);

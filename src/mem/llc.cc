@@ -43,44 +43,44 @@ Llc::access(LineAddr line, Cycle when)
 bool
 Llc::contains(LineAddr line) const
 {
-    return arrays_[bankOf(line)].contains(line);
+    return find(line) != nullptr;
 }
 
 const LineWords &
 Llc::lookup(LineAddr line) const
 {
-    auto it = meta_.find(line);
-    tsoper_assert(it != meta_.end(), "LLC lookup of absent line ", line);
-    return it->second.words;
+    const Way *w = find(line);
+    tsoper_assert(w, "LLC lookup of absent line ", line);
+    return words_[w->words];
 }
 
 void
 Llc::install(LineAddr line, const LineWords &words, bool dirty, Cycle now)
 {
     installs_.inc();
-    CacheArray &array = arrays_[bankOf(line)];
+    CacheArray<Way> &array = arrays_[bankOf(line)];
     const auto result = array.insert(line);
     tsoper_assert(!result.noSpace, "LLC set fully pinned");
-    if (!result.hit && agbPins_.count(line))
-        array.setPinned(line, true);
-    if (result.evicted) {
-        auto vit = meta_.find(result.victim);
-        tsoper_assert(vit != meta_.end());
-        if (vit->second.dirty) {
-            dirtyEvicts_.inc();
-            nvm_.write(result.victim, vit->second.words, now);
-        }
-        meta_.erase(vit);
-    }
-    Meta &m = meta_[line];
+    Way &w = *result.slot;
     if (result.hit) {
-        mergeWords(m.words, words);
-        m.dirty = m.dirty || dirty;
-    } else {
-        m.words = zeroLine();
-        mergeWords(m.words, words);
-        m.dirty = dirty;
+        mergeWords(words_[w.words], words);
+        w.dirty = w.dirty || dirty;
+        return;
     }
+    if (result.evicted) {
+        const Way &victim = result.victimPayload;
+        if (victim.dirty) {
+            dirtyEvicts_.inc();
+            nvm_.write(result.victim, words_[victim.words], now);
+        }
+        words_.free(victim.words);
+    }
+    w.words = words_.alloc(zeroLine());
+    mergeWords(words_[w.words], words);
+    w.dirty = dirty;
+    w.agbPins = static_cast<unsigned>(std::erase(pendingPins_, line));
+    if (w.agbPins != 0)
+        array.setPinned(&w, true);
 }
 
 void
@@ -92,49 +92,48 @@ Llc::merge(LineAddr line, const LineWords &words, bool dirty, Cycle now)
 Cycle
 Llc::persistPendingUntil(LineAddr line) const
 {
-    auto it = meta_.find(line);
-    return it == meta_.end() ? 0 : it->second.persistPendingUntil;
+    const Way *w = find(line);
+    return w ? w->persistPendingUntil : 0;
 }
 
 void
 Llc::setPersistPending(LineAddr line, Cycle until)
 {
-    auto it = meta_.find(line);
-    if (it != meta_.end())
-        it->second.persistPendingUntil =
-            std::max(it->second.persistPendingUntil, until);
+    if (Way *w = find(line))
+        w->persistPendingUntil = std::max(w->persistPendingUntil, until);
 }
 
 void
 Llc::pinForAgb(LineAddr line)
 {
-    if (++agbPins_[line] == 1 && arrays_[bankOf(line)].contains(line))
-        arrays_[bankOf(line)].setPinned(line, true);
+    Way *w = find(line);
+    if (!w)
+        pendingPins_.push_back(line);
+    else if (w->agbPins++ == 0)
+        arrays_[bankOf(line)].setPinned(w, true);
 }
 
 void
 Llc::unpinForAgb(LineAddr line)
 {
-    auto it = agbPins_.find(line);
-    tsoper_assert(it != agbPins_.end() && it->second > 0,
-                  "unbalanced AGB unpin");
-    if (--it->second == 0) {
-        agbPins_.erase(it);
-        if (arrays_[bankOf(line)].contains(line))
-            arrays_[bankOf(line)].setPinned(line, false);
+    if (Way *w = find(line)) {
+        tsoper_assert(w->agbPins > 0, "unbalanced AGB unpin");
+        if (--w->agbPins == 0)
+            arrays_[bankOf(line)].setPinned(w, false);
+        return;
     }
+    const auto it = std::find(pendingPins_.begin(), pendingPins_.end(), line);
+    tsoper_assert(it != pendingPins_.end(), "unbalanced AGB unpin");
+    pendingPins_.erase(it);
 }
 
 bool
 Llc::isPinned(LineAddr line) const
 {
-    return agbPins_.count(line) != 0;
-}
-
-std::size_t
-Llc::population() const
-{
-    return meta_.size();
+    if (const Way *w = find(line))
+        return w->agbPins != 0;
+    return std::find(pendingPins_.begin(), pendingPins_.end(), line) !=
+           pendingPins_.end();
 }
 
 } // namespace tsoper

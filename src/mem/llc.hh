@@ -13,8 +13,6 @@
 #ifndef TSOPER_MEM_LLC_HH
 #define TSOPER_MEM_LLC_HH
 
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/cache_array.hh"
@@ -79,24 +77,35 @@ class Llc
 
     bool isPinned(LineAddr line) const;
 
-    std::size_t population() const;
-
   private:
-    struct Meta
+    /** A resident line's state, kept in its way. */
+    struct Way
     {
-        LineWords words;
-        bool dirty = false;
         Cycle persistPendingUntil = 0;
+        LinePool::Slot words = 0; ///< Contents, in words_.
+        unsigned agbPins = 0;
+        bool dirty = false;
     };
+
+    Way *find(LineAddr line) { return arrays_[bankOf(line)].find(line); }
+
+    const Way *
+    find(LineAddr line) const
+    {
+        return arrays_[bankOf(line)].find(line);
+    }
 
     unsigned banks_;
     Cycle latency_;
     Cycle occupancy_ = 2;
     Nvm &nvm_;
-    std::vector<CacheArray> arrays_;
+    std::vector<CacheArray<Way>> arrays_;
     std::vector<Cycle> bankBusyUntil_;
-    std::unordered_map<LineAddr, Meta> meta_;
-    std::unordered_map<LineAddr, unsigned> agbPins_;
+    LinePool words_;
+    /** One element per AGB pin of a line not (yet) resident: a line can
+     *  be pinned just before persistComplete installs it.  Install
+     *  moves the line's pins into its way. */
+    std::vector<LineAddr> pendingPins_;
     Counter &hits_;
     Counter &installs_;
     Counter &dirtyEvicts_;

@@ -16,6 +16,7 @@
 #define TSOPER_MEM_NVM_HH
 
 #include <array>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -50,6 +51,51 @@ mergeWords(LineWords &dst, const LineWords &src)
             dst[i] = src[i];
     }
 }
+
+/** An owner's resident line contents by 4-byte slot, so its tag store's
+ *  capacity-sized arrays stay small and this grows with resident lines.
+ *  Chunked: a reference stays valid until its slot is freed. */
+class LinePool
+{
+  public:
+    using Slot = std::uint32_t;
+
+    Slot
+    alloc(const LineWords &words)
+    {
+        Slot s = size_;
+        if (!free_.empty()) {
+            s = free_.back();
+            free_.pop_back();
+        } else if (size_++ % chunkLines == 0) {
+            chunks_.push_back(
+                std::make_unique_for_overwrite<LineWords[]>(chunkLines));
+        }
+        (*this)[s] = words;
+        return s;
+    }
+
+    void free(Slot s) { free_.push_back(s); }
+
+    LineWords &
+    operator[](Slot s)
+    {
+        return chunks_[s / chunkLines][s % chunkLines];
+    }
+
+    const LineWords &
+    operator[](Slot s) const
+    {
+        return chunks_[s / chunkLines][s % chunkLines];
+    }
+
+  private:
+    static constexpr Slot chunkLines = 256; ///< 16 KiB per chunk.
+
+    std::vector<std::unique_ptr<LineWords[]>> chunks_;
+    std::vector<Slot> free_;
+    Slot size_ = 0;
+};
 
 class Nvm
 {
@@ -86,8 +132,6 @@ class Nvm
     {
         return image_;
     }
-
-    std::uint64_t writesCompleted() const { return writesDone_.value(); }
 
   private:
     /** A write held in its rank's queue (the controller's write queue)

@@ -1,7 +1,6 @@
 #include "noc/mesh.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "sim/log.hh"
 #include "sim/trace.hh"
@@ -13,60 +12,39 @@ Mesh::Mesh(const SystemConfig &cfg, StatsRegistry &stats)
     : cols_(cfg.meshCols), rows_(cfg.meshRows), hopLatency_(cfg.hopLatency),
       linkBytes_(cfg.linkBytesPerCycle),
       numCores_(static_cast<int>(cfg.numCores)), banks_(cfg.llcBanks),
-      links_(cols_ * rows_ * 4),
+      links_(cols_ * rows_ * 4), routes_(nodes() * nodes()),
       messages_(stats.counter("noc.messages")),
       bytes_(stats.counter("noc.bytes")),
       linkWaitCycles_(stats.counter("noc.link_wait_cycles"))
 {
     tsoper_assert(cols_ >= 1 && rows_ >= 1);
+    // XY routing: move along the row first, then along the column.
+    // Each hop uses the link leaving its node in the hop's direction.
+    enum Dir : unsigned { North, East, South, West };
+    for (unsigned src = 0; src < nodes(); ++src) {
+        for (unsigned dst = 0; dst < nodes(); ++dst) {
+            std::vector<unsigned> &route = routes_[src * nodes() + dst];
+            unsigned col = src % cols_;
+            unsigned row = src / cols_;
+            const auto hop = [&](Dir dir) {
+                route.push_back((row * cols_ + col) * 4 + dir);
+            };
+            for (; col < dst % cols_; ++col)
+                hop(East);
+            for (; col > dst % cols_; --col)
+                hop(West);
+            for (; row < dst / cols_; ++row)
+                hop(South);
+            for (; row > dst / cols_; --row)
+                hop(North);
+        }
+    }
 }
 
 unsigned
 Mesh::hops(int src, int dst) const
 {
-    const int sc = src % static_cast<int>(cols_);
-    const int sr = src / static_cast<int>(cols_);
-    const int dc = dst % static_cast<int>(cols_);
-    const int dr = dst / static_cast<int>(cols_);
-    return static_cast<unsigned>(std::abs(sc - dc) + std::abs(sr - dr));
-}
-
-int
-Mesh::nextHop(int at, int dst) const
-{
-    const int ac = at % static_cast<int>(cols_);
-    const int ar = at / static_cast<int>(cols_);
-    const int dc = dst % static_cast<int>(cols_);
-    // XY routing: move along the row first, then along the column.
-    if (ac < dc)
-        return nodeAt(static_cast<unsigned>(ac + 1),
-                      static_cast<unsigned>(ar));
-    if (ac > dc)
-        return nodeAt(static_cast<unsigned>(ac - 1),
-                      static_cast<unsigned>(ar));
-    const int dr = dst / static_cast<int>(cols_);
-    if (ar < dr)
-        return nodeAt(static_cast<unsigned>(ac),
-                      static_cast<unsigned>(ar + 1));
-    return nodeAt(static_cast<unsigned>(ac), static_cast<unsigned>(ar - 1));
-}
-
-unsigned
-Mesh::linkIndex(int from, int to) const
-{
-    // Encode the direction of the (from -> to) hop.
-    const int fc = from % static_cast<int>(cols_);
-    const int tc = to % static_cast<int>(cols_);
-    unsigned dir;
-    if (to == from - static_cast<int>(cols_))
-        dir = 0; // north
-    else if (tc == fc + 1)
-        dir = 1; // east
-    else if (to == from + static_cast<int>(cols_))
-        dir = 2; // south
-    else
-        dir = 3; // west
-    return static_cast<unsigned>(from) * 4 + dir;
+    return static_cast<unsigned>(routeOf(src, dst).size());
 }
 
 Cycle
@@ -87,17 +65,14 @@ Mesh::route(int src, int dst, unsigned bytes, Cycle depart)
         return depart + 1;
     const Cycle ser = (bytes + linkBytes_ - 1) / linkBytes_;
     Cycle at = depart;
-    int node = src;
-    while (node != dst) {
-        const int next = nextHop(node, dst);
-        Link &link = links_[linkIndex(node, next)];
+    for (unsigned l : routeOf(src, dst)) {
+        Link &link = links_[l];
         const Cycle start = std::max(at, link.busyUntil);
         linkWaitCycles_.inc(start - at);
         // The link is occupied for the serialization time; the head of
         // the message reaches the next router after the hop latency.
         link.busyUntil = start + ser;
         at = start + hopLatency_;
-        node = next;
     }
     // Account for the tail of the message (serialization) once.
     trace::span(trace::Event::NocMsg, invalidCore, depart, at + ser,

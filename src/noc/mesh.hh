@@ -65,14 +65,13 @@ class Mesh
         Cycle busyUntil = 0;
     };
 
-    unsigned linkIndex(int from, int to) const;
-    int nodeAt(unsigned col, unsigned row) const
+    /** The links of the XY route from @p src to @p dst, in order. */
+    const std::vector<unsigned> &
+    routeOf(int src, int dst) const
     {
-        return static_cast<int>(row * cols_ + col);
+        return routes_[static_cast<unsigned>(src) * nodes() +
+                       static_cast<unsigned>(dst)];
     }
-
-    /** Next node along the XY route from @p at towards @p dst. */
-    int nextHop(int at, int dst) const;
 
     unsigned cols_;
     unsigned rows_;
@@ -81,6 +80,7 @@ class Mesh
     int numCores_;
     unsigned banks_;
     std::vector<Link> links_; ///< 4 directed links per node (N,E,S,W).
+    std::vector<std::vector<unsigned>> routes_; ///< nodes() x nodes().
     Counter &messages_;
     Counter &bytes_;
     Counter &linkWaitCycles_;

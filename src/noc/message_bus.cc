@@ -3,11 +3,7 @@
 namespace tsoper
 {
 
-MessageBus::MessageBus(const SystemConfig &cfg, EventQueue &eq,
-                       Mesh &mesh)
-    : eq_(eq), mesh_(mesh), minLatency_(cfg.hopLatency)
-{
-}
+MessageBus::MessageBus(EventQueue &eq, Mesh &mesh) : eq_(eq), mesh_(mesh) {}
 
 Cycle
 MessageBus::send(int src, int dst, unsigned bytes, Cycle depart,

@@ -37,7 +37,7 @@ namespace tsoper
 class MessageBus
 {
   public:
-    MessageBus(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh);
+    MessageBus(EventQueue &eq, Mesh &mesh);
 
     /**
      * Timestamped message: route @p bytes from tile @p src to tile
@@ -67,9 +67,6 @@ class MessageBus
         return mesh_.route(src, dst, bytes, depart);
     }
 
-    /** Minimum latency of any cross-tile message: one NoC hop. */
-    Cycle minLatency() const { return minLatency_; }
-
     // --- Tile-name helpers (delegate to the mesh's node map) -------
     int coreNode(CoreId core) const { return mesh_.coreNode(core); }
     int bankNode(unsigned bank) const { return mesh_.bankNode(bank); }
@@ -87,7 +84,6 @@ class MessageBus
   private:
     EventQueue &eq_;
     Mesh &mesh_;
-    Cycle minLatency_;
 };
 
 } // namespace tsoper

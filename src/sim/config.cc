@@ -87,8 +87,8 @@ SystemConfig::validate() const
         tsoper_fatal("cache set counts must be powers of two");
     if (!isPow2(llcBanks) || !isPow2(nvmRanks))
         tsoper_fatal("bank/rank counts must be powers of two");
-    if (privWays == 0 || llcWays == 0)
-        tsoper_fatal("cache associativity must be non-zero");
+    if (privWays == 0 || privWays > 32 || llcWays == 0 || llcWays > 32)
+        tsoper_fatal("cache associativity must be in [1, 32]");
     if (storeBufferEntries == 0)
         tsoper_fatal("store buffer must have at least one entry");
     if (agMaxLines == 0)

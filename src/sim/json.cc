@@ -308,6 +308,8 @@ namespace
 
 struct Parser
 {
+    explicit Parser(const std::string &t) : text(t) {}
+
     const std::string &text;
     std::size_t pos = 0;
     std::string error;

@@ -101,12 +101,6 @@ StatsRegistry::get(const std::string &name) const
     return it == counters_.end() ? 0 : it->second.value();
 }
 
-bool
-StatsRegistry::hasHistogram(const std::string &name) const
-{
-    return histograms_.count(name) != 0;
-}
-
 void
 StatsRegistry::dump(std::ostream &os) const
 {

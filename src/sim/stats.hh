@@ -163,8 +163,6 @@ class StatsRegistry
     /** Value of a counter, 0 if it was never touched. */
     std::uint64_t get(const std::string &name) const;
 
-    bool hasHistogram(const std::string &name) const;
-
     /** Dump all counters and histogram summaries as a text table. */
     void dump(std::ostream &os) const;
 

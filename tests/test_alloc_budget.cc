@@ -89,11 +89,11 @@ struct BudgetCell
 };
 
 const BudgetCell kCells[] = {
-    {"tsoper", "radix", 0.653},
-    {"stw", "x264", 0.645},
-    {"bsp-slc-agb", "lu_ncb", 1.088},
-    {"hwrp", "radix", 0.440},
-    {"baseline-mesi", "ocean_cp", 0.251},
+    {"tsoper", "radix", 0.403},
+    {"stw", "x264", 0.526},
+    {"bsp-slc-agb", "lu_ncb", 1.051},
+    {"hwrp", "radix", 0.245},
+    {"baseline-mesi", "ocean_cp", 0.187},
 };
 
 void

@@ -16,6 +16,14 @@
 
 using namespace tsoper;
 
+namespace
+{
+
+/** Directory storage with a plain int standing in for an entry. */
+using Dir = DirectoryCapacity<int>;
+
+} // namespace
+
 TEST(LineSerializer, SingleBodyRunsImmediately)
 {
     EventQueue eq;
@@ -107,9 +115,9 @@ TEST(LineSerializer, BodyMaySubmitToSameLine)
 TEST(DirectoryCapacity, AllocatesWithoutEvictionUnderCapacity)
 {
     StatsRegistry stats;
-    DirectoryCapacity cap(64, 8, 16, stats);
+    Dir cap(64, 8, 16, stats);
     for (LineAddr l = 0; l < 100; ++l)
-        EXPECT_FALSE(cap.allocate(l).has_value()) << l;
+        EXPECT_FALSE(cap.allocate(l).evicted) << l;
     EXPECT_EQ(stats.get("dir.evictions"), 0u);
 }
 
@@ -117,7 +125,7 @@ TEST(DirectoryCapacity, EvictsWhenSetFull)
 {
     StatsRegistry stats;
     // 8 entries/bank, 8 banks -> one set of 8 ways per bank.
-    DirectoryCapacity cap(8, 8, 16, stats);
+    Dir cap(8, 8, 16, stats);
     // Same bank (low bits 0), distinct tags.
     for (LineAddr l = 0; l < 9 * 8; l += 8)
         cap.allocate(l);
@@ -127,19 +135,19 @@ TEST(DirectoryCapacity, EvictsWhenSetFull)
 TEST(DirectoryCapacity, ReleaseFreesTheWay)
 {
     StatsRegistry stats;
-    DirectoryCapacity cap(8, 8, 16, stats);
+    Dir cap(8, 8, 16, stats);
     for (LineAddr l = 0; l < 8 * 8; l += 8)
         cap.allocate(l);
     cap.release(0);
-    EXPECT_FALSE(cap.allocate(512).has_value()); // Reuses the freed way.
+    EXPECT_FALSE(cap.allocate(512).evicted); // Reuses the freed way.
 }
 
 TEST(DirectoryCapacity, EvictBufferBookkeeping)
 {
     StatsRegistry stats;
-    DirectoryCapacity cap(64, 8, 4, stats);
-    cap.evictBufferEnter(1);
-    cap.evictBufferEnter(2);
+    Dir cap(64, 8, 4, stats);
+    cap.evictBufferEnter(1, 0);
+    cap.evictBufferEnter(2, 0);
     EXPECT_TRUE(cap.inEvictBuffer(1));
     EXPECT_EQ(cap.evictBufferOccupancy(), 2u);
     cap.evictBufferLeave(1);
@@ -229,13 +237,14 @@ TEST(LineSerializer, IdleLinesAreErased)
 TEST(DirectoryCapacity, EvictBufferOverflowPanics)
 {
     StatsRegistry stats;
-    DirectoryCapacity dir(64, 1, /*evictBufferEntries=*/2, stats);
-    dir.evictBufferEnter(1);
-    dir.evictBufferEnter(2);
+    Dir dir(64, 1, /*evictBufferEntries=*/2, stats);
+    dir.evictBufferEnter(1, 0);
+    dir.evictBufferEnter(2, 0);
     EXPECT_EQ(dir.evictBufferOccupancy(), 2u);
     // A third in-teardown entry exceeds the modelled buffer: the model
     // has no backpressure path, so this must be a hard invariant.
-    EXPECT_THROW(dir.evictBufferEnter(3), std::logic_error);
+    EXPECT_THROW(dir.evictBufferEnter(3, 0), std::logic_error);
+    // The rejected entry took no slot.
     dir.evictBufferLeave(2);
-    EXPECT_EQ(dir.evictBufferOccupancy(), 2u);
+    EXPECT_EQ(dir.evictBufferOccupancy(), 1u);
 }

@@ -110,3 +110,26 @@ TEST(Llc, PersistPendingTracksMax)
     f.llc.setPersistPending(3, 300); // Must not regress.
     EXPECT_EQ(f.llc.persistPendingUntil(3), 500u);
 }
+
+TEST(Llc, PinBeforeInstallTakesEffectAtInstall)
+{
+    LlcFixture f;
+    SystemConfig small = f.cfg;
+    small.llcSets = 1;
+    small.llcWays = 2;
+    Llc tiny(small, f.nvm, f.stats);
+    // Lines 0, 8, 16 and 24 share bank 0's only set.  An AGB pin can
+    // arrive before the line's install.
+    tiny.pinForAgb(0);
+    EXPECT_TRUE(tiny.isPinned(0));
+    tiny.install(0, zeroLine(), false, 0);
+    tiny.install(8, zeroLine(), false, 0);
+    tiny.install(16, zeroLine(), false, 0); // Evicts 8: 0 is pinned.
+    EXPECT_TRUE(tiny.contains(0));
+    EXPECT_FALSE(tiny.contains(8));
+    tiny.unpinForAgb(0);
+    EXPECT_FALSE(tiny.isPinned(0));
+    tiny.install(24, zeroLine(), false, 0); // 0 is the LRU line now.
+    EXPECT_FALSE(tiny.contains(0));
+    EXPECT_TRUE(tiny.contains(16));
+}

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "coherence/slc.hh"
 #include "mem/llc.hh"
 #include "mem/nvm.hh"
@@ -203,6 +206,83 @@ TEST_F(SlcEdgeFixture, EvictedDirtyHeadStillServesRemoteReaders)
     EXPECT_EQ(tiny.evictionBufferOccupancy(0), 0u);
 }
 
+/** An SLC over 16-set private caches (8 ways, 8 KiB), where lines 16
+ *  apart collide in one set. */
+struct SmallCacheFixture : public SlcEdgeFixture
+{
+    SmallCacheFixture() : small(smallCfg(cfg), eq, mesh, llc, nvm, stats)
+    {
+        small.setHooks(&hooks);
+    }
+
+    static SystemConfig
+    smallCfg(SystemConfig c)
+    {
+        c.privSets = 16;
+        return c;
+    }
+
+    /** The i-th line of core 0's set 0. */
+    static Addr setZero(unsigned i) { return addrOfLine(LineAddr{i} * 16); }
+
+    void
+    smallStore(Addr a, StoreId id)
+    {
+        bool done = false;
+        small.store(0, a, id, [&](Cycle) { done = true; });
+        eq.runUntil([&] { return done; });
+        ASSERT_TRUE(done);
+    }
+
+    SlcProtocol small;
+};
+
+TEST_F(SmallCacheFixture, DirtyVictimsParkAndAStoreRevivesThem)
+{
+    // Ten dirty lines through one 8-way set: the two oldest park.
+    for (unsigned i = 0; i < 10; ++i)
+        smallStore(setZero(i), makeStoreId(0, i));
+    EXPECT_EQ(small.evictionBufferOccupancy(0), 2u);
+    EXPECT_TRUE(small.nodeValid(0, lineOf(setZero(0))));
+    EXPECT_TRUE(small.nodeDirty(0, lineOf(setZero(0))));
+
+    // A store to a parked line revives it into the set, whose LRU line
+    // (the third stored) parks in its place.
+    smallStore(setZero(0), makeStoreId(0, 10));
+    EXPECT_EQ(small.evictionBufferOccupancy(0), 2u);
+    EXPECT_EQ(small.nodeWords(0, lineOf(setZero(0)))[0], makeStoreId(0, 10));
+
+    // Persisting the two parked versions empties the buffer; the
+    // revived node stays, resident.
+    small.persistComplete(0, lineOf(setZero(1)), eq.now());
+    small.persistComplete(0, lineOf(setZero(2)), eq.now());
+    EXPECT_EQ(small.evictionBufferOccupancy(0), 0u);
+    EXPECT_FALSE(small.hasNode(0, lineOf(setZero(1))));
+    EXPECT_TRUE(small.nodeDirty(0, lineOf(setZero(0))));
+    EXPECT_GT(stats.histogram("slc.evict_buffer_occupancy").samples(), 0u);
+}
+
+TEST_F(SmallCacheFixture, ParkingPastTheEvictionBufferPanics)
+{
+    const unsigned cap = cfg.evictBufferEntries;
+    for (unsigned i = 0; i < 8 + cap; ++i)
+        smallStore(setZero(i), makeStoreId(0, i));
+    EXPECT_EQ(small.evictionBufferOccupancy(0), cap);
+    // One more dirty victim has nowhere to go: the model has no
+    // backpressure path, so the buffer's cap is a hard invariant.
+    try {
+        smallStore(setZero(8 + cap), makeStoreId(0, 8 + cap));
+        FAIL() << "parking past the cap did not panic";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "SLC eviction buffer over capacity: " +
+                      std::to_string(cap + 1) + " entries, cap " +
+                      std::to_string(cap)),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST_F(SlcEdgeFixture, FourCoreVersionChainPersistsInOrder)
 {
     // W0 -> R1 -> W2 -> R3: list holds two versions + two readers;
@@ -214,7 +294,7 @@ TEST_F(SlcEdgeFixture, FourCoreVersionChainPersistsInOrder)
     hooks.members.insert(MemberHooks::key(1, kLine));
     store(2, kAddr, makeStoreId(2, 0));
     load(3, kAddr);
-    EXPECT_EQ(slc.listLength(kLine), 4u);
+    EXPECT_EQ(slc.listLengths(kLine).all, 4u);
     EXPECT_TRUE(slc.nodeIsPersistTail(0, kLine));
     EXPECT_FALSE(slc.nodeIsPersistTail(2, kLine));
     slc.persistComplete(0, kLine, eq.now());

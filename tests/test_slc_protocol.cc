@@ -132,8 +132,8 @@ TEST_F(SlcFixture, FirstWriterBecomesSoleHead)
     EXPECT_TRUE(slc.hasNode(0, kLine));
     EXPECT_TRUE(slc.nodeValid(0, kLine));
     EXPECT_TRUE(slc.nodeDirty(0, kLine));
-    EXPECT_TRUE(slc.nodeIsTail(0, kLine));
-    EXPECT_EQ(slc.listLength(kLine), 1u);
+    EXPECT_EQ(slc.nodeFwd(0, kLine), invalidCore); // The tail.
+    EXPECT_EQ(slc.listLengths(kLine).all, 1u);
 }
 
 TEST_F(SlcFixture, SecondWriterPrependsAndInvalidatesNonDestructively)
@@ -141,13 +141,13 @@ TEST_F(SlcFixture, SecondWriterPrependsAndInvalidatesNonDestructively)
     store(0, kAddr, makeStoreId(0, 0));
     store(1, kAddr, makeStoreId(1, 0));
     // Multiversioning: both versions coexist on the list (§IV-A).
-    EXPECT_EQ(slc.listLength(kLine), 2u);
-    EXPECT_EQ(slc.validListLength(kLine), 1u);
+    EXPECT_EQ(slc.listLengths(kLine).all, 2u);
+    EXPECT_EQ(slc.listLengths(kLine).valid, 1u);
     EXPECT_TRUE(slc.nodeValid(1, kLine));
     EXPECT_FALSE(slc.nodeValid(0, kLine)); // Invalid, pending persist.
     EXPECT_TRUE(slc.nodeDirty(0, kLine));  // Still holds its version.
-    EXPECT_TRUE(slc.nodeIsTail(0, kLine));
-    EXPECT_FALSE(slc.nodeIsTail(1, kLine));
+    EXPECT_EQ(slc.nodeFwd(0, kLine), invalidCore); // The tail.
+    EXPECT_NE(slc.nodeFwd(1, kLine), invalidCore);
 }
 
 TEST_F(SlcFixture, InvalidationExposesDirtyOwner)
@@ -169,7 +169,7 @@ TEST_F(SlcFixture, ReaderGetsDataAndRecordsDependence)
     EXPECT_TRUE(slc.nodeValid(0, kLine));
     EXPECT_TRUE(slc.nodeValid(1, kLine));
     EXPECT_FALSE(slc.nodeDirty(1, kLine));
-    EXPECT_EQ(slc.validListLength(kLine), 2u);
+    EXPECT_EQ(slc.listLengths(kLine).valid, 2u);
     ASSERT_EQ(hooks.readDeps.size(), 1u);
     EXPECT_EQ(hooks.readDeps[0].first, 1);
     // The read froze (exposed) the owner.
@@ -205,7 +205,7 @@ TEST_F(SlcFixture, PersistCompleteOnInvalidVersionUnlinksAndPassesToken)
     // Tail-to-head: the invalid old version persists and unlinks.
     slc.persistComplete(0, kLine, eq.now());
     EXPECT_FALSE(slc.hasNode(0, kLine));
-    EXPECT_EQ(slc.listLength(kLine), 1u);
+    EXPECT_EQ(slc.listLengths(kLine).all, 1u);
     // Core 1's node received the persist token.
     ASSERT_FALSE(hooks.tails.empty());
     EXPECT_EQ(hooks.tails[0].first, 1);
@@ -237,8 +237,8 @@ TEST_F(SlcFixture, ThreeWritersFormOrderedVersionChain)
     store(0, kAddr, makeStoreId(0, 0));
     store(1, kAddr, makeStoreId(1, 0));
     store(2, kAddr, makeStoreId(2, 0));
-    EXPECT_EQ(slc.listLength(kLine), 3u);
-    EXPECT_EQ(slc.validListLength(kLine), 1u);
+    EXPECT_EQ(slc.listLengths(kLine).all, 3u);
+    EXPECT_EQ(slc.listLengths(kLine).valid, 1u);
     // Persist in list order only.
     EXPECT_TRUE(slc.nodeIsPersistTail(0, kLine));
     EXPECT_FALSE(slc.nodeIsPersistTail(1, kLine));
@@ -248,7 +248,7 @@ TEST_F(SlcFixture, ThreeWritersFormOrderedVersionChain)
     EXPECT_TRUE(slc.nodeIsPersistTail(2, kLine));
     slc.persistComplete(2, kLine, eq.now());
     // The final version stays valid clean at the head.
-    EXPECT_EQ(slc.listLength(kLine), 1u);
+    EXPECT_EQ(slc.listLengths(kLine).all, 1u);
     EXPECT_TRUE(slc.nodeValid(2, kLine));
     EXPECT_FALSE(slc.nodeDirty(2, kLine));
 }
