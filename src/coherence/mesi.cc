@@ -559,10 +559,4 @@ MesiProtocol::flushLine(CoreId core, LineAddr line, Cycle earliest,
     });
 }
 
-ProtocolComplexity
-MesiProtocol::complexity() const
-{
-    return ProtocolComplexity{"MESI", 4, 4, 12};
-}
-
 } // namespace tsoper

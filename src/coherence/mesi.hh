@@ -2,12 +2,11 @@
  * @file
  * Conventional directory-based MESI protocol.
  *
- * Serves three roles in the reproduction:
+ * Serves two roles in the reproduction:
  *  1. the conventional baseline the paper quotes SLC's ~3% overhead
- *     against (§V "Systems", bench/stat_slc_vs_mesi);
+ *     against (§V "Systems"; the `baseline-mesi` engine);
  *  2. the substrate BSP persists through (Joshi et al. persist via the
- *     LLC, which imposes single-version semantics);
- *  3. the contrast for the protocol-complexity table.
+ *     LLC, which imposes single-version semantics).
  *
  * Unlike SLC, the directory here is *blocking*: a transaction occupies
  * its line until the requester has data and acknowledgements, which —
@@ -49,7 +48,6 @@ class MesiProtocol : public CoherenceProtocol
     void load(CoreId core, Addr addr, LoadDone done) override;
     void store(CoreId core, Addr addr, StoreId store,
                StoreDone done) override;
-    ProtocolComplexity complexity() const override;
 
     // --- BSP engine API -----------------------------------------------
 

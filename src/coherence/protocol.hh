@@ -164,15 +164,6 @@ class ProtocolHooks
     }
 };
 
-/** Complexity summary used by bench/table_protocol_complexity. */
-struct ProtocolComplexity
-{
-    const char *name;
-    int stableStates;
-    int requestTypes;
-    int protocolActions;
-};
-
 /** Abstract coherence protocol driven by the cores. */
 class CoherenceProtocol
 {
@@ -202,8 +193,6 @@ class CoherenceProtocol
 
     /** Optional execution recording for the crash checker. */
     void setStoreLog(StoreLog *log) { log_ = log; }
-
-    virtual ProtocolComplexity complexity() const = 0;
 
   protected:
     void

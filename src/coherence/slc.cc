@@ -823,15 +823,4 @@ SlcProtocol::sampleListStats(LineAddr line)
     coherenceListLen_.add(len.valid);
 }
 
-ProtocolComplexity
-SlcProtocol::complexity() const
-{
-    // Stable node states: {valid, dirty, evicted} combinations that can
-    // occur (V, VD, VDe, VCe, I-pending-D, I-pending-De, I-clean-member,
-    // plus absent) — the paper reports 15 base states for its SLICC SLC
-    // vs 25 for MOESI; our transaction-atomic model needs no transient
-    // states at all.
-    return ProtocolComplexity{"SLC", 8, 4, 14};
-}
-
 } // namespace tsoper

@@ -60,7 +60,6 @@ class SlcProtocol : public CoherenceProtocol
     void load(CoreId core, Addr addr, LoadDone done) override;
     void store(CoreId core, Addr addr, StoreId store,
                StoreDone done) override;
-    ProtocolComplexity complexity() const override;
 
     // --- Engine-facing API ------------------------------------------
 

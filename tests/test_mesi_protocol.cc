@@ -175,8 +175,3 @@ TEST_F(MesiFixture, BlockingDirectoryStat)
     eq.runUntil([&] { return done0 && done1; });
     EXPECT_NE(at0, at1);
 }
-
-TEST_F(MesiFixture, ComplexityReportsName)
-{
-    EXPECT_STREQ(mesi.complexity().name, "MESI");
-}
