@@ -1,6 +1,7 @@
 #include "sim/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -11,11 +12,34 @@
 namespace tsoper
 {
 
+Json::Json(const Json &other)
+    : type_(other.type_), rep_(other.rep_), p_(other.p_)
+{
+    switch (type_) {
+      case Type::String: p_.str = new std::string(*other.p_.str); break;
+      case Type::Array: p_.arr = new std::vector<Json>(*other.p_.arr); break;
+      case Type::Object: p_.obj = new Members(*other.p_.obj); break;
+      default: break;
+    }
+}
+
+void
+Json::release() noexcept
+{
+    switch (type_) {
+      case Type::String: delete p_.str; break;
+      case Type::Array: delete p_.arr; break;
+      case Type::Object: delete p_.obj; break;
+      default: break;
+    }
+}
+
 Json
 Json::array()
 {
     Json j;
     j.type_ = Type::Array;
+    j.p_.arr = new std::vector<Json>();
     return j;
 }
 
@@ -24,6 +48,7 @@ Json::object()
 {
     Json j;
     j.type_ = Type::Object;
+    j.p_.obj = new Members();
     return j;
 }
 
@@ -31,7 +56,7 @@ bool
 Json::asBool() const
 {
     tsoper_assert(type_ == Type::Bool, "Json::asBool on non-bool");
-    return bool_;
+    return p_.b;
 }
 
 double
@@ -39,9 +64,9 @@ Json::asDouble() const
 {
     tsoper_assert(type_ == Type::Number, "Json::asDouble on non-number");
     switch (rep_) {
-      case NumRep::Dbl: return dbl_;
-      case NumRep::Int: return static_cast<double>(int_);
-      case NumRep::Uint: return static_cast<double>(uint_);
+      case NumRep::Dbl: return p_.d;
+      case NumRep::Int: return static_cast<double>(p_.i);
+      case NumRep::Uint: return static_cast<double>(p_.u);
     }
     return 0.0;
 }
@@ -51,9 +76,9 @@ Json::asInt() const
 {
     tsoper_assert(type_ == Type::Number, "Json::asInt on non-number");
     switch (rep_) {
-      case NumRep::Dbl: return static_cast<std::int64_t>(dbl_);
-      case NumRep::Int: return int_;
-      case NumRep::Uint: return static_cast<std::int64_t>(uint_);
+      case NumRep::Dbl: return static_cast<std::int64_t>(p_.d);
+      case NumRep::Int: return p_.i;
+      case NumRep::Uint: return static_cast<std::int64_t>(p_.u);
     }
     return 0;
 }
@@ -63,9 +88,9 @@ Json::asUint() const
 {
     tsoper_assert(type_ == Type::Number, "Json::asUint on non-number");
     switch (rep_) {
-      case NumRep::Dbl: return static_cast<std::uint64_t>(dbl_);
-      case NumRep::Int: return static_cast<std::uint64_t>(int_);
-      case NumRep::Uint: return uint_;
+      case NumRep::Dbl: return static_cast<std::uint64_t>(p_.d);
+      case NumRep::Int: return static_cast<std::uint64_t>(p_.i);
+      case NumRep::Uint: return p_.u;
     }
     return 0;
 }
@@ -74,14 +99,14 @@ const std::string &
 Json::asString() const
 {
     tsoper_assert(type_ == Type::String, "Json::asString on non-string");
-    return str_;
+    return *p_.str;
 }
 
 Json &
 Json::push(Json v)
 {
     tsoper_assert(type_ == Type::Array, "Json::push on non-array");
-    arr_.push_back(std::move(v));
+    p_.arr->push_back(std::move(v));
     return *this;
 }
 
@@ -89,9 +114,9 @@ std::size_t
 Json::size() const
 {
     if (type_ == Type::Array)
-        return arr_.size();
+        return p_.arr->size();
     if (type_ == Type::Object)
-        return obj_.size();
+        return p_.obj->size();
     return 0;
 }
 
@@ -99,21 +124,21 @@ const Json &
 Json::at(std::size_t i) const
 {
     tsoper_assert(type_ == Type::Array, "Json::at on non-array");
-    tsoper_assert(i < arr_.size(), "Json::at index ", i, " out of range");
-    return arr_[i];
+    tsoper_assert(i < p_.arr->size(), "Json::at index ", i, " out of range");
+    return (*p_.arr)[i];
 }
 
 Json &
 Json::set(const std::string &key, Json v)
 {
     tsoper_assert(type_ == Type::Object, "Json::set on non-object");
-    for (auto &[k, existing] : obj_) {
+    for (auto &[k, existing] : *p_.obj) {
         if (k == key) {
             existing = std::move(v);
             return *this;
         }
     }
-    obj_.emplace_back(key, std::move(v));
+    p_.obj->emplace_back(key, std::move(v));
     return *this;
 }
 
@@ -122,7 +147,7 @@ Json::find(const std::string &key) const
 {
     if (type_ != Type::Object)
         return nullptr;
-    for (const auto &[k, v] : obj_)
+    for (const auto &[k, v] : *p_.obj)
         if (k == key)
             return &v;
     return nullptr;
@@ -140,7 +165,7 @@ const std::vector<std::pair<std::string, Json>> &
 Json::members() const
 {
     tsoper_assert(type_ == Type::Object, "Json::members on non-object");
-    return obj_;
+    return *p_.obj;
 }
 
 bool
@@ -150,21 +175,23 @@ Json::operator==(const Json &other) const
         return false;
     switch (type_) {
       case Type::Null: return true;
-      case Type::Bool: return bool_ == other.bool_;
-      case Type::Number:
-        // Integer-valued numbers compare by value across reps; mixed
-        // float/integer comparisons go through double.
-        if (rep_ == other.rep_) {
-            switch (rep_) {
-              case NumRep::Dbl: return dbl_ == other.dbl_;
-              case NumRep::Int: return int_ == other.int_;
-              case NumRep::Uint: return uint_ == other.uint_;
-            }
-        }
-        return asDouble() == other.asDouble();
-      case Type::String: return str_ == other.str_;
-      case Type::Array: return arr_ == other.arr_;
-      case Type::Object: return obj_ == other.obj_;
+      case Type::Bool: return p_.b == other.p_.b;
+      case Type::Number: {
+        // Numbers compare by value.  Integers compare exactly (a
+        // negative Int never equals a Uint); only a double goes
+        // through double.
+        if (rep_ == NumRep::Dbl || other.rep_ == NumRep::Dbl)
+            return asDouble() == other.asDouble();
+        if (rep_ == other.rep_)
+            return rep_ == NumRep::Int ? p_.i == other.p_.i
+                                       : p_.u == other.p_.u;
+        const std::int64_t i = rep_ == NumRep::Int ? p_.i : other.p_.i;
+        const std::uint64_t u = rep_ == NumRep::Uint ? p_.u : other.p_.u;
+        return i >= 0 && static_cast<std::uint64_t>(i) == u;
+      }
+      case Type::String: return *p_.str == *other.p_.str;
+      case Type::Array: return *p_.arr == *other.p_.arr;
+      case Type::Object: return *p_.obj == *other.p_.obj;
     }
     return false;
 }
@@ -204,29 +231,22 @@ void
 Json::dumpNumber(std::string &out) const
 {
     char buf[40];
-    switch (rep_) {
-      case NumRep::Int:
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(int_));
-        out += buf;
+    if (rep_ != NumRep::Dbl) {
+        const auto r = rep_ == NumRep::Int
+                           ? std::to_chars(buf, buf + sizeof(buf), p_.i)
+                           : std::to_chars(buf, buf + sizeof(buf), p_.u);
+        out.append(buf, r.ptr);
         return;
-      case NumRep::Uint:
-        std::snprintf(buf, sizeof(buf), "%llu",
-                      static_cast<unsigned long long>(uint_));
-        out += buf;
-        return;
-      case NumRep::Dbl:
-        break;
     }
-    if (!std::isfinite(dbl_)) {
+    if (!std::isfinite(p_.d)) {
         out += "null"; // JSON has no inf/nan
         return;
     }
     // Shortest decimal form that round-trips to the same double, so
     // identical values always serialize to identical bytes.
     for (int prec = 1; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, dbl_);
-        if (std::strtod(buf, nullptr) == dbl_)
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, p_.d);
+        if (std::strtod(buf, nullptr) == p_.d)
             break;
     }
     out += buf;
@@ -250,46 +270,50 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += "null";
         return;
       case Type::Bool:
-        out += bool_ ? "true" : "false";
+        out += p_.b ? "true" : "false";
         return;
       case Type::Number:
         dumpNumber(out);
         return;
       case Type::String:
-        escapeString(str_, out);
+        escapeString(*p_.str, out);
         return;
-      case Type::Array:
-        if (arr_.empty()) {
+      case Type::Array: {
+        const std::vector<Json> &arr = *p_.arr;
+        if (arr.empty()) {
             out += "[]";
             return;
         }
         out += '[';
-        for (std::size_t i = 0; i < arr_.size(); ++i) {
+        for (std::size_t i = 0; i < arr.size(); ++i) {
             if (i)
                 out += ',';
             newline(depth + 1);
-            arr_[i].dumpTo(out, indent, depth + 1);
+            arr[i].dumpTo(out, indent, depth + 1);
         }
         newline(depth);
         out += ']';
         return;
-      case Type::Object:
-        if (obj_.empty()) {
+      }
+      case Type::Object: {
+        const Members &obj = *p_.obj;
+        if (obj.empty()) {
             out += "{}";
             return;
         }
         out += '{';
-        for (std::size_t i = 0; i < obj_.size(); ++i) {
+        for (std::size_t i = 0; i < obj.size(); ++i) {
             if (i)
                 out += ',';
             newline(depth + 1);
-            escapeString(obj_[i].first, out);
+            escapeString(obj[i].first, out);
             out += pretty ? ": " : ":";
-            obj_[i].second.dumpTo(out, indent, depth + 1);
+            obj[i].second.dumpTo(out, indent, depth + 1);
         }
         newline(depth);
         out += '}';
         return;
+      }
     }
 }
 

@@ -15,6 +15,15 @@
  *    or floating point and serialize accordingly.
  *  - Round-tripping: parse(dump(x)) == x for every document built
  *    through this API.
+ *
+ * A node is 16 bytes: a header (the value type and, for a number,
+ * whether it holds a double, int64 or uint64) and one 8-byte payload.
+ * A scalar keeps its value in the payload; a string, array or object
+ * owns its std::string, std::vector<Json> or member vector through
+ * it.  Statistics trees outlive their run (reports hold one per cell),
+ * so a held value costs about what its text costs.  Copies are deep.
+ * A move steals the payload and leaves the source null, ready to be
+ * assigned again.
  */
 
 #ifndef TSOPER_SIM_JSON_HH
@@ -42,15 +51,39 @@ class Json
     };
 
     Json() = default; ///< null
-    Json(bool b) : type_(Type::Bool), bool_(b) {}
-    Json(double d) : type_(Type::Number), rep_(NumRep::Dbl), dbl_(d) {}
-    Json(std::int64_t i) : type_(Type::Number), rep_(NumRep::Int), int_(i) {}
-    Json(std::uint64_t u) : type_(Type::Number), rep_(NumRep::Uint), uint_(u)
+    Json(bool b) : type_(Type::Bool), p_{.b = b} {}
+    Json(double d) : type_(Type::Number), rep_(NumRep::Dbl), p_{.d = d} {}
+    Json(std::int64_t i) : type_(Type::Number), rep_(NumRep::Int), p_{.i = i}
+    {}
+    Json(std::uint64_t u) : type_(Type::Number), rep_(NumRep::Uint), p_{.u = u}
     {}
     Json(int i) : Json(static_cast<std::int64_t>(i)) {}
     Json(unsigned u) : Json(static_cast<std::uint64_t>(u)) {}
-    Json(const char *s) : type_(Type::String), str_(s) {}
-    Json(std::string s) : type_(Type::String), str_(std::move(s)) {}
+    Json(const char *s) : Json(std::string(s)) {}
+    Json(std::string s)
+        : type_(Type::String), p_{.str = new std::string(std::move(s))}
+    {}
+
+    Json(const Json &other);
+    Json(Json &&other) noexcept
+        : type_(other.type_), rep_(other.rep_), p_(other.p_)
+    {
+        other.type_ = Type::Null;
+    }
+    /** Copy or move; assigning a value to itself keeps it. */
+    Json &
+    operator=(Json other) noexcept
+    {
+        std::swap(type_, other.type_);
+        std::swap(rep_, other.rep_);
+        std::swap(p_, other.p_);
+        return *this;
+    }
+    ~Json()
+    {
+        if (type_ >= Type::String) // String, Array, Object own a block
+            release();
+    }
 
     static Json array();
     static Json object();
@@ -110,20 +143,27 @@ class Json
         Int,
         Uint,
     };
+    using Members = std::vector<std::pair<std::string, Json>>;
 
+    void release() noexcept;
     void dumpTo(std::string &out, int indent, int depth) const;
     void dumpNumber(std::string &out) const;
 
     Type type_ = Type::Null;
     NumRep rep_ = NumRep::Dbl;
-    bool bool_ = false;
-    double dbl_ = 0.0;
-    std::int64_t int_ = 0;
-    std::uint64_t uint_ = 0;
-    std::string str_;
-    std::vector<Json> arr_;
-    std::vector<std::pair<std::string, Json>> obj_;
+    union
+    {
+        std::uint64_t u;
+        std::int64_t i;
+        double d;
+        bool b;
+        std::string *str;
+        std::vector<Json> *arr;
+        Members *obj;
+    } p_{}; ///< Active member: the one type_ and rep_ name.
 };
+
+static_assert(sizeof(Json) == 16);
 
 } // namespace tsoper
 

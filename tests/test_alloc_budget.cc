@@ -2,7 +2,9 @@
  * @file
  * Allocation budget of the simulation loop: heap allocations per
  * executed event, from the end of System construction to the end of
- * run(), must stay under a committed per-cell bound.
+ * run(), must stay under a committed per-cell bound.  Also the bytes
+ * statsToJson allocates for one finished run: reports hold that tree
+ * for every cell, so its size is what a held result costs.
  *
  * The executable replaces the global operator new/delete with counting
  * versions, so it is built standalone and kept out of the sanitizer
@@ -25,6 +27,7 @@
 
 #include "campaign/run_request.hh"
 #include "core/system.hh"
+#include "sim/stats_json.hh"
 #include "workload/generators.hh"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -41,6 +44,7 @@
 namespace
 {
 std::atomic<std::uint64_t> allocations{0};
+std::atomic<std::uint64_t> allocatedBytes{0};
 } // namespace
 
 #if !TSOPER_ASAN
@@ -59,6 +63,7 @@ void *
 operator new(std::size_t n)
 {
     allocations.fetch_add(1, std::memory_order_relaxed);
+    allocatedBytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -102,9 +107,27 @@ PrintTo(const BudgetCell &c, std::ostream *os)
     *os << c.engine << "/" << c.bench;
 }
 
+/// Measured bytes statsToJson allocates for tsoper/radix + 10%.
+constexpr std::uint64_t kStatsJsonMaxBytes = 112648;
+
 class AllocBudget : public ::testing::TestWithParam<BudgetCell>
 {
 };
+
+/** Resolves @p engine on @p bench at scale 0.1, seed 1. */
+void
+resolveCell(const char *engine, const char *bench, SystemConfig *cfg,
+            Workload *w)
+{
+    campaign::RunRequest req;
+    req.engine = engine;
+    req.bench = bench;
+    req.scale = 0.1;
+    req.seed = 1;
+    std::string err;
+    ASSERT_TRUE(campaign::resolveConfig(req, cfg, &err)) << err;
+    *w = generateByName(req.bench, cfg->numCores, req.seed, req.scale);
+}
 
 } // namespace
 
@@ -113,16 +136,9 @@ TEST_P(AllocBudget, AllocationsPerEventWithinBound)
     if (TSOPER_ASAN)
         GTEST_SKIP() << "ASan replaces the allocator being counted";
     const BudgetCell &cell = GetParam();
-    campaign::RunRequest req;
-    req.engine = cell.engine;
-    req.bench = cell.bench;
-    req.scale = 0.1;
-    req.seed = 1;
     SystemConfig cfg;
-    std::string err;
-    ASSERT_TRUE(campaign::resolveConfig(req, &cfg, &err)) << err;
-    const Workload w =
-        generateByName(req.bench, cfg.numCores, req.seed, req.scale);
+    Workload w;
+    ASSERT_NO_FATAL_FAILURE(resolveCell(cell.engine, cell.bench, &cfg, &w));
     System sys(cfg, w);
 
     const std::uint64_t before = allocations.load();
@@ -152,3 +168,22 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+TEST(StatsJsonBudget, TsoperRadixBytesWithinBound)
+{
+    if (TSOPER_ASAN)
+        GTEST_SKIP() << "ASan replaces the allocator being counted";
+    SystemConfig cfg;
+    Workload w;
+    ASSERT_NO_FATAL_FAILURE(resolveCell("tsoper", "radix", &cfg, &w));
+    System sys(cfg, w);
+    sys.run();
+
+    const std::uint64_t before = allocatedBytes.load();
+    const Json doc = statsToJson(sys.stats());
+    const std::uint64_t bytes = allocatedBytes.load() - before;
+    std::printf("tsoper/radix: statsToJson allocated %llu bytes "
+                "(%zu bytes of text)\n",
+                static_cast<unsigned long long>(bytes), doc.dump().size());
+    EXPECT_LE(bytes, kStatsJsonMaxBytes);
+}

@@ -9,6 +9,16 @@
 
 using namespace tsoper;
 
+namespace tsoper
+{
+// Failure messages show the document, not the node's bytes.
+void
+PrintTo(const Json &j, std::ostream *os)
+{
+    *os << j.dump();
+}
+} // namespace tsoper
+
 // --- Json value model -------------------------------------------------
 
 TEST(Json, ScalarDumps)
@@ -124,6 +134,97 @@ TEST(Json, DoubleFormattingIsShortestRoundTrip)
     Json back;
     ASSERT_TRUE(Json::parse(Json(tricky).dump(), &back));
     EXPECT_EQ(back.asDouble(), tricky);
+}
+
+TEST(Json, IntegersCompareExactly)
+{
+    // 2^60 and 2^60 + 1 are the same double, but different integers.
+    const std::int64_t big = std::int64_t{1} << 60;
+    const auto ubig = static_cast<std::uint64_t>(big);
+    EXPECT_NE(Json(big), Json(ubig + 1));
+    EXPECT_NE(Json(ubig + 1), Json(big));
+    EXPECT_EQ(Json(big), Json(ubig));
+    EXPECT_EQ(Json(std::uint64_t{3}), Json(3));
+    EXPECT_NE(Json(-1), Json(std::uint64_t{18446744073709551615ull}));
+    // Only a double compares through double.
+    EXPECT_EQ(Json(2), Json(2.0));
+    EXPECT_EQ(Json(static_cast<double>(big)), Json(ubig + 1));
+}
+
+TEST(Json, LargeUintRoundTrips)
+{
+    const std::uint64_t big = (std::uint64_t{1} << 53) + 1; // no double
+    Json arr = Json::array();
+    arr.push(Json(big)).push(Json(std::uint64_t{18446744073709551615ull}));
+    EXPECT_EQ(arr.dump(), "[9007199254740993,18446744073709551615]");
+    Json back;
+    ASSERT_TRUE(Json::parse(arr.dump(), &back));
+    EXPECT_EQ(back.at(0).asUint(), big);
+    EXPECT_EQ(back, arr);
+    EXPECT_EQ(back.dump(), arr.dump());
+}
+
+TEST(Json, CopiesAreDeep)
+{
+    Json arr = Json::array();
+    arr.push(Json(1)).push(Json::object().set("k", Json("v")));
+    Json obj = Json::object();
+    obj.set("xs", arr).set("s", Json("str"));
+
+    const Json arrCopy = arr;
+    Json objCopy;
+    objCopy = obj;
+    EXPECT_EQ(arrCopy, arr);
+    EXPECT_EQ(objCopy, obj);
+
+    arr.push(Json(3));
+    obj.set("s", Json("changed")).set("extra", Json::array());
+    EXPECT_EQ(arrCopy.dump(), "[1,{\"k\":\"v\"}]");
+    EXPECT_EQ(objCopy.dump(), "{\"xs\":[1,{\"k\":\"v\"}],\"s\":\"str\"}");
+    EXPECT_NE(arrCopy, arr);
+    EXPECT_NE(objCopy, obj);
+}
+
+TEST(Json, MovedFromIsNullAndAssignable)
+{
+    Json arr = Json::array();
+    arr.push(Json(1));
+    Json str("text");
+    Json obj = Json::object();
+    obj.set("a", Json(2));
+
+    Json dst = std::move(arr);
+    EXPECT_EQ(dst.dump(), "[1]");
+    dst = std::move(str);
+    EXPECT_EQ(dst.asString(), "text");
+    dst = std::move(obj);
+    EXPECT_EQ(dst.dump(), "{\"a\":2}");
+    for (const Json *moved : {&arr, &str, &obj}) {
+        EXPECT_TRUE(moved->isNull());
+        EXPECT_EQ(moved->size(), 0u);
+    }
+
+    arr = Json::array();
+    arr.push(Json(4));
+    str = Json("again");
+    obj = Json::object();
+    obj.set("b", Json(true));
+    EXPECT_EQ(arr.dump(), "[4]");
+    EXPECT_EQ(str.asString(), "again");
+    EXPECT_EQ(obj.dump(), "{\"b\":true}");
+}
+
+TEST(Json, SelfAssignmentKeepsTheValue)
+{
+    Json doc = Json::object();
+    doc.set("xs", Json::array().push(Json(1)).push(Json(2.5)))
+        .set("s", Json("str"));
+    const std::string text = doc.dump();
+    Json &alias = doc;
+    doc = alias;
+    EXPECT_EQ(doc.dump(), text);
+    doc = std::move(alias);
+    EXPECT_EQ(doc.dump(), text);
 }
 
 // --- Stats exporter ---------------------------------------------------
