@@ -84,13 +84,14 @@ builtinCampaigns()
         }
         {
             // Systematic fault injection over the engines whose
-            // durable state must audit clean at *any* instant.  bsp /
-            // bsp-slc and hwrp are deliberately absent: our BSP model
-            // only guarantees epoch-boundary durability (a mid-epoch
-            // crash can expose a torn epoch) and HW-RP's SFR contract
-            // has crash points the relaxed audit rejects — the
-            // crash-matrix-full campaign exists to observe exactly
-            // those windows.
+            // durable state must pass the strict-TSO audit at *any*
+            // instant.  bsp / bsp-slc and hwrp are left out: our BSP
+            // model only guarantees epoch-boundary durability (a
+            // mid-epoch crash can expose a torn epoch), and HW-RP
+            // promises only SFR-granular persistency, so it gets the
+            // relaxed audit.  crash-matrix-full adds all three: there
+            // 6 of 15 bsp and 9 of 15 bsp-slc cells fail, and all 15
+            // hwrp cells pass, 7 of them on an empty durable image.
             BuiltinCampaign c;
             c.name = "crash-matrix";
             c.description =

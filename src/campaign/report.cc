@@ -9,77 +9,38 @@ namespace tsoper::campaign
 Json
 CellReport::toJson() const
 {
-    // The request's fields, then the result as runResultToJson writes
-    // it (cellReportFromJson reads it back with runResultFromJson),
-    // with the cell's own fields ahead of the bulky stats.
     Json j = request.toJson();
-    const Json res = runResultToJson(result);
-    for (const auto &[key, value] : res.members())
-        if (key != "stats")
-            j.set(key, value);
+    j.set("status", Json(toString(result.status)));
+    if (!result.detail.empty())
+        j.set("detail", Json(result.detail));
+    j.set("cycles", Json(result.cycles))
+        .set("drain_cycles", Json(result.drainCycles));
+    if (result.crashCycle)
+        j.set("crash_cycle", Json(result.crashCycle));
+    j.set("ops", Json(result.ops)).set("stores", Json(result.stores));
+    if (!result.recoverySummary.empty())
+        j.set("recovery_summary", Json(result.recoverySummary));
+    if (result.audited) {
+        Json audit = Json::object();
+        audit.set("durable_lines", Json(result.durableLines))
+            .set("durable_words", Json(result.durableWords))
+            .set("buffer_recovered_lines", Json(result.bufferRecoveredLines))
+            .set("required_stores", Json(result.requiredStores));
+        j.set("audit", std::move(audit));
+    }
+    if (result.persistAudited) {
+        Json audit = Json::object();
+        audit.set("ok", Json(result.persistAuditOk));
+        if (!result.persistAuditDetail.empty())
+            audit.set("detail", Json(result.persistAuditDetail));
+        audit.set("commits", Json(result.persistCommits))
+            .set("edges", Json(result.persistEdges))
+            .set("groups", Json(result.persistGroups));
+        j.set("persist_audit", std::move(audit));
+    }
     j.set("attempts", Json(attempts)).set("wall_ms", Json(wallMs));
-    if (quarantined)
-        j.set("quarantined", Json(true));
-    if (attemptLog.size() >= 2) {
-        // A single clean attempt would only duplicate the cell's own
-        // status/wall_ms, so the log is emitted for retried cells only.
-        Json logArr = Json::array();
-        for (const AttemptRecord &a : attemptLog) {
-            Json entry = Json::object();
-            entry.set("status", Json(toString(a.status)))
-                .set("wall_ms", Json(a.wallMs));
-            if (!a.detail.empty())
-                entry.set("detail", Json(a.detail));
-            logArr.push(std::move(entry));
-        }
-        j.set("attempt_log", std::move(logArr));
-    }
-    j.set("stats", res["stats"]);
+    j.set("stats", result.stats);
     return j;
-}
-
-bool
-cellReportFromJson(const Json &j, CellReport *out, std::string *err)
-{
-    CellReport cell;
-    cell.request = runRequestFromJson(j);
-    if (cell.request.id.empty()) {
-        if (err)
-            *err = "cell record has no id";
-        return false;
-    }
-    std::string resErr;
-    if (!runResultFromJson(j, &cell.result, &resErr)) {
-        if (err)
-            *err = "cell " + cell.request.id + ": " + resErr;
-        return false;
-    }
-    if (const Json *attempts = j.find("attempts");
-        attempts && attempts->isNumber())
-        cell.attempts = static_cast<unsigned>(attempts->asUint());
-    if (const Json *wall = j.find("wall_ms"); wall && wall->isNumber())
-        cell.wallMs = wall->asDouble();
-    if (const Json *q = j.find("quarantined"); q && q->isBool())
-        cell.quarantined = q->asBool();
-    if (const Json *logArr = j.find("attempt_log");
-        logArr && logArr->isArray()) {
-        for (std::size_t i = 0; i < logArr->size(); ++i) {
-            const Json &entry = logArr->at(i);
-            AttemptRecord a;
-            if (const Json *st = entry.find("status");
-                st && st->isString())
-                runStatusFromName(st->asString(), &a.status);
-            if (const Json *wall = entry.find("wall_ms");
-                wall && wall->isNumber())
-                a.wallMs = wall->asDouble();
-            if (const Json *detail = entry.find("detail");
-                detail && detail->isString())
-                a.detail = detail->asString();
-            cell.attemptLog.push_back(std::move(a));
-        }
-    }
-    *out = std::move(cell);
-    return true;
 }
 
 std::size_t
@@ -87,27 +48,7 @@ CampaignReport::count(RunStatus status) const
 {
     std::size_t n = 0;
     for (const CellReport &c : cells)
-        if (!c.quarantined && c.result.status == status)
-            ++n;
-    return n;
-}
-
-std::size_t
-CampaignReport::quarantinedCount() const
-{
-    std::size_t n = 0;
-    for (const CellReport &c : cells)
-        if (c.quarantined)
-            ++n;
-    return n;
-}
-
-std::size_t
-CampaignReport::resumedCount() const
-{
-    std::size_t n = 0;
-    for (const CellReport &c : cells)
-        if (c.fromJournal)
+        if (c.result.status == status)
             ++n;
     return n;
 }
@@ -134,14 +75,8 @@ CampaignReport::summary() const
         os << (any ? ", " : " ") << n << " " << toString(s);
         any = true;
     }
-    if (const std::size_t q = quarantinedCount()) {
-        os << (any ? ", " : " ") << q << " quarantined";
-        any = true;
-    }
     if (!any)
         os << " none";
-    if (const std::size_t r = resumedCount())
-        os << "; " << r << " resumed from journal";
     return os.str();
 }
 
@@ -153,8 +88,6 @@ CampaignReport::toJson() const
     for (RunStatus s : allRunStatuses())
         totals.set(toString(s),
                    Json(static_cast<std::uint64_t>(count(s))));
-    totals.set("quarantined",
-               Json(static_cast<std::uint64_t>(quarantinedCount())));
 
     Json cellArr = Json::array();
     for (const CellReport &c : cells)
@@ -179,8 +112,7 @@ isVolatileKey(const std::string &key, bool topLevel)
         return true;
     if (topLevel)
         return key == "jobs";
-    return key == "attempts" || key == "attempt_log" ||
-           key == "stderr_tail";
+    return key == "attempts";
 }
 
 // Json has no erase; canonicalization rebuilds filtered copies.

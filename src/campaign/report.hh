@@ -7,13 +7,7 @@
  * job threads finished them, and everything derived from the
  * simulation (status, cycles, audit, stats) is deterministic given the
  * spec — only the "wall_ms"/"attempts" bookkeeping fields vary between
- * runs.
- *
- * Cells whose retryable failures (a timeout, a signal-killed child)
- * survived every retry are *quarantined*: they keep their full detail
- * but are bucketed separately in totals() and summary() so a single
- * sick cell cannot poison a sweep's aggregates.  See docs/campaigns.md
- * for the schema and the journal format built from these records.
+ * runs.  See docs/campaigns.md for the schema.
  */
 
 #ifndef TSOPER_CAMPAIGN_REPORT_HH
@@ -28,44 +22,18 @@
 namespace tsoper::campaign
 {
 
-/** One attempt of one cell, kept for all attempts — flaky cells and
- *  backoff behaviour are only debuggable with the full history. */
-struct AttemptRecord
-{
-    RunStatus status = RunStatus::BadRequest;
-    double wallMs = 0.0;
-    std::string detail;
-};
-
 /** One executed cell. */
 struct CellReport
 {
     RunRequest request;
     RunResult result;       ///< Outcome of the final attempt.
-    unsigned attempts = 1;  ///< == attemptLog.size() when it is kept.
+    unsigned attempts = 1;
     double wallMs = 0.0;    ///< Wall-clock of the final attempt.
 
-    /** Every attempt in order (status, wall-clock, detail). */
-    std::vector<AttemptRecord> attemptLog;
-
-    /** Transient failure survived all retries (see file comment). */
-    bool quarantined = false;
-
-    /** Reused from a resume journal rather than executed this run
-     *  (runtime-only; deliberately not serialized so resumed reports
-     *  stay byte-identical). */
-    bool fromJournal = false;
-
+    /** The request's fields, then the result's, then "attempts" and
+     *  "wall_ms", with the bulky "stats" last. */
     Json toJson() const;
 };
-
-/**
- * Rebuild a CellReport from its toJson() form — the journal's load
- * path.  Returns false with a message in @p err when @p j lacks a
- * valid id or status.
- */
-bool cellReportFromJson(const Json &j, CellReport *out,
-                        std::string *err);
 
 struct CampaignReport
 {
@@ -74,19 +42,14 @@ struct CampaignReport
     double wallMs = 0.0; ///< End-to-end campaign wall-clock.
     std::vector<CellReport> cells; ///< Spec-expansion order.
 
-    /** Cells with this final status, quarantined cells excluded. */
+    /** Cells with this final status. */
     std::size_t count(RunStatus status) const;
-
-    std::size_t quarantinedCount() const;
-
-    /** Cells reused from the resume journal. */
-    std::size_t resumedCount() const;
 
     /** Every cell finished RunStatus::Ok. */
     bool allOk() const;
 
     /** One-line outcome: "54 cells: 52 ok, 1 check-failed,
-     *  1 quarantined; 2 resumed from journal". */
+     *  1 timeout". */
     std::string summary() const;
 
     Json toJson() const;
@@ -96,7 +59,7 @@ struct CampaignReport
  * The report reduced to its deterministic content: toJson() minus the
  * fields that legitimately vary between runs of the same spec —
  * wall-clock ("wall_ms" everywhere), scheduling ("jobs") and retry
- * bookkeeping ("attempts", "attempt_log", "stderr_tail").  Two runs
+ * bookkeeping ("attempts").  Two runs
  * of one spec at any job count must dump() byte-identical canonical
  * forms; the campaign determinism test (tests/test_campaign.cc)
  * enforces exactly that.

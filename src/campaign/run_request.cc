@@ -36,18 +36,6 @@ allRunStatuses()
     return all;
 }
 
-bool
-runStatusFromName(const std::string &name, RunStatus *out)
-{
-    for (RunStatus s : allRunStatuses()) {
-        if (name == toString(s)) {
-            *out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
 Json
 RunRequest::toJson() const
 {
@@ -67,8 +55,8 @@ RunRequest::toJson() const
     if (crashAt > 0.0)
         j.set("crash_at", Json(crashAt));
     j.set("check", Json(check));
-    // Trace fields only appear when set, so journals written before the
-    // tracing layer still round-trip equal.
+    // Trace fields only appear when set: an untraced cell's header
+    // carries no trace keys.
     if (!traceCategories.empty())
         j.set("trace_categories", Json(traceCategories));
     if (!traceOut.empty())
@@ -81,158 +69,6 @@ RunRequest::toJson() const
         j.set("flight_recorder", Json(flightRecorder));
     j.set("max_cycles", Json(maxCycles));
     return j;
-}
-
-RunRequest
-runRequestFromJson(const Json &j)
-{
-    RunRequest r;
-    if (const Json *v = j.find("id"); v && v->isString())
-        r.id = v->asString();
-    if (const Json *v = j.find("engine"); v && v->isString())
-        r.engine = v->asString();
-    if (const Json *v = j.find("bench"); v && v->isString())
-        r.bench = v->asString();
-    if (const Json *v = j.find("trace"); v && v->isString())
-        r.traceFile = v->asString();
-    if (const Json *v = j.find("scale"); v && v->isNumber())
-        r.scale = v->asDouble();
-    if (const Json *v = j.find("seed"); v && v->isNumber())
-        r.seed = v->asUint();
-    if (const Json *v = j.find("cores"); v && v->isNumber())
-        r.cores = static_cast<unsigned>(v->asUint());
-    if (const Json *v = j.find("ag_max_lines"); v && v->isNumber())
-        r.agMaxLines = static_cast<unsigned>(v->asUint());
-    if (const Json *v = j.find("agb_slice_lines"); v && v->isNumber())
-        r.agbSliceLines = static_cast<unsigned>(v->asUint());
-    if (const Json *v = j.find("crash_at"); v && v->isNumber())
-        r.crashAt = v->asDouble();
-    if (const Json *v = j.find("check"); v && v->isBool())
-        r.check = v->asBool();
-    if (const Json *v = j.find("trace_categories"); v && v->isString())
-        r.traceCategories = v->asString();
-    if (const Json *v = j.find("trace_out"); v && v->isString())
-        r.traceOut = v->asString();
-    if (const Json *v = j.find("audit_persists"); v && v->isBool())
-        r.auditPersists = v->asBool();
-    if (const Json *v = j.find("audit_fault"); v && v->isString())
-        r.auditFault = v->asString();
-    if (const Json *v = j.find("flight_recorder"); v && v->isNumber())
-        r.flightRecorder = static_cast<unsigned>(v->asUint());
-    if (const Json *v = j.find("max_cycles"); v && v->isNumber())
-        r.maxCycles = v->asUint();
-    return r;
-}
-
-Json
-runResultToJson(const RunResult &res)
-{
-    Json j = Json::object();
-    j.set("status", Json(toString(res.status)));
-    if (!res.detail.empty())
-        j.set("detail", Json(res.detail));
-    j.set("cycles", Json(res.cycles))
-        .set("drain_cycles", Json(res.drainCycles));
-    if (res.crashCycle)
-        j.set("crash_cycle", Json(res.crashCycle));
-    j.set("ops", Json(res.ops)).set("stores", Json(res.stores));
-    if (!res.recoverySummary.empty())
-        j.set("recovery_summary", Json(res.recoverySummary));
-    if (res.audited) {
-        Json audit = Json::object();
-        audit.set("durable_lines", Json(res.durableLines))
-            .set("durable_words", Json(res.durableWords))
-            .set("buffer_recovered_lines", Json(res.bufferRecoveredLines))
-            .set("required_stores", Json(res.requiredStores));
-        j.set("audit", std::move(audit));
-    }
-    if (res.persistAudited) {
-        Json audit = Json::object();
-        audit.set("ok", Json(res.persistAuditOk));
-        if (!res.persistAuditDetail.empty())
-            audit.set("detail", Json(res.persistAuditDetail));
-        audit.set("commits", Json(res.persistCommits))
-            .set("edges", Json(res.persistEdges))
-            .set("groups", Json(res.persistGroups));
-        j.set("persist_audit", std::move(audit));
-    }
-    if (res.exitCode != -1)
-        j.set("exit_code", Json(res.exitCode));
-    if (!res.signalName.empty())
-        j.set("signal", Json(res.signalName));
-    if (!res.stderrTail.empty())
-        j.set("stderr_tail", Json(res.stderrTail));
-    j.set("stats", res.stats);
-    return j;
-}
-
-bool
-runResultFromJson(const Json &j, RunResult *out, std::string *err)
-{
-    if (!j.isObject()) {
-        if (err)
-            *err = "result document is not an object";
-        return false;
-    }
-    const Json *status = j.find("status");
-    if (!status || !status->isString() ||
-        !runStatusFromName(status->asString(), &out->status)) {
-        if (err)
-            *err = "result document has no valid status";
-        return false;
-    }
-    if (const Json *v = j.find("detail"); v && v->isString())
-        out->detail = v->asString();
-    if (const Json *v = j.find("cycles"); v && v->isNumber())
-        out->cycles = v->asUint();
-    if (const Json *v = j.find("drain_cycles"); v && v->isNumber())
-        out->drainCycles = v->asUint();
-    if (const Json *v = j.find("crash_cycle"); v && v->isNumber())
-        out->crashCycle = v->asUint();
-    if (const Json *v = j.find("ops"); v && v->isNumber())
-        out->ops = v->asUint();
-    if (const Json *v = j.find("stores"); v && v->isNumber())
-        out->stores = v->asUint();
-    if (const Json *v = j.find("recovery_summary"); v && v->isString())
-        out->recoverySummary = v->asString();
-    if (const Json *audit = j.find("audit"); audit && audit->isObject()) {
-        out->audited = true;
-        if (const Json *v = audit->find("durable_lines");
-            v && v->isNumber())
-            out->durableLines = v->asUint();
-        if (const Json *v = audit->find("durable_words");
-            v && v->isNumber())
-            out->durableWords = v->asUint();
-        if (const Json *v = audit->find("buffer_recovered_lines");
-            v && v->isNumber())
-            out->bufferRecoveredLines = v->asUint();
-        if (const Json *v = audit->find("required_stores");
-            v && v->isNumber())
-            out->requiredStores = v->asUint();
-    }
-    if (const Json *audit = j.find("persist_audit");
-        audit && audit->isObject()) {
-        out->persistAudited = true;
-        if (const Json *v = audit->find("ok"); v && v->isBool())
-            out->persistAuditOk = v->asBool();
-        if (const Json *v = audit->find("detail"); v && v->isString())
-            out->persistAuditDetail = v->asString();
-        if (const Json *v = audit->find("commits"); v && v->isNumber())
-            out->persistCommits = v->asUint();
-        if (const Json *v = audit->find("edges"); v && v->isNumber())
-            out->persistEdges = v->asUint();
-        if (const Json *v = audit->find("groups"); v && v->isNumber())
-            out->persistGroups = v->asUint();
-    }
-    if (const Json *v = j.find("exit_code"); v && v->isNumber())
-        out->exitCode = static_cast<int>(v->asInt());
-    if (const Json *v = j.find("signal"); v && v->isString())
-        out->signalName = v->asString();
-    if (const Json *v = j.find("stderr_tail"); v && v->isString())
-        out->stderrTail = v->asString();
-    if (const Json *v = j.find("stats"))
-        out->stats = *v;
-    return true;
 }
 
 bool
@@ -258,7 +94,7 @@ resolveConfig(const RunRequest &r, SystemConfig *cfg, std::string *err)
         cfg->agbSliceLines = r.agbSliceLines;
     cfg->recordStores = r.check;
     cfg->seed = r.seed;
-    return true;
+    return cfg->check(err);
 }
 
 namespace
@@ -308,7 +144,7 @@ runOne(const RunRequest &r, const RunHooks &hooks)
     RunResult res;
     SystemConfig cfg;
     if (!resolveConfig(r, &cfg, &res.detail))
-        return res; // BadRequest: unknown engine
+        return res; // BadRequest: unknown engine or out-of-range knob
 
     trace::TraceOptions topt;
     topt.categories = r.traceCategories;
@@ -323,7 +159,7 @@ runOne(const RunRequest &r, const RunHooks &hooks)
     topt.strictCoreFifo = cfg.engine == EngineKind::Tsoper ||
                           cfg.engine == EngineKind::Stw;
     if (!topt.check(&res.detail))
-        return res; // BadRequest: unknown trace category or audit fault
+        return res; // BadRequest: bad trace category, fault or depth
 
     if (r.traceFile.empty() && !findProfile(r.bench)) {
         res.detail = "unknown benchmark: " + r.bench;

@@ -68,19 +68,11 @@ struct RunRequest
     /** Simulated-cycle cap (deadlock backstop). */
     Cycle maxCycles = 4'000'000'000ull;
 
-    /** Serialize to / from the campaign-report JSON cell header. */
+    /** Serialize to the campaign-report JSON cell header. */
     Json toJson() const;
 
     bool operator==(const RunRequest &o) const = default;
 };
-
-/**
- * Rebuild a RunRequest from the cell-header fields of @p j (the
- * inverse of toJson; unknown members are ignored, absent ones keep
- * their defaults).  Used by journal resume to prove a journaled cell
- * still matches the expanded spec before its result is reused.
- */
-RunRequest runRequestFromJson(const Json &j);
 
 enum class RunStatus
 {
@@ -88,14 +80,12 @@ enum class RunStatus
     CheckFailed, ///< Completed but the consistency audit failed.
     Timeout,     ///< Exceeded the campaign's wall-clock budget.
     Crashed,     ///< Simulator panic/fatal or unexpected exception.
-    BadRequest,  ///< Unknown engine/bench or invalid workload.
+    BadRequest,  ///< Unknown engine/bench, out-of-range knob, or
+                 ///  invalid workload.
     Hung,        ///< Progress watchdog proved a livelock/deadlock.
 };
 
 const char *toString(RunStatus status);
-
-/** Parse a toString(RunStatus) spelling back; false if unknown. */
-bool runStatusFromName(const std::string &name, RunStatus *out);
 
 /** All statuses in reporting order (summary lines, totals). */
 const std::vector<RunStatus> &allRunStatuses();
@@ -133,26 +123,11 @@ struct RunResult
     /** statsToJson() of the run's registry (null if the run never
      *  constructed a System). */
     Json stats;
-
-    // Subprocess-execution facts (campaign/subprocess.hh); defaults
-    // mean "ran in-process".
-    int exitCode = -1;      ///< Child exit code; -1 = none/killed.
-    std::string signalName; ///< "SIGSEGV" etc. when signal-killed.
-    std::string stderrTail; ///< Redacted tail of the child's stderr.
 };
 
-/**
- * Serialize / parse the full RunResult (every field above, stats
- * included) — the subprocess executor's wire format: the child
- * (`tsoper_sim --result-json=F`) writes it, the parent reads it back,
- * so an isolated cell loses no fidelity versus an in-process one.
- */
-Json runResultToJson(const RunResult &res);
-bool runResultFromJson(const Json &j, RunResult *out, std::string *err);
-
 /** Optional observation points into runOne, and its wall-clock
- *  budget.  Neither is part of the request, so they leave journal and
- *  resume equality alone. */
+ *  budget.  Neither is part of the request, so neither appears in a
+ *  report. */
 struct RunHooks
 {
     /** Called with the live System after the run (and audit) finished,
@@ -167,8 +142,9 @@ struct RunHooks
 
 /**
  * Resolve @p r into a validated SystemConfig.  Returns false (with a
- * message in @p err) for unknown engine names; benchmark resolution
- * happens in runOne since trace-driven requests have no profile.
+ * message in @p err) for an unknown engine name or a knob outside
+ * SystemConfig::check's ranges; benchmark resolution happens in runOne
+ * since trace-driven requests have no profile.
  */
 bool resolveConfig(const RunRequest &r, SystemConfig *cfg,
                    std::string *err);
@@ -177,7 +153,9 @@ bool resolveConfig(const RunRequest &r, SystemConfig *cfg,
  * Execute @p r to completion and classify the outcome.  Never throws:
  * simulator panics and I/O failures come back as RunStatus::Crashed /
  * BadRequest, a passed hooks.deadline as Timeout, with the message in
- * RunResult::detail.
+ * RunResult::detail.  A request that resolveConfig or
+ * trace::TraceOptions::check rejects is a BadRequest before anything
+ * is built.
  */
 RunResult runOne(const RunRequest &r, const RunHooks &hooks = {});
 

@@ -1,5 +1,7 @@
 #include "campaign/spec.hh"
 
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -59,12 +61,39 @@ parseDouble(const std::string &s, double *out)
     return end == s.c_str() + s.size() && !s.empty();
 }
 
+/** Digits only (no sign, no space) and at most @p max. */
 bool
-parseUint(const std::string &s, std::uint64_t *out)
+parseUint(const std::string &s, std::uint64_t max, std::uint64_t *out)
 {
-    char *end = nullptr;
-    *out = std::strtoull(s.c_str(), &end, 10);
-    return end == s.c_str() + s.size() && !s.empty();
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+    return ec == std::errc() && ptr == end && *out <= max;
+}
+
+/** The unsigned keys, each with its field and largest value.
+ *  validateSpec bounds the machine knobs further, as runOne would. */
+struct UintKey
+{
+    const char *key;
+    unsigned CampaignSpec::*field;
+    std::uint64_t max;
+};
+
+constexpr UintKey uintKeys[] = {
+    {"cores", &CampaignSpec::cores, UINT_MAX},
+    {"ag-max-lines", &CampaignSpec::agMaxLines, UINT_MAX},
+    {"agb-slice-lines", &CampaignSpec::agbSliceLines, UINT_MAX},
+    {"timeout-ms", &CampaignSpec::timeoutMs, 86'400'000},
+    {"retries", &CampaignSpec::retries, 100},
+};
+
+const UintKey *
+findUintKey(const std::string &key)
+{
+    for (const UintKey &k : uintKeys)
+        if (key == k.key)
+            return &k;
+    return nullptr;
 }
 
 bool
@@ -141,11 +170,18 @@ validateSpec(const CampaignSpec &spec)
         return "no scales listed";
     if (spec.seeds.empty())
         return "no seeds listed";
+    // The engine names and the shared knobs (cores, AG/AGB sizes),
+    // checked as runOne will check them.
     for (const std::string &e : spec.engines) {
-        EngineKind kind;
-        ProtocolKind protocol;
-        if (!engineFromName(e, &kind, &protocol))
-            return "unknown engine: " + e;
+        RunRequest probe;
+        probe.engine = e;
+        probe.cores = spec.cores;
+        probe.agMaxLines = spec.agMaxLines;
+        probe.agbSliceLines = spec.agbSliceLines;
+        SystemConfig cfg;
+        std::string err;
+        if (!resolveConfig(probe, &cfg, &err))
+            return err;
     }
     for (const std::string &b : spec.benches)
         if (!findProfile(b))
@@ -157,8 +193,6 @@ validateSpec(const CampaignSpec &spec)
         if (!(f > 0.0 && f <= 1.0))
             return "crash fraction must be in (0, 1], got " +
                    formatDouble(f);
-    if (spec.cores == 0 || spec.cores > 64)
-        return "cores must be in [1, 64]";
     return "";
 }
 
@@ -213,7 +247,7 @@ parseSpecText(const std::string &text, CampaignSpec *out,
             spec.seeds.clear();
             for (const std::string &item : splitList(value)) {
                 std::uint64_t u;
-                if (!parseUint(item, &u))
+                if (!parseUint(item, UINT64_MAX, &u))
                     return failAt("bad seed \"" + item + "\"");
                 spec.seeds.push_back(u);
             }
@@ -228,26 +262,17 @@ parseSpecText(const std::string &text, CampaignSpec *out,
                     spec.crashFractions.push_back(d);
                 }
             }
-        } else if (key == "cores" || key == "ag-max-lines" ||
-                   key == "agb-slice-lines" || key == "timeout-ms" ||
-                   key == "retries") {
-            std::uint64_t u;
-            if (!parseUint(value, &u))
-                return failAt("bad number \"" + value + "\" for \"" +
-                              key + "\"");
-            if (key == "cores")
-                spec.cores = static_cast<unsigned>(u);
-            else if (key == "ag-max-lines")
-                spec.agMaxLines = static_cast<unsigned>(u);
-            else if (key == "agb-slice-lines")
-                spec.agbSliceLines = static_cast<unsigned>(u);
-            else if (key == "timeout-ms")
-                spec.timeoutMs = static_cast<unsigned>(u);
-            else
-                spec.retries = static_cast<unsigned>(u);
         } else if (key == "check") {
             if (!parseBool(value, &spec.check))
                 return failAt("bad boolean \"" + value + "\"");
+        } else if (const UintKey *k = findUintKey(key)) {
+            std::uint64_t u = 0;
+            if (!parseUint(value, k->max, &u))
+                return failAt("\"" + key +
+                              "\" expects an integer between 0 and " +
+                              std::to_string(k->max) + ", got \"" +
+                              value + "\"");
+            spec.*k->field = static_cast<unsigned>(u);
         } else {
             return failAt("unknown key \"" + key + "\"");
         }

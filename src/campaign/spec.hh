@@ -53,7 +53,7 @@ struct CampaignSpec
     unsigned agbSliceLines = 0;
     bool check = false;
     unsigned timeoutMs = 120000; ///< Per-cell wall-clock budget.
-    unsigned retries = 1;        ///< Extra attempts after timeout/crash.
+    unsigned retries = 1;        ///< Re-runs of a timed-out cell.
 
     /** Cells expand() will produce (product of the axis sizes). */
     std::size_t cellCount() const;
@@ -67,17 +67,18 @@ struct CampaignSpec
 std::vector<RunRequest> expand(const CampaignSpec &spec);
 
 /**
- * Check @p spec names only known engines/benchmarks and sane numeric
- * ranges.  Returns an empty string when valid, else the first
- * problem.
+ * Check @p spec names only known engines/benchmarks, positive scales,
+ * crash fractions in (0, 1], and knobs resolveConfig accepts for every
+ * engine.  Returns an empty string when valid, else the first problem.
  */
 std::string validateSpec(const CampaignSpec &spec);
 
 /**
  * Parse the key = value text format above into @p out (starting from
- * a default-constructed spec).  Returns false with a message in
- * @p err (including the line number) on malformed input.  Does not
- * validate names — call validateSpec() after.
+ * a default-constructed spec).  Numbers are decimal digits only, each
+ * within its field's range.  Returns false with a message in @p err
+ * (including the line number) on malformed input.  Does not validate
+ * names — call validateSpec() after.
  */
 bool parseSpecText(const std::string &text, CampaignSpec *out,
                    std::string *err);

@@ -78,39 +78,55 @@ isPow2(unsigned v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-void
-SystemConfig::validate() const
+bool
+SystemConfig::check(std::string *err) const
 {
+    const auto fail = [err](auto &&...parts) {
+        if (err)
+            *err = logFormat(parts...);
+        return false;
+    };
     if (numCores == 0 || numCores > 64)
-        tsoper_fatal("numCores must be in [1, 64], got ", numCores);
+        return fail("numCores must be in [1, 64], got ", numCores);
     if (!isPow2(privSets) || !isPow2(llcSets))
-        tsoper_fatal("cache set counts must be powers of two");
+        return fail("cache set counts must be powers of two");
     if (!isPow2(llcBanks) || !isPow2(nvmRanks))
-        tsoper_fatal("bank/rank counts must be powers of two");
+        return fail("bank/rank counts must be powers of two");
     if (privWays == 0 || privWays > 32 || llcWays == 0 || llcWays > 32)
-        tsoper_fatal("cache associativity must be in [1, 32]");
+        return fail("cache associativity must be in [1, 32]");
     if (storeBufferEntries == 0)
-        tsoper_fatal("store buffer must have at least one entry");
+        return fail("store buffer must have at least one entry");
     if (agMaxLines == 0)
-        tsoper_fatal("agMaxLines must be non-zero");
-    if (!agbUnbounded && agMaxLines > agbSliceLines * nvmRanks)
-        tsoper_fatal("an atomic group (", agMaxLines,
-                     " lines) cannot exceed total AGB capacity (",
-                     agbSliceLines * nvmRanks, " lines)");
+        return fail("agMaxLines must be non-zero");
+    const std::uint64_t agbLines =
+        std::uint64_t{agbSliceLines} * nvmRanks;
+    if (!agbUnbounded && agMaxLines > agbLines)
+        return fail("an atomic group (", agMaxLines,
+                    " lines) cannot exceed total AGB capacity (",
+                    agbLines, " lines)");
     if (meshCols * meshRows < numCores + llcBanks)
-        tsoper_fatal("mesh too small: need ", numCores + llcBanks,
-                     " nodes, have ", meshCols * meshRows);
+        return fail("mesh too small: need ", numCores + llcBanks,
+                    " nodes, have ", meshCols * meshRows);
     const bool needsSlc = engine == EngineKind::Tsoper ||
                           engine == EngineKind::Stw ||
                           engine == EngineKind::BspSlc ||
                           engine == EngineKind::BspSlcAgb ||
                           engine == EngineKind::HwRp;
     if (needsSlc && protocol != ProtocolKind::Slc)
-        tsoper_fatal(toString(engine), " requires the SLC protocol");
+        return fail(toString(engine), " requires the SLC protocol");
     if (engine == EngineKind::Bsp && protocol != ProtocolKind::Mesi)
-        tsoper_fatal("BSP persists through the LLC on MESI");
+        return fail("BSP persists through the LLC on MESI");
     if (mshrEntries == 0)
-        tsoper_fatal("a core needs at least one MSHR entry");
+        return fail("a core needs at least one MSHR entry");
+    return true;
+}
+
+void
+SystemConfig::validate() const
+{
+    std::string err;
+    if (!check(&err))
+        tsoper_fatal(err);
 }
 
 void

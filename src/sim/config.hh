@@ -122,7 +122,11 @@ struct SystemConfig
     bool recordStores = false;  ///< Keep the store log for crash checking.
     std::uint64_t seed = 1;
 
-    /** Throw (fatal) if the configuration is internally inconsistent. */
+    /** Is the configuration internally consistent?
+     *  @return false with the first problem in @p err. */
+    bool check(std::string *err) const;
+
+    /** Throw (fatal) with check()'s message if it fails. */
     void validate() const;
 
     /** Total AGB capacity in cachelines across all slices. */

@@ -346,6 +346,15 @@ TraceOptions::check(std::string *err) const
                    "' (valid: reorder)";
         return false;
     }
+    // The ring is allocated up front, one Record per slot.
+    constexpr unsigned maxDepth = 1u << 20;
+    if (flightRecorderDepth > maxDepth) {
+        if (err)
+            *err = "flight-recorder depth must be at most " +
+                   std::to_string(maxDepth) + " records, got " +
+                   std::to_string(flightRecorderDepth);
+        return false;
+    }
     return true;
 }
 

@@ -122,7 +122,9 @@ struct TraceOptions
     std::uint64_t faultSeed = 1;
     bool strictCoreFifo = false;
 
-    /** Are the user-typed values (categories, audit fault) known?
+    /** Are the user-typed values valid: known categories and audit
+     *  fault, and a flight-recorder depth of at most 2^20 records
+     *  (48 MiB of ring)?
      *  @return false with a message naming the valid set in @p err. */
     bool check(std::string *err) const;
 };

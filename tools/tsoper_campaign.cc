@@ -7,19 +7,14 @@
  *   tsoper_campaign --spec=nightly.spec --jobs=4 --verify-out
  *   tsoper_campaign --engines=tsoper,stw --benches=radix,dedup \
  *                   --scales=0.1 --seeds=1,2 --crash-at=0.5 --check
- *   tsoper_campaign --campaign=fig11 --isolate=subprocess
- *   tsoper_campaign --campaign=fig11 --resume=results/fig11
  *   tsoper_campaign --list-campaigns
  *   tsoper_campaign --campaign=fig12 --dry-run
  *
  * A campaign expands into the cartesian grid of run manifests, runs
- * them on --jobs threads (per-cell wall-clock budget, retry with
- * exponential backoff when another attempt can change the verdict),
- * and writes one JSON report with every cell's status and full
- * statistics (default: BENCH_campaign.json).  Every finished cell is
- * also appended durably to a write-ahead journal (journal.jsonl next
- * to the report) so an interrupted sweep can be continued with
- * --resume.
+ * them in-process on --jobs threads (per-cell wall-clock budget; a
+ * timed-out cell is re-run up to --retries times), and writes one JSON
+ * report with every cell's status and full statistics (default:
+ * BENCH_campaign.json).
  *
  * Options:
  *   --campaign=<name>      built-in campaign (see --list-campaigns)
@@ -34,21 +29,10 @@
  *   --name=<s>             campaign name in the report
  *   --jobs=<n>             job threads      (default: hardware)
  *   --timeout-ms=<n>       per-cell budget  (default: spec's, 120000;
- *                          in-process cells stop at the next 2M-event
- *                          chunk, subprocess cells are SIGKILLed)
- *   --retries=<n>          extra attempts   (default: spec's, 1)
- *   --backoff-ms=<n>       first retry delay, doubling per attempt
- *                          (default 250; 0 disables backoff)
- *   --isolate=<mode>       none (default) = run cells in-process;
- *                          subprocess = fork/exec tsoper_sim per
- *                          attempt (crash/rlimit containment)
- *   --sim-bin=<path>       tsoper_sim binary for --isolate=subprocess
- *                          (default: next to this executable)
- *   --mem-limit-mb=<n>     RLIMIT_AS per subprocess cell; 0 = none
+ *                          a cell stops at its next 2M-event chunk)
+ *   --retries=<n>          re-runs of a timed-out cell (default:
+ *                          spec's, 1)
  *   --out=<file>           report path      (default: BENCH_campaign.json)
- *   --resume=<dir>         reload <dir>/journal.jsonl and re-run only
- *                          the cells it does not already cover
- *   --no-journal           skip the write-ahead journal
  *   --verify-out           re-read the report and fail unless it
  *                          parses and has no failed cells
  *   --dry-run              print the expanded manifests and exit
@@ -57,10 +41,11 @@
  *
  * Exit codes:
  *   0  every cell ok            3  invalid spec / unknown campaign
- *   1  some cells not ok        4  report/journal I/O or verify failure
+ *   1  some cells not ok        4  report I/O or verify failure
  *   2  usage error
  */
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -69,7 +54,6 @@
 #include <vector>
 
 #include "campaign/builtin.hh"
-#include "campaign/journal.hh"
 #include "campaign/runner.hh"
 #include "campaign/spec.hh"
 #include "workload/generators.hh"
@@ -85,15 +69,8 @@ struct CliOptions
     std::string campaignName;
     std::string specFile;
     std::string out = "BENCH_campaign.json";
-    bool outTouched = false;
-    std::string resumeDir;
-    std::string isolate = "none";
-    std::string simBin;
-    unsigned memLimitMb = 0;
-    int backoffMs = -1; ///< -1 = keep RunnerOptions' default.
-    bool noJournal = false;
     unsigned jobs = 0;
-    int timeoutMs = -1; ///< -1 = take the spec's value.
+    long timeoutMs = -1; ///< -1 = take the spec's value.
     int retries = -1;
     bool verifyOut = false;
     bool dryRun = false;
@@ -110,11 +87,8 @@ usage(int code)
         "usage: tsoper_campaign (--campaign=NAME | --spec=FILE | matrix "
         "flags)\n"
         "                       [--jobs=N] [--timeout-ms=N] [--retries=N]\n"
-        "                       [--backoff-ms=N] [--isolate=none|subprocess]\n"
-        "                       [--sim-bin=PATH] [--mem-limit-mb=N]\n"
-        "                       [--out=FILE] [--resume=DIR] [--no-journal]\n"
-        "                       [--verify-out] [--dry-run] [--quiet]\n"
-        "                       [--list-campaigns]\n"
+        "                       [--out=FILE] [--verify-out] [--dry-run]\n"
+        "                       [--quiet] [--list-campaigns]\n"
         "matrix flags: --engines=a,b|all --benches=a,b|all --scales=f,..\n"
         "              --seeds=n,.. --crash-at=f,.. --check --cores=N\n"
         "              --ag-max-lines=N --agb-slice-lines=N --name=S\n");
@@ -208,36 +182,11 @@ parseCli(int argc, char **argv)
                 opt.specFile = val("--spec=");
             } else if (arg.rfind("--out=", 0) == 0) {
                 opt.out = val("--out=");
-                opt.outTouched = true;
-            } else if (arg.rfind("--resume=", 0) == 0) {
-                opt.resumeDir = val("--resume=");
-            } else if (arg.rfind("--isolate=", 0) == 0) {
-                opt.isolate = val("--isolate=");
-                if (opt.isolate != "none" &&
-                    opt.isolate != "subprocess") {
-                    std::fprintf(stderr,
-                                 "--isolate expects 'none' or "
-                                 "'subprocess', got '%s'\n",
-                                 opt.isolate.c_str());
-                    std::exit(2);
-                }
-            } else if (arg.rfind("--sim-bin=", 0) == 0) {
-                opt.simBin = val("--sim-bin=");
-            } else if (arg.rfind("--mem-limit-mb=", 0) == 0) {
-                opt.memLimitMb = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--mem-limit-mb="),
-                                      "--mem-limit-mb", 0, 1 << 20));
-            } else if (arg.rfind("--backoff-ms=", 0) == 0) {
-                opt.backoffMs = static_cast<int>(
-                    parseBoundedOrDie(val("--backoff-ms="),
-                                      "--backoff-ms", 0, 3'600'000));
-            } else if (arg == "--no-journal") {
-                opt.noJournal = true;
             } else if (arg.rfind("--jobs=", 0) == 0) {
                 opt.jobs = static_cast<unsigned>(parseBoundedOrDie(
                     val("--jobs="), "--jobs", 1, 1024));
             } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-                opt.timeoutMs = static_cast<int>(
+                opt.timeoutMs = static_cast<long>(
                     parseBoundedOrDie(val("--timeout-ms="),
                                       "--timeout-ms", 0, 86'400'000));
             } else if (arg.rfind("--retries=", 0) == 0) {
@@ -269,7 +218,8 @@ parseCli(int argc, char **argv)
             } else if (arg.rfind("--seeds=", 0) == 0) {
                 opt.matrix.seeds = parseListOrDie(
                     val("--seeds="), "seed", [](const std::string &s) {
-                        return std::uint64_t{std::stoull(s)};
+                        return std::uint64_t{
+                            parseBoundedOrDie(s, "--seeds", 0, ULONG_MAX)};
                     });
                 opt.matrixTouched = true;
             } else if (arg.rfind("--crash-at=", 0) == 0) {
@@ -282,15 +232,17 @@ parseCli(int argc, char **argv)
                 opt.matrixTouched = true;
             } else if (arg.rfind("--cores=", 0) == 0) {
                 opt.matrix.cores = static_cast<unsigned>(
-                    std::stoul(val("--cores=")));
+                    parseBoundedOrDie(val("--cores="), "--cores", 1, 64));
                 opt.matrixTouched = true;
             } else if (arg.rfind("--ag-max-lines=", 0) == 0) {
                 opt.matrix.agMaxLines = static_cast<unsigned>(
-                    std::stoul(val("--ag-max-lines=")));
+                    parseBoundedOrDie(val("--ag-max-lines="),
+                                      "--ag-max-lines", 0, UINT_MAX));
                 opt.matrixTouched = true;
             } else if (arg.rfind("--agb-slice-lines=", 0) == 0) {
                 opt.matrix.agbSliceLines = static_cast<unsigned>(
-                    std::stoul(val("--agb-slice-lines=")));
+                    parseBoundedOrDie(val("--agb-slice-lines="),
+                                      "--agb-slice-lines", 0, UINT_MAX));
                 opt.matrixTouched = true;
             } else if (arg.rfind("--name=", 0) == 0) {
                 opt.matrix.name = val("--name=");
@@ -369,60 +321,20 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // --resume=DIR means "continue the sweep living in DIR": the
-    // journal is loaded from there, and unless --out says otherwise
-    // the report lands there too.
-    const bool resuming = !opt.resumeDir.empty();
-    if (resuming && !opt.outTouched)
-        opt.out = opt.resumeDir + "/" + opt.out;
-
     RunnerOptions runner;
     runner.jobs = opt.jobs;
     runner.timeout = std::chrono::milliseconds(
-        opt.timeoutMs >= 0 ? opt.timeoutMs
-                           : static_cast<int>(spec.timeoutMs));
+        opt.timeoutMs >= 0 ? opt.timeoutMs : spec.timeoutMs);
     runner.retries = opt.retries >= 0
                          ? static_cast<unsigned>(opt.retries)
                          : spec.retries;
-    if (opt.backoffMs >= 0)
-        runner.backoffBaseMs = static_cast<unsigned>(opt.backoffMs);
-    if (opt.isolate == "subprocess") {
-        runner.isolation = Isolation::Subprocess;
-        runner.subprocess.simBinary = opt.simBin;
-        runner.subprocess.memLimitMb = opt.memLimitMb;
-    }
     if (!opt.quiet)
         runner.progress = &std::cerr;
-
-    JournalIndex resumeIndex;
-    if (resuming) {
-        const std::string jpath = opt.resumeDir + "/journal.jsonl";
-        std::string err;
-        std::string warn;
-        if (!loadJournal(jpath, &resumeIndex, &err, &warn)) {
-            std::fprintf(stderr, "cannot resume: %s\n", err.c_str());
-            return 4;
-        }
-        if (!warn.empty())
-            std::fprintf(stderr, "warning: %s\n", warn.c_str());
-        if (!resumeIndex.campaign.empty() &&
-            resumeIndex.campaign != spec.name) {
-            std::fprintf(stderr,
-                         "cannot resume: journal %s belongs to "
-                         "campaign '%s', not '%s'\n",
-                         jpath.c_str(), resumeIndex.campaign.c_str(),
-                         spec.name.c_str());
-            return 4;
-        }
-        runner.resumeFrom = &resumeIndex;
-    }
 
     {
         // Fail before the campaign runs, not after, if the report
         // path is unwritable.  Append mode leaves an existing report
-        // intact when a later step aborts.  This runs after the
-        // resume load so a bad --resume directory names the journal,
-        // not the report, in its error.
+        // intact when a later step aborts.
         std::ofstream probe(opt.out, std::ios::app);
         if (!probe) {
             std::fprintf(stderr, "cannot open for writing: %s\n",
@@ -431,32 +343,12 @@ main(int argc, char **argv)
         }
     }
 
-    CampaignJournal journal;
-    if (!opt.noJournal) {
-        const std::string jpath = journalPathFor(opt.out);
-        std::string err;
-        if (!journal.open(jpath, spec.name, /*truncate=*/!resuming,
-                          &err)) {
-            // A read-only results directory should not kill the sweep;
-            // it just loses resumability.
-            std::fprintf(stderr, "warning: %s; continuing without a "
-                                 "journal\n",
-                         err.c_str());
-        } else {
-            runner.journal = &journal;
-        }
-    }
-
-    std::printf("campaign %s: %zu cells on %u jobs%s\n",
-                spec.name.c_str(), cells.size(),
+    std::printf("campaign %s: %zu cells on %u jobs\n", spec.name.c_str(),
+                cells.size(),
                 runner.jobs ? runner.jobs
-                            : std::thread::hardware_concurrency(),
-                runner.isolation == Isolation::Subprocess
-                    ? " (subprocess isolation)"
-                    : "");
+                            : std::thread::hardware_concurrency());
 
     const CampaignReport report = runCampaign(spec.name, cells, runner);
-    journal.close();
 
     std::string err;
     if (!writeReportFile(report, opt.out, &err)) {

@@ -46,19 +46,15 @@
  *                          hang dumps
  *   --list-debug-flags     print the structured-trace categories,
  *                          then exit
- *   --result-json=<file>   write the full campaign::RunResult as JSON
- *                          (the subprocess executor's wire format)
- *   --selftest=<mode>      fault-injection hooks for the subprocess
- *                          executor's tests: "segv" raises SIGSEGV,
- *                          "hang" sleeps forever (until SIGKILL),
- *                          "gulp" allocates until the rlimit kills it
  *
- * Exit codes (stable; the campaign runner and scripts classify on
- * them — keep docs/campaigns.md in sync):
+ * Exit codes (stable; scripts classify on them — keep
+ * docs/campaigns.md in sync):
  *   0  success (with --check / --crash-at: the audit passed)
  *   1  consistency audit failed
  *   2  usage error (unknown option or malformed value, including an
- *      unknown trace category or audit fault)
+ *      unknown trace category or audit fault, a flight recorder over
+ *      2^20 records, and a knob out of SystemConfig's ranges, e.g.
+ *      --cores=65)
  *   3  unknown --engine
  *   4  unknown --bench
  *   5  invalid workload (bad trace file or failed validation)
@@ -67,17 +63,12 @@
  *      simulated-cycle budget ran out)
  */
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
-
-#include <unistd.h>
 
 #include "campaign/run_request.hh"
 #include "core/system.hh"
@@ -109,44 +100,11 @@ struct CliOptions
     std::string saveTrace;
     std::string statsOut;
     std::string statsJson;
-    std::string resultJson;
-    std::string selftest;
     bool stats = false;
     bool describe = false;
     bool listBenchmarks = false;
     bool listDebugFlags = false;
 };
-
-/**
- * Deliberate misbehaviour for the subprocess executor's ctest: a
- * SIGSEGV-ing, a hanging, and an over-rlimit child must all be
- * contained, classified, and reaped (docs/campaigns.md "Isolation
- * modes").
- */
-[[noreturn]] void
-runSelftest(const std::string &mode)
-{
-    if (mode == "segv") {
-        std::raise(SIGSEGV);
-    } else if (mode == "hang") {
-        for (;;)
-            ::pause(); // burn no CPU; die only by signal
-    } else if (mode == "gulp") {
-        // Allocate-and-touch until RLIMIT_AS stops us (bad_alloc ->
-        // std::terminate -> SIGABRT).  Hard 1 GiB cap so a run
-        // without an rlimit terminates instead of eating the host.
-        std::vector<std::unique_ptr<char[]>> hoard;
-        constexpr std::size_t chunk = 16u << 20;
-        for (std::size_t total = 0; total < (1u << 30); total += chunk) {
-            hoard.push_back(std::make_unique<char[]>(chunk));
-            for (std::size_t i = 0; i < chunk; i += 4096)
-                hoard.back()[i] = 1;
-        }
-        std::exit(ExitOk);
-    }
-    std::fprintf(stderr, "unknown --selftest mode: %s\n", mode.c_str());
-    std::exit(ExitUsage);
-}
 
 [[noreturn]] void
 usage(int code)
@@ -155,8 +113,7 @@ usage(int code)
                 "[--scale=F] [--seed=N]\n"
                 "                  [--cores=N] [--crash-at=C] "
                 "[--check] [--stats] [--stats-out=F]\n"
-                "                  [--stats-json=F] [--result-json=F] "
-                "[--max-cycles=N]\n"
+                "                  [--stats-json=F] [--max-cycles=N]\n"
                 "                  [--trace-out=F] [--trace-categories=C] "
                 "[--audit-persists]\n"
                 "                  [--audit-fault=reorder] "
@@ -201,10 +158,6 @@ parseCli(int argc, char **argv)
                 opt.statsOut = val("--stats-out=");
             else if (arg.rfind("--stats-json=", 0) == 0)
                 opt.statsJson = val("--stats-json=");
-            else if (arg.rfind("--result-json=", 0) == 0)
-                opt.resultJson = val("--result-json=");
-            else if (arg.rfind("--selftest=", 0) == 0)
-                opt.selftest = val("--selftest=");
             else if (arg.rfind("--max-cycles=", 0) == 0)
                 opt.run.maxCycles = std::stoull(val("--max-cycles="));
             else if (arg.rfind("--scale=", 0) == 0)
@@ -253,9 +206,6 @@ main(int argc, char **argv)
 {
     CliOptions opt = parseCli(argc, argv);
 
-    if (!opt.selftest.empty())
-        runSelftest(opt.selftest);
-
     if (opt.listBenchmarks) {
         for (const Profile &p : allProfiles())
             std::printf("%-14s ops/core=%-6u write=%.2f shared=%.2f "
@@ -274,23 +224,29 @@ main(int argc, char **argv)
         return ExitOk;
     }
 
-    // An unknown trace category or audit fault is a usage error,
-    // caught before anything is built.
+    // A bad trace value is a usage error, caught before anything is
+    // built.
     std::string err;
     trace::TraceOptions traceValues;
     traceValues.categories = opt.run.traceCategories;
     traceValues.auditFault = opt.run.auditFault;
+    traceValues.flightRecorderDepth = opt.run.flightRecorder;
     if (!traceValues.check(&err)) {
         std::fprintf(stderr, "%s\n", err.c_str());
         return ExitUsage;
     }
 
-    // Resolve the engine up front: --describe and --save-trace need
-    // the config before any run, and unknown names must exit 3.
+    // Resolve the config up front: --describe and --save-trace need it
+    // before any run.  An unknown engine exits 3, a knob out of range
+    // is a usage error.
     SystemConfig cfg;
     if (!campaign::resolveConfig(opt.run, &cfg, &err)) {
         std::fprintf(stderr, "%s\n", err.c_str());
-        return ExitUnknownEngine;
+        EngineKind engine{};
+        ProtocolKind protocol{};
+        return engineFromName(opt.run.engine, &engine, &protocol)
+                   ? ExitUsage
+                   : ExitUnknownEngine;
     }
     if (opt.run.traceFile.empty() && !findProfile(opt.run.bench)) {
         std::fprintf(stderr, "unknown benchmark: %s\n",
@@ -342,19 +298,6 @@ main(int argc, char **argv)
     };
 
     const campaign::RunResult res = campaign::runOne(opt.run, hooks);
-
-    // The subprocess executor's wire format: write it for every
-    // verdict runOne can produce, so the parent recovers the detail
-    // and stats even for failed cells.
-    if (!opt.resultJson.empty()) {
-        std::ofstream os(opt.resultJson);
-        os << campaign::runResultToJson(res).dump(2) << "\n";
-        if (!os.flush()) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opt.resultJson.c_str());
-            return ExitUsage;
-        }
-    }
 
     switch (res.status) {
       case campaign::RunStatus::BadRequest:
