@@ -191,7 +191,11 @@ runOne(const RunRequest &r, const RunHooks &hooks)
         if (r.crashAt > 0.0) {
             Cycle crashCycle = static_cast<Cycle>(r.crashAt);
             if (r.crashAt <= 1.0) {
-                System timing(cfg, w);
+                // The timing run yields only its finish cycle; store
+                // recording does not change timing, so it is off here.
+                SystemConfig timingCfg = cfg;
+                timingCfg.recordStores = false;
+                System timing(timingCfg, w);
                 const Cycle full = timing.run(r.maxCycles, hooks.deadline);
                 crashCycle = static_cast<Cycle>(
                     static_cast<double>(full) * r.crashAt);

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -53,23 +54,6 @@ splitList(const std::string &s)
     return items;
 }
 
-bool
-parseDouble(const std::string &s, double *out)
-{
-    char *end = nullptr;
-    *out = std::strtod(s.c_str(), &end);
-    return end == s.c_str() + s.size() && !s.empty();
-}
-
-/** Digits only (no sign, no space) and at most @p max. */
-bool
-parseUint(const std::string &s, std::uint64_t max, std::uint64_t *out)
-{
-    const char *end = s.data() + s.size();
-    const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
-    return ec == std::errc() && ptr == end && *out <= max;
-}
-
 /** The unsigned keys, each with its field and largest value.
  *  validateSpec bounds the machine knobs further, as runOne would. */
 struct UintKey
@@ -111,6 +95,22 @@ parseBool(const std::string &s, bool *out)
 }
 
 } // namespace
+
+bool
+parseUint(const std::string &s, std::uint64_t max, std::uint64_t *out)
+{
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+    return ec == std::errc() && ptr == end && *out <= max;
+}
+
+bool
+parseFiniteDouble(const std::string &s, double *out)
+{
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+    return ec == std::errc() && ptr == end && std::isfinite(*out);
+}
 
 std::size_t
 CampaignSpec::cellCount() const
@@ -187,8 +187,9 @@ validateSpec(const CampaignSpec &spec)
         if (!findProfile(b))
             return "unknown benchmark: " + b;
     for (double s : spec.scales)
-        if (!(s > 0.0))
-            return "scale must be positive, got " + formatDouble(s);
+        if (!(s > 0.0 && std::isfinite(s)))
+            return "scale must be positive and finite, got " +
+                   formatDouble(s);
     for (double f : spec.crashFractions)
         if (!(f > 0.0 && f <= 1.0))
             return "crash fraction must be in (0, 1], got " +
@@ -239,7 +240,7 @@ parseSpecText(const std::string &text, CampaignSpec *out,
             spec.scales.clear();
             for (const std::string &item : splitList(value)) {
                 double d;
-                if (!parseDouble(item, &d))
+                if (!parseFiniteDouble(item, &d))
                     return failAt("bad scale \"" + item + "\"");
                 spec.scales.push_back(d);
             }
@@ -256,7 +257,7 @@ parseSpecText(const std::string &text, CampaignSpec *out,
             if (value != "none") {
                 for (const std::string &item : splitList(value)) {
                     double d;
-                    if (!parseDouble(item, &d))
+                    if (!parseFiniteDouble(item, &d))
                         return failAt("bad crash fraction \"" + item +
                                       "\"");
                     spec.crashFractions.push_back(d);

@@ -67,11 +67,21 @@ struct CampaignSpec
 std::vector<RunRequest> expand(const CampaignSpec &spec);
 
 /**
- * Check @p spec names only known engines/benchmarks, positive scales,
- * crash fractions in (0, 1], and knobs resolveConfig accepts for every
- * engine.  Returns an empty string when valid, else the first problem.
+ * Check @p spec names only known engines/benchmarks, positive finite
+ * scales, crash fractions in (0, 1], and knobs resolveConfig accepts
+ * for every engine.  Returns an empty string when valid, else the
+ * first problem.
  */
 std::string validateSpec(const CampaignSpec &spec);
+
+/**
+ * Strict number syntax for spec values and both CLIs' flags: decimal
+ * digits only (no sign, space or suffix), at most @p max.
+ */
+bool parseUint(const std::string &s, std::uint64_t max, std::uint64_t *out);
+
+/** A number spanning all of @p s (std::from_chars) that is finite. */
+bool parseFiniteDouble(const std::string &s, double *out);
 
 /**
  * Parse the key = value text format above into @p out (starting from

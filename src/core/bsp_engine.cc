@@ -31,6 +31,19 @@ BspEngine::BspEngine(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh,
                   "only BSP+SLC+AGB uses the AGB");
 }
 
+BspEngine::~BspEngine()
+{
+    // A waiting epoch holds its dep and the dep holds it back (deps,
+    // dependents) until the dep persists.  Every unpersisted epoch is
+    // still queued in epochs_.
+    for (const auto &q : epochs_) {
+        for (const EpochPtr &e : q) {
+            e->deps.clear();
+            e->dependents.clear();
+        }
+    }
+}
+
 BspEngine::Epoch &
 BspEngine::openEpoch(CoreId core)
 {

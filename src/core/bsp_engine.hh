@@ -55,6 +55,10 @@ class BspEngine : public PersistEngine
               Llc &llc, Nvm &nvm, MesiProtocol *mesi, SlcProtocol *slc,
               Agb *agb, StatsRegistry &stats, Mode mode);
 
+    /** Breaks the deps/dependents cycles a run stopped mid-flight (a
+     *  crash) leaves between waiting epochs, so they are freed. */
+    ~BspEngine() override;
+
     // --- ProtocolHooks -------------------------------------------------
     Cycle onDirtyExpose(CoreId owner, LineAddr line, CoreId requester,
                         bool forWrite, Cycle now) override;

@@ -1,6 +1,7 @@
 #include "core/crash_checker.hh"
 
 #include <deque>
+#include <span>
 #include <sstream>
 #include <unordered_set>
 #include <vector>
@@ -74,7 +75,7 @@ checkDurableState(const std::unordered_map<LineAddr, LineWords> &durable,
     };
 
     auto expandChain = [&](Addr addr, std::uint32_t upToIndex) {
-        const auto &chain = log.wordChain(addr);
+        const std::span<const StoreId> chain = log.wordChain(addr);
         auto &prefix = chainPrefix[addr >> wordShift];
         while (prefix < upToIndex && prefix < chain.size())
             addStore(chain[prefix++]);
@@ -132,7 +133,7 @@ checkDurableState(const std::unordered_map<LineAddr, LineWords> &durable,
             expandCorePrefix(core, first);
         }
         expandChain(rec->addr, rec->wordChainIndex);
-        for (StoreId rf : rec->rfPreds)
+        for (StoreId rf : log.rfPreds(*rec))
             addStore(rf);
     }
     result.requiredStores = required.size();

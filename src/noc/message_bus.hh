@@ -27,6 +27,8 @@
 #ifndef TSOPER_NOC_MESSAGE_BUS_HH
 #define TSOPER_NOC_MESSAGE_BUS_HH
 
+#include <utility>
+
 #include "noc/mesh.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
@@ -37,21 +39,29 @@ namespace tsoper
 class MessageBus
 {
   public:
-    MessageBus(EventQueue &eq, Mesh &mesh);
+    MessageBus(EventQueue &eq, Mesh &mesh) : eq_(eq), mesh_(mesh) {}
 
     /**
      * Timestamped message: route @p bytes from tile @p src to tile
      * @p dst departing at @p depart (>= now), and run @p fn at the
-     * delivery cycle.  @return the delivery cycle.
+     * delivery cycle.  @p fn is forwarded to EventQueue::schedule, so
+     * it is built once, in its event slot.  @return the delivery cycle.
      */
-    Cycle send(int src, int dst, unsigned bytes, Cycle depart,
-               EventQueue::Callback fn);
+    template <typename F>
+    Cycle
+    send(int src, int dst, unsigned bytes, Cycle depart, F &&fn)
+    {
+        const Cycle at = mesh_.route(src, dst, bytes, depart);
+        eq_.schedule(at, std::forward<F>(fn));
+        return at;
+    }
 
     /** send() departing immediately. */
+    template <typename F>
     Cycle
-    send(int src, int dst, unsigned bytes, EventQueue::Callback fn)
+    send(int src, int dst, unsigned bytes, F &&fn)
     {
-        return send(src, dst, bytes, eq_.now(), std::move(fn));
+        return send(src, dst, bytes, eq_.now(), std::forward<F>(fn));
     }
 
     /**

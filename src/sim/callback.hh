@@ -62,7 +62,7 @@ class InlineFunction<R(Args...), Capacity>
                       "over-aligned capture in InlineFunction");
         static_assert(std::is_nothrow_move_constructible_v<D>,
                       "InlineFunction requires nothrow-movable "
-                      "callables (events relocate between buckets)");
+                      "callables (waiters relocate between lists)");
         ::new (static_cast<void *>(storage_)) D(std::forward<F>(fn));
         ops_ = &OpsImpl<D>::ops;
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
 
 #include "sim/log.hh"
 
@@ -11,29 +10,64 @@ namespace tsoper
 
 EventQueue::EventQueue() : wheel_(wheelSize) {}
 
-void
-EventQueue::schedule(Cycle when, Callback fn)
+EventQueue::~EventQueue()
 {
-    tsoper_assert(when >= now_, "scheduling into the past: when=", when,
-                  " now=", now_);
+    for (const Bucket &b : wheel_)
+        for (SlotId s = b.head; s != noSlot; s = slotAt(s).next)
+            slotAt(s).fn().~Callback();
+    for (const FarEvent &ev : far_)
+        slotAt(ev.slot).fn().~Callback();
+}
+
+void
+EventQueue::addChunk()
+{
+    const auto first = static_cast<SlotId>(chunks_.size() * chunkSlots);
+    tsoper_assert(first <= noSlot - chunkSlots, "event slots exhausted");
+    chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(chunkSlots));
+    // Lowest index on top, so slots are handed out in address order.
+    for (SlotId i = chunkSlots; i-- > 0;)
+        releaseSlot(first + i);
+}
+
+void
+EventQueue::pastPanic(Cycle when) const
+{
+    tsoper_panic("scheduling into the past: when=", when, " now=", now_);
+}
+
+void
+EventQueue::enqueue(Cycle when, SlotId s)
+{
     const std::uint64_t seq = nextSeq_++;
     ++size_;
     // now_ == wheelBase_ between events, so when - wheelBase_ cannot
     // underflow and the window test needs no overflow-prone addition.
     if (when - wheelBase_ < wheelSize) {
-        Bucket &b = bucketOf(when);
-        b.events.push_back(std::move(fn));
-        markOccupied(when);
-        ++wheelCount_;
         // Within one bucket, append order is seq order: direct
         // schedules are monotonic, and heap migration (see
         // migrateFar) only ever fills buckets before any direct
         // schedule can target their cycle.
-        (void)seq;
+        append(when, s);
     } else {
-        far_.push_back(FarEvent{when, seq, std::move(fn)});
+        far_.push_back(FarEvent{when, seq, s});
         std::push_heap(far_.begin(), far_.end(), FarLater{});
     }
+}
+
+void
+EventQueue::append(Cycle when, SlotId s)
+{
+    Bucket &b = bucketOf(when);
+    slotAt(s).next = noSlot;
+    if (b.tail == noSlot) {
+        b.head = s;
+        markOccupied(when);
+    } else {
+        slotAt(b.tail).next = s;
+    }
+    b.tail = s;
+    ++wheelCount_;
 }
 
 void
@@ -41,12 +75,9 @@ EventQueue::migrateFar()
 {
     while (!far_.empty() && far_.front().when - wheelBase_ < wheelSize) {
         std::pop_heap(far_.begin(), far_.end(), FarLater{});
-        FarEvent ev = std::move(far_.back());
+        const FarEvent ev = far_.back();
         far_.pop_back();
-        Bucket &b = bucketOf(ev.when);
-        b.events.push_back(std::move(ev.fn));
-        markOccupied(ev.when);
-        ++wheelCount_;
+        append(ev.when, ev.slot);
     }
 }
 
@@ -95,19 +126,32 @@ EventQueue::execNextAt(Cycle when)
     }
     now_ = when;
     Bucket &b = bucketOf(when);
-    Callback fn = std::move(b.events[b.head]);
-    ++b.head;
-    --wheelCount_;
-    --size_;
-    if (b.head == b.events.size()) {
-        // Keep the vector's capacity: this slot will host another
-        // cycle wheelSize cycles from now.
-        b.events.clear();
-        b.head = 0;
+    const SlotId s = b.head;
+    Slot &slot = slotAt(s);
+    b.head = slot.next;
+    if (b.head == noSlot) {
+        b.tail = noSlot;
         clearOccupied(when);
     }
+    --wheelCount_;
+    --size_;
     ++executed_;
-    fn();
+    // Run the callback where it lies.  Its slot stays off the free list
+    // until it has returned (or thrown) and been destroyed, so events
+    // it schedules take other slots; chunks never move, so @c slot
+    // stays valid while they are added.
+    struct Retire
+    {
+        EventQueue &eq;
+        SlotId s;
+        Slot &slot;
+        ~Retire()
+        {
+            slot.fn().~Callback();
+            eq.releaseSlot(s);
+        }
+    } retire{*this, s, slot};
+    slot.fn()();
 }
 
 bool

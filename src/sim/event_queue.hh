@@ -24,18 +24,30 @@
  *    by (cycle, seq) and migrate into the wheel when time advances far
  *    enough.  Migration happens before any new event can be scheduled
  *    into the uncovered range, so per-bucket FIFO order still equals
- *    global sequence order (test: TieOrderAcrossWheelWrap).
+ *    global sequence order (test: TieOrderAcrossWheelWrapAndMigration).
  *
- * Callbacks are InlineCallback (sim/callback.hh): fixed in-place
- * storage, so schedule() never touches the allocator.
+ * Callbacks are InlineCallback (sim/callback.hh) and never move once
+ * scheduled: schedule() builds the callable straight into a slot of
+ * chunked, address-stable storage (free slots on a LIFO list, so the
+ * most recently run slot, still in cache, is reused first), a bucket
+ * is a FIFO of slot indexes linked through the slots (head and tail),
+ * the far heap holds plain (cycle, seq, slot) triples, and the event
+ * runs in its slot, which is then destroyed and freed, also when the
+ * callback throws.  Scheduling never touches the allocator once the
+ * slots cover the peak number of pending events.
  */
 
 #ifndef TSOPER_SIM_EVENT_QUEUE_HH
 #define TSOPER_SIM_EVENT_QUEUE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hh"
@@ -54,14 +66,39 @@ class EventQueue
 
     EventQueue();
 
-    /** Schedule @p fn to run at absolute cycle @p when (>= now()). */
-    void schedule(Cycle when, Callback fn);
+    /** Destroys every pending callback. */
+    ~EventQueue();
+
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+
+    /**
+     * Schedule @p fn to run at absolute cycle @p when (>= now()).  The
+     * Callback is constructed from @p fn in its slot, so a lambda is
+     * built there once and never relocated.
+     */
+    template <typename F>
+    void
+    schedule(Cycle when, F &&fn)
+    {
+        static_assert(
+            std::is_nothrow_constructible_v<std::decay_t<F>, F &&>,
+            "a scheduled callable must be built without throwing, so a "
+            "slot is never left half-made");
+        if (when < now_)
+            pastPanic(when);
+        const SlotId s = acquireSlot();
+        ::new (static_cast<void *>(slotAt(s).storage))
+            Callback(std::forward<F>(fn));
+        enqueue(when, s);
+    }
 
     /** Schedule @p fn to run @p delta cycles from now. */
+    template <typename F>
     void
-    scheduleIn(Cycle delta, Callback fn)
+    scheduleIn(Cycle delta, F &&fn)
     {
-        schedule(now_ + delta, std::move(fn));
+        schedule(now_ + delta, std::forward<F>(fn));
     }
 
     /** Execute the next event, advancing time. @return false if empty. */
@@ -102,20 +139,38 @@ class EventQueue
     static constexpr std::size_t wheelMask_ = wheelSize - 1;
     static constexpr std::size_t bitmapWords_ = wheelSize / 64;
 
-    /** One wheel slot: the FIFO of events for a single cycle.  head_
-     *  indexes the next event so pops don't shift the vector; the
-     *  vector's capacity is retained across cycles. */
+    using SlotId = std::uint32_t;
+    static constexpr SlotId noSlot = ~SlotId{0};
+    /** Slots per chunk; chunks never move, so neither do callbacks. */
+    static constexpr SlotId chunkSlots = 256;
+
+    /** Storage for one pending callback.  @c next links the slot into
+     *  its bucket's FIFO, or into the free list. */
+    struct Slot
+    {
+        alignas(Callback) std::byte storage[sizeof(Callback)];
+        SlotId next;
+
+        Callback &
+        fn()
+        {
+            return *std::launder(reinterpret_cast<Callback *>(storage));
+        }
+    };
+
+    /** One wheel bucket: the FIFO of events for a single cycle,
+     *  linked through Slot::next. */
     struct Bucket
     {
-        std::vector<Callback> events;
-        std::size_t head = 0;
+        SlotId head = noSlot;
+        SlotId tail = noSlot;
     };
 
     struct FarEvent
     {
         Cycle when;
         std::uint64_t seq;
-        Callback fn;
+        SlotId slot;
     };
 
     /** Min-heap order for the far-future heap (std::push_heap builds a
@@ -130,6 +185,40 @@ class EventQueue
             return a.seq > b.seq;
         }
     };
+
+    Slot &
+    slotAt(SlotId s)
+    {
+        return chunks_[s / chunkSlots][s % chunkSlots];
+    }
+
+    SlotId
+    acquireSlot()
+    {
+        if (free_ == noSlot)
+            addChunk();
+        const SlotId s = free_;
+        free_ = slotAt(s).next;
+        return s;
+    }
+
+    void
+    releaseSlot(SlotId s)
+    {
+        slotAt(s).next = free_;
+        free_ = s;
+    }
+
+    /** Thread a new chunk of slots onto the (empty) free list. */
+    void addChunk();
+
+    [[noreturn]] void pastPanic(Cycle when) const;
+
+    /** File the constructed callback in slot @p s under cycle @p when. */
+    void enqueue(Cycle when, SlotId s);
+
+    /** Append slot @p s to the bucket for @p when. */
+    void append(Cycle when, SlotId s);
 
     /** Cycle of the next event, or maxCycle_ + nothing: returns false
      *  when the queue is empty. */
@@ -159,6 +248,8 @@ class EventQueue
         occupied_[i >> 6] &= ~(1ull << (i & 63));
     }
 
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
+    SlotId free_ = noSlot; ///< LIFO free list through Slot::next.
     std::vector<Bucket> wheel_;
     std::array<std::uint64_t, bitmapWords_> occupied_{};
     std::vector<FarEvent> far_; ///< Heap ordered by FarLater.

@@ -31,6 +31,9 @@ class Fifo
         slots_[(head_ + size_++) & (slots_.size() - 1)] = std::move(item);
     }
 
+    /** The oldest item (the queue is not empty). */
+    const T &front() const { return slots_[head_]; }
+
     /** Remove and return the oldest item (the queue is not empty). */
     T
     pop()

@@ -1,17 +1,17 @@
 #include "sim/store_log.hh"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "sim/log.hh"
 
 namespace tsoper
 {
 
-const std::vector<StoreId> StoreLog::emptyChain_;
-
 StoreLog::StoreLog(unsigned numCores)
-    : perCoreStores_(numCores, 0), perCoreSfr_(numCores, 0),
-      pendingRf_(numCores)
+    : records_(numCores), perCoreSfr_(numCores, 0), pendingRf_(numCores),
+      staged_(numCores)
 {
 }
 
@@ -37,10 +37,12 @@ StoreLog::storeIssued(CoreId core, StoreId id)
         return;
     const auto c = static_cast<unsigned>(core);
     auto &pending = pendingRf_[c];
-    if (!pending.empty()) {
-        staged_[id] = std::move(pending);
-        pending.clear();
-    }
+    if (pending.empty())
+        return;
+    staged_[c].push(Staged{id, static_cast<std::uint32_t>(rfPool_.size()),
+                           static_cast<std::uint32_t>(pending.size())});
+    rfPool_.insert(rfPool_.end(), pending.begin(), pending.end());
+    pending.clear();
 }
 
 void
@@ -49,22 +51,20 @@ StoreLog::storeCommitted(CoreId core, Addr addr, StoreId id)
     if (!enabled_)
         return;
     const auto c = static_cast<unsigned>(core);
-    tsoper_assert(storeSeq(id) == perCoreStores_[c],
+    auto &records = records_[c];
+    tsoper_assert(storeSeq(id) == records.size(),
                   "store ids must be committed in program order");
-    ++perCoreStores_[c];
-    ++total_;
-    Record rec;
+    Record &rec = records.emplace_back();
     rec.id = id;
     rec.addr = addr;
     rec.sfrIndex = perCoreSfr_[c];
-    auto &chain = chains_[wordAddr(addr)];
-    rec.wordChainIndex = static_cast<std::uint32_t>(chain.size());
-    chain.push_back(id);
-    if (auto it = staged_.find(id); it != staged_.end()) {
-        rec.rfPreds = std::move(it->second);
-        staged_.erase(it);
+    auto &staged = staged_[c];
+    if (!staged.empty() && staged.front().id == id) {
+        const Staged s = staged.pop();
+        rec.rfBegin = s.begin;
+        rec.rfCount = s.count;
     }
-    records_.emplace(id, std::move(rec));
+    commitOrder_.push_back(id);
 }
 
 void
@@ -75,24 +75,87 @@ StoreLog::sfrBoundary(CoreId core)
     ++perCoreSfr_[static_cast<unsigned>(core)];
 }
 
+StoreLog::Record &
+StoreLog::recordOf(StoreId id) const
+{
+    return records_[static_cast<unsigned>(storeCore(id))][storeSeq(id)];
+}
+
+StoreLog::WordSlot &
+StoreLog::wordSlot(Addr word) const
+{
+    // Fibonacci hashing into a table at most half full; linear probe.
+    const std::size_t mask = words_.size() - 1;
+    const int shift = 64 - std::countr_zero(words_.size());
+    std::size_t i = static_cast<std::size_t>(
+                        (word * 0x9e3779b97f4a7c15ull) >> shift) &
+                    mask;
+    while (words_[i].chain != noChain && words_[i].word != word)
+        i = (i + 1) & mask;
+    return words_[i];
+}
+
+void
+StoreLog::buildIndex() const
+{
+    // Count per word, numbering each store within its word on the way
+    // (commit order is coherence order), then lay every chain out in
+    // one array.
+    const std::size_t n = commitOrder_.size();
+    tsoper_assert(n < noChain, "store log exceeds 2^32 stores");
+    words_.assign(std::bit_ceil(std::max<std::size_t>(2 * n, 2)),
+                  WordSlot{});
+    chainBegin_.clear();
+    for (StoreId id : commitOrder_) {
+        Record &rec = recordOf(id);
+        WordSlot &slot = wordSlot(wordAddr(rec.addr));
+        if (slot.chain == noChain) {
+            slot.word = wordAddr(rec.addr);
+            slot.chain = static_cast<std::uint32_t>(chainBegin_.size());
+            chainBegin_.push_back(0);
+        }
+        rec.wordChainIndex = chainBegin_[slot.chain]++;
+    }
+    std::uint32_t begin = 0;
+    for (std::uint32_t &b : chainBegin_)
+        begin += std::exchange(b, begin);
+    chainBegin_.push_back(begin);
+    chains_.resize(n);
+    for (StoreId id : commitOrder_) {
+        const Record &rec = recordOf(id);
+        chains_[chainBegin_[wordSlot(wordAddr(rec.addr)).chain] +
+                rec.wordChainIndex] = id;
+    }
+    indexed_ = n;
+}
+
 const StoreLog::Record *
 StoreLog::find(StoreId id) const
 {
-    auto it = records_.find(id);
-    return it == records_.end() ? nullptr : &it->second;
+    const auto c = static_cast<std::size_t>(storeCore(id));
+    if (c >= records_.size() || storeSeq(id) >= records_[c].size())
+        return nullptr;
+    ensureIndex();
+    return &recordOf(id);
 }
 
-const std::vector<StoreId> &
+std::span<const StoreId>
 StoreLog::wordChain(Addr addr) const
 {
-    auto it = chains_.find(wordAddr(addr));
-    return it == chains_.end() ? emptyChain_ : it->second;
+    if (commitOrder_.empty())
+        return {};
+    ensureIndex();
+    const WordSlot &slot = wordSlot(wordAddr(addr));
+    if (slot.chain == noChain)
+        return {};
+    const std::uint32_t begin = chainBegin_[slot.chain];
+    return {chains_.data() + begin, chainBegin_[slot.chain + 1] - begin};
 }
 
 std::uint64_t
 StoreLog::storesOf(CoreId core) const
 {
-    return perCoreStores_[static_cast<unsigned>(core)];
+    return records_[static_cast<unsigned>(core)].size();
 }
 
 } // namespace tsoper

@@ -11,17 +11,24 @@
  *     persist before it under strict persistency;
  *   - per-core SFR indices (for checking HW-RP's relaxed model).
  *
- * Recording is optional (SystemConfig::recordStores); benches run with
- * it off.
+ * Recording is optional (SystemConfig::recordStores) and on in every
+ * checked run, crash-audit's cells included, so it allocates nothing
+ * per store: records sit in one array per core indexed by sequence
+ * number (stores commit in program order), reads-from predecessors in
+ * one flat pool, and each commit appends its id to one commit-order
+ * array.  The per-word chains are not kept while the machine runs; the
+ * first query after a commit builds them from the commit-order array
+ * into flat arrays (docs/perf.md, "Recording stores").
  */
 
 #ifndef TSOPER_SIM_STORE_LOG_HH
 #define TSOPER_SIM_STORE_LOG_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
+#include "sim/fifo.hh"
 #include "sim/types.hh"
 
 namespace tsoper
@@ -36,9 +43,8 @@ class StoreLog
         Addr addr = 0;
         std::uint32_t wordChainIndex = 0; ///< Position in the word chain.
         std::uint32_t sfrIndex = 0;       ///< Core's SFR at commit time.
-        /** Remote stores observed by loads program-ordered before this
-         *  store (reads-from predecessors). */
-        std::vector<StoreId> rfPreds;
+        std::uint32_t rfBegin = 0; ///< First rf predecessor in the pool.
+        std::uint32_t rfCount = 0;
     };
 
     explicit StoreLog(unsigned numCores);
@@ -66,31 +72,83 @@ class StoreLog
     void sfrBoundary(CoreId core);
 
     // --- Checker access ------------------------------------------------
+    // The first query after a commit builds the word-chain index, which
+    // also fills each record's wordChainIndex.  The index is a cache
+    // behind const accessors: a log is read by the thread that runs its
+    // System.
 
     const Record *find(StoreId id) const;
 
+    /** Remote stores observed by loads program-ordered before @p rec
+     *  (its reads-from predecessors), in observation order. */
+    std::span<const StoreId>
+    rfPreds(const Record &rec) const
+    {
+        return {rfPool_.data() + rec.rfBegin, rec.rfCount};
+    }
+
     /** Total order of stores to the word containing @p addr. */
-    const std::vector<StoreId> &wordChain(Addr addr) const;
+    std::span<const StoreId> wordChain(Addr addr) const;
 
     /** Per-core store count (program-order sequence length). */
     std::uint64_t storesOf(CoreId core) const;
 
-    std::uint64_t totalStores() const { return total_; }
+    std::uint64_t totalStores() const { return commitOrder_.size(); }
 
   private:
+    /** rf predecessors staged at issue: a pool range, consumed when
+     *  store @c id commits. */
+    struct Staged
+    {
+        StoreId id;
+        std::uint32_t begin;
+        std::uint32_t count;
+    };
+
+    /** One open-addressing slot of the word table. */
+    struct WordSlot
+    {
+        Addr word = 0;
+        std::uint32_t chain = noChain; ///< Dense word number.
+    };
+
+    static constexpr std::uint32_t noChain = ~0u;
+
     static Addr wordAddr(Addr a) { return a >> wordShift; }
 
+    /** Build the word chains when commits arrived since the last build. */
+    void
+    ensureIndex() const
+    {
+        if (indexed_ != commitOrder_.size())
+            buildIndex();
+    }
+
+    void buildIndex() const;
+
+    /** The table slot holding @p word, or the empty slot it would take. */
+    WordSlot &wordSlot(Addr word) const;
+
+    Record &recordOf(StoreId id) const;
+
     bool enabled_ = true;
-    std::uint64_t total_ = 0;
-    std::unordered_map<StoreId, Record> records_;
-    std::unordered_map<Addr, std::vector<StoreId>> chains_;
-    std::vector<std::uint64_t> perCoreStores_;
+    /** Per core, indexed by sequence number.  Mutable: the index build
+     *  fills wordChainIndex. */
+    mutable std::vector<std::vector<Record>> records_;
+    std::vector<StoreId> commitOrder_;
+    std::vector<StoreId> rfPool_;
     std::vector<std::uint32_t> perCoreSfr_;
     /** Stores observed by loads since each core's last issued store. */
     std::vector<std::vector<StoreId>> pendingRf_;
-    /** rf predecessors staged at issue, consumed at commit. */
-    std::unordered_map<StoreId, std::vector<StoreId>> staged_;
-    static const std::vector<StoreId> emptyChain_;
+    /** Per core, in issue order, which is commit order. */
+    std::vector<Fifo<Staged>> staged_;
+
+    // Word-chain index over commitOrder_[0, indexed_).
+    mutable std::size_t indexed_ = 0;
+    mutable std::vector<WordSlot> words_; ///< Power-of-two table.
+    /** Chain w is chains_[chainBegin_[w], chainBegin_[w + 1]). */
+    mutable std::vector<std::uint32_t> chainBegin_;
+    mutable std::vector<StoreId> chains_;
 };
 
 } // namespace tsoper

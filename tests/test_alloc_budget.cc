@@ -2,9 +2,12 @@
  * @file
  * Allocation budget of the simulation loop: heap allocations per
  * executed event, from the end of System construction to the end of
- * run(), must stay under a committed per-cell bound.  Also the bytes
- * statsToJson allocates for one finished run: reports hold that tree
- * for every cell, so its size is what a held result costs.
+ * run(), must stay under a committed per-cell bound.  So must the
+ * allocations store recording (SystemConfig::recordStores, on in every
+ * checked run) adds per committed store: the same cell run with and
+ * without it.  Also the bytes statsToJson allocates for one finished
+ * run: reports hold that tree for every cell, so its size is what a
+ * held result costs.
  *
  * The executable replaces the global operator new/delete with counting
  * versions, so it is built standalone and kept out of the sanitizer
@@ -94,11 +97,11 @@ struct BudgetCell
 };
 
 const BudgetCell kCells[] = {
-    {"tsoper", "radix", 0.403},
-    {"stw", "x264", 0.526},
-    {"bsp-slc-agb", "lu_ncb", 1.051},
-    {"hwrp", "radix", 0.245},
-    {"baseline-mesi", "ocean_cp", 0.187},
+    {"tsoper", "radix", 0.359},
+    {"stw", "x264", 0.423},
+    {"bsp-slc-agb", "lu_ncb", 1.012},
+    {"hwrp", "radix", 0.194},
+    {"baseline-mesi", "ocean_cp", 0.008},
 };
 
 void
@@ -109,6 +112,11 @@ PrintTo(const BudgetCell &c, std::ostream *os)
 
 /// Measured bytes statsToJson allocates for tsoper/radix + 10%.
 constexpr std::uint64_t kStatsJsonMaxBytes = 112648;
+
+/// Allocations recording may add per committed store.  The log keeps
+/// flat per-core arrays, so what it adds is their growth, a few
+/// hundredths of an allocation per store.
+constexpr double kRecordingMaxPerStore = 0.1;
 
 class AllocBudget : public ::testing::TestWithParam<BudgetCell>
 {
@@ -129,6 +137,33 @@ resolveCell(const char *engine, const char *bench, SystemConfig *cfg,
     *w = generateByName(req.bench, cfg->numCores, req.seed, req.scale);
 }
 
+/** What one System::run of a cell allocated and did. */
+struct RunCount
+{
+    std::uint64_t allocs = 0;
+    std::uint64_t events = 0;
+    std::uint64_t stores = 0; ///< Stores the log recorded.
+};
+
+/** Runs @p cell with store recording on or off, counting from the end
+ *  of System construction to the end of run(). */
+void
+countRun(const BudgetCell &cell, bool record, RunCount *out)
+{
+    SystemConfig cfg;
+    Workload w;
+    ASSERT_NO_FATAL_FAILURE(resolveCell(cell.engine, cell.bench, &cfg, &w));
+    cfg.recordStores = record;
+    System sys(cfg, w);
+
+    const std::uint64_t before = allocations.load();
+    const std::uint64_t eventsBefore = sys.eventQueue().executed();
+    sys.run();
+    out->allocs = allocations.load() - before;
+    out->events = sys.eventQueue().executed() - eventsBefore;
+    out->stores = sys.storeLog().totalStores();
+}
+
 } // namespace
 
 TEST_P(AllocBudget, AllocationsPerEventWithinBound)
@@ -136,16 +171,10 @@ TEST_P(AllocBudget, AllocationsPerEventWithinBound)
     if (TSOPER_ASAN)
         GTEST_SKIP() << "ASan replaces the allocator being counted";
     const BudgetCell &cell = GetParam();
-    SystemConfig cfg;
-    Workload w;
-    ASSERT_NO_FATAL_FAILURE(resolveCell(cell.engine, cell.bench, &cfg, &w));
-    System sys(cfg, w);
-
-    const std::uint64_t before = allocations.load();
-    const std::uint64_t eventsBefore = sys.eventQueue().executed();
-    sys.run();
-    const std::uint64_t allocs = allocations.load() - before;
-    const std::uint64_t events = sys.eventQueue().executed() - eventsBefore;
+    RunCount run;
+    ASSERT_NO_FATAL_FAILURE(countRun(cell, false, &run));
+    const std::uint64_t allocs = run.allocs;
+    const std::uint64_t events = run.events;
     ASSERT_GT(events, 0u);
 
     const double perEvent =
@@ -155,6 +184,29 @@ TEST_P(AllocBudget, AllocationsPerEventWithinBound)
                 static_cast<unsigned long long>(allocs),
                 static_cast<unsigned long long>(events), perEvent);
     EXPECT_LE(perEvent, cell.maxPerEvent)
+        << cell.engine << "/" << cell.bench;
+}
+
+TEST_P(AllocBudget, RecordingAllocationsPerStoreWithinBound)
+{
+    if (TSOPER_ASAN)
+        GTEST_SKIP() << "ASan replaces the allocator being counted";
+    const BudgetCell &cell = GetParam();
+    RunCount plain;
+    RunCount checked;
+    ASSERT_NO_FATAL_FAILURE(countRun(cell, false, &plain));
+    ASSERT_NO_FATAL_FAILURE(countRun(cell, true, &checked));
+    ASSERT_EQ(plain.events, checked.events) << "recording moved timing";
+    ASSERT_GT(checked.stores, 0u);
+
+    const double perStore = (static_cast<double>(checked.allocs) -
+                             static_cast<double>(plain.allocs)) /
+                            static_cast<double>(checked.stores);
+    std::printf("%s/%s: recording adds %.3f allocations per store "
+                "(%llu stores)\n",
+                cell.engine, cell.bench, perStore,
+                static_cast<unsigned long long>(checked.stores));
+    EXPECT_LE(perStore, kRecordingMaxPerStore)
         << cell.engine << "/" << cell.bench;
 }
 

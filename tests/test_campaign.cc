@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -96,6 +97,10 @@ TEST(CampaignSpec, Validation)
     bad.scales = {0.0};
     EXPECT_NE(validateSpec(bad), "");
 
+    bad = smallSpec();
+    bad.scales = {std::numeric_limits<double>::infinity()};
+    EXPECT_NE(validateSpec(bad).find("finite"), std::string::npos);
+
     // The knobs are checked as runOne checks them.
     bad = smallSpec();
     bad.cores = 65;
@@ -150,12 +155,14 @@ TEST(CampaignSpec, ParseErrorsCarryLineNumbers)
     EXPECT_FALSE(parseSpecText("check = maybe", &spec, &err));
 
     // Numbers are digits only and fit their field: no sign, no
-    // trailing text, nothing that wraps when narrowed.
+    // trailing text, nothing that wraps when narrowed; scales and
+    // crash fractions are finite numbers spanning the whole value.
     for (const char *bad :
          {"cores = 4294967300", "timeout-ms = 4294967297",
           "timeout-ms = 86400001", "retries = 101", "seeds = -1",
           "seeds = +1", "seeds = 18446744073709551616",
-          "ag-max-lines = 8x", "agb-slice-lines = -1"}) {
+          "ag-max-lines = 8x", "agb-slice-lines = -1", "scales = 0.5x",
+          "scales = inf", "crash-fractions = nan"}) {
         EXPECT_FALSE(parseSpecText(std::string("name = n\n") + bad, &spec,
                                    &err))
             << bad;

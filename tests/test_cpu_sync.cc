@@ -136,7 +136,7 @@ TEST(SyncTest, LockProvidesMutualExclusionOrder)
             const auto *rec =
                 sys.storeLog().find(makeStoreId(static_cast<CoreId>(c),
                                                 q));
-            rfEdges += rec->rfPreds.size();
+            rfEdges += sys.storeLog().rfPreds(*rec).size();
         }
     }
     EXPECT_GT(rfEdges, 0u);
@@ -217,7 +217,7 @@ TEST(SyncTest, TsoValueVisibilityThroughLock)
     const auto n = sys.storeLog().storesOf(1);
     for (std::uint64_t q = 0; q < n && !found; ++q) {
         const auto *rec = sys.storeLog().find(makeStoreId(1, q));
-        for (StoreId rf : rec->rfPreds)
+        for (StoreId rf : sys.storeLog().rfPreds(*rec))
             found |= (storeCore(rf) == 0 &&
                       sys.storeLog().find(rf)->addr == data);
     }

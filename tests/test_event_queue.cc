@@ -13,6 +13,7 @@
 #include "coherence/directory.hh"
 #include "coherence/protocol.hh"
 #include "sim/event_queue.hh"
+#include "sim/log.hh"
 
 using namespace tsoper;
 
@@ -105,6 +106,56 @@ TEST(EventQueue, SchedulingIntoThePastPanics)
         EXPECT_THROW(eq.schedule(5, [] {}), std::logic_error);
     });
     eq.run();
+}
+
+TEST(EventQueue, ThrowingCallbackReleasesItsCapture)
+{
+    // A capture that counts its own destruction; a moved-from one does
+    // not count.
+    struct Counted
+    {
+        int *destroyed;
+        bool live = true;
+        explicit Counted(int *d) : destroyed(d) {}
+        Counted(Counted &&o) noexcept : destroyed(o.destroyed), live(o.live)
+        {
+            o.live = false;
+        }
+        ~Counted()
+        {
+            if (live)
+                ++*destroyed;
+        }
+    };
+    int destroyed = 0;
+    {
+        // A panic inside an event leaves runOne(), yet the callback's
+        // capture is destroyed and its slot freed for the next event.
+        EventQueue eq;
+        eq.schedule(1, [c = Counted(&destroyed)] {
+            tsoper_panic("event fails");
+        });
+        eq.schedule(2, [c = Counted(&destroyed)] {});
+        EXPECT_THROW(eq.runOne(), std::logic_error);
+        EXPECT_EQ(destroyed, 1);
+        EXPECT_EQ(eq.pending(), 1u);
+        bool ran = false;
+        eq.schedule(3, [&ran, c = Counted(&destroyed)] { ran = true; });
+        eq.run();
+        EXPECT_TRUE(ran);
+        EXPECT_EQ(destroyed, 3);
+    }
+    destroyed = 0;
+    {
+        // Destroying a queue destroys what is still pending, in the
+        // wheel and in the far heap alike.
+        EventQueue eq;
+        eq.schedule(5, [c = Counted(&destroyed)] {});
+        eq.schedule(5, [c = Counted(&destroyed)] {});
+        eq.schedule(10 * EventQueue::wheelSize, [c = Counted(&destroyed)] {});
+        EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(destroyed, 3);
 }
 
 TEST(EventQueue, ExecutedCountsEvents)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Golden fixed-seed stats: every engine on two profiles, plus three
+ * Golden fixed-seed stats: every engine on two profiles, plus five
  * audited crash cells, must reproduce a committed table of stats
  * digests byte for byte.  ShapeRegression.StatsJsonByteIdenticalFor-
  * FixedSeed only compares two runs of the same binary; this table pins
@@ -12,7 +12,12 @@
  * number of events the queue executed.  Crash cells run through
  * campaign::runOne (timing run, crash run, recovery audit), so their
  * cycle column is the timing run's finish cycle and their event column
- * is 0.
+ * is 0.  Crash cells also pin the crash checker's verdict: a digest of
+ * the run status, the recovery summary and the detail (the first
+ * violation the checker names), so a change to how the checker reads
+ * the store log cannot move a verdict unnoticed.  Two crash cells
+ * cover the checker's failing path (bsp/dedup names a word-chain
+ * violation) and HW-RP's relaxed SFR contract.
  *
  * Re-baselining on purpose: a mismatch prints the cell's new row in
  * the table's own syntax; paste it over the old one.
@@ -43,6 +48,7 @@ struct GoldenRow
     std::uint64_t digest;
     std::uint64_t execCycles;
     std::uint64_t events;
+    std::uint64_t verdict = 0; ///< Crash cells: status, summary, detail.
 };
 
 constexpr double kScale = 0.05;
@@ -66,9 +72,11 @@ const GoldenRow kGolden[] = {
     {"stw", "ocean_cp", 0, 0xdf69791e5b45e5aaull, 63368, 23618},
     {"tsoper", "radix", 0, 0xbd622d4351bc1e62ull, 204440, 100434},
     {"tsoper", "ocean_cp", 0, 0xaaaed1f3a6c31b27ull, 22591, 22685},
-    {"tsoper", "radix", 0.5, 0x25ac3f614d08971bull, 204440, 0},
-    {"stw", "radix", 0.5, 0xcb6e42cfa0f911a8ull, 370249, 0},
-    {"bsp-slc-agb", "radix", 0.5, 0xf9dd52b82d8caecfull, 196073, 0},
+    {"tsoper", "radix", 0.5, 0x25ac3f614d08971bull, 204440, 0, 0x4b5f2807217ba742ull},
+    {"stw", "radix", 0.5, 0xcb6e42cfa0f911a8ull, 370249, 0, 0xefc5e5a4c5c6a4b3ull},
+    {"bsp-slc-agb", "radix", 0.5, 0xf9dd52b82d8caecfull, 196073, 0, 0x07a8801bce275ba7ull},
+    {"bsp", "dedup", 0.25, 0xc42a1d8d0b33463aull, 50582, 0, 0xed7186f8a39eb431ull},
+    {"hwrp", "radix", 0.5, 0x5d6bc24deeed608dull, 181394, 0, 0xb9b442b5e31a7c1dull},
 };
 // clang-format on
 
@@ -86,14 +94,20 @@ fnv1a(const std::string &text)
 std::string
 rowText(const GoldenRow &r)
 {
-    char buf[160];
+    char buf[192];
     std::snprintf(buf, sizeof buf,
-                  "    {\"%s\", \"%s\", %g, 0x%016llxull, %llu, %llu},",
+                  "    {\"%s\", \"%s\", %g, 0x%016llxull, %llu, %llu",
                   r.engine, r.bench, r.crashAt,
                   static_cast<unsigned long long>(r.digest),
                   static_cast<unsigned long long>(r.execCycles),
                   static_cast<unsigned long long>(r.events));
-    return buf;
+    std::string text = buf;
+    if (r.verdict) {
+        std::snprintf(buf, sizeof buf, ", 0x%016llxull",
+                      static_cast<unsigned long long>(r.verdict));
+        text += buf;
+    }
+    return text + "},";
 }
 
 /** Run @p want's cell and return its measured row. */
@@ -110,10 +124,15 @@ measure(const GoldenRow &want)
         req.crashAt = want.crashAt;
         req.check = true;
         const campaign::RunResult res = campaign::runOne(req);
-        EXPECT_EQ(res.status, campaign::RunStatus::Ok) << res.detail;
+        EXPECT_TRUE(res.status == campaign::RunStatus::Ok ||
+                    res.status == campaign::RunStatus::CheckFailed)
+            << res.detail;
         got.digest = fnv1a(res.stats.dump(2));
         got.execCycles = res.cycles;
         got.events = 0;
+        got.verdict = fnv1a(std::string(campaign::toString(res.status)) +
+                            "\n" + res.recoverySummary + "\n" +
+                            res.detail);
         return got;
     }
     SystemConfig cfg;
@@ -149,7 +168,8 @@ TEST_P(GoldenStats, MatchesCommittedTable)
     const GoldenRow got = measure(want);
     const bool same = got.digest == want.digest &&
                       got.execCycles == want.execCycles &&
-                      got.events == want.events;
+                      got.events == want.events &&
+                      got.verdict == want.verdict;
     EXPECT_TRUE(same) << "stats moved; if on purpose, re-baseline with\n"
                       << rowText(got) << "\nwas\n" << rowText(want);
 }

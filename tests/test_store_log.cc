@@ -50,8 +50,8 @@ TEST(StoreLog, RfAttachesToNextIssuedStore)
     log.storeCommitted(0, 0x300, makeStoreId(0, 0));
     const auto *rec = log.find(makeStoreId(0, 0));
     ASSERT_NE(rec, nullptr);
-    ASSERT_EQ(rec->rfPreds.size(), 1u);
-    EXPECT_EQ(rec->rfPreds[0], makeStoreId(1, 0));
+    ASSERT_EQ(log.rfPreds(*rec).size(), 1u);
+    EXPECT_EQ(log.rfPreds(*rec)[0], makeStoreId(1, 0));
 }
 
 TEST(StoreLog, OwnStoreObservationIsNotRf)
@@ -61,7 +61,7 @@ TEST(StoreLog, OwnStoreObservationIsNotRf)
     log.loadObserved(0, 0x100, makeStoreId(0, 0));
     log.storeIssued(0, makeStoreId(0, 1));
     log.storeCommitted(0, 0x108, makeStoreId(0, 1));
-    EXPECT_TRUE(log.find(makeStoreId(0, 1))->rfPreds.empty());
+    EXPECT_TRUE(log.rfPreds(*log.find(makeStoreId(0, 1))).empty());
 }
 
 TEST(StoreLog, RfDoesNotLeakToLaterStores)
@@ -73,7 +73,7 @@ TEST(StoreLog, RfDoesNotLeakToLaterStores)
     log.storeCommitted(0, 0x300, makeStoreId(0, 0));
     log.storeIssued(0, makeStoreId(0, 1));
     log.storeCommitted(0, 0x308, makeStoreId(0, 1));
-    EXPECT_TRUE(log.find(makeStoreId(0, 1))->rfPreds.empty());
+    EXPECT_TRUE(log.rfPreds(*log.find(makeStoreId(0, 1))).empty());
 }
 
 TEST(StoreLog, SfrBoundariesStampStores)
@@ -101,5 +101,5 @@ TEST(StoreLog, UntouchedLoadIsIgnored)
     log.loadObserved(0, 0x100, invalidStore);
     log.storeIssued(0, makeStoreId(0, 0));
     log.storeCommitted(0, 0x100, makeStoreId(0, 0));
-    EXPECT_TRUE(log.find(makeStoreId(0, 0))->rfPreds.empty());
+    EXPECT_TRUE(log.rfPreds(*log.find(makeStoreId(0, 0))).empty());
 }

@@ -58,8 +58,11 @@
 #include "campaign/spec.hh"
 #include "workload/generators.hh"
 
+#include "cli_numbers.hh"
+
 using namespace tsoper;
 using namespace tsoper::campaign;
+using namespace tsoper::cli;
 
 namespace
 {
@@ -114,51 +117,13 @@ splitCsv(const std::string &s)
     return items;
 }
 
-/**
- * Strict decimal parse for option values: the whole string must be
- * digits and the result must land in [min, max], otherwise die with a
- * message that names the flag and its accepted range ("--jobs=8x" and
- * "--jobs=0" both get a real explanation, not a bare usage dump).
- */
-unsigned long
-parseBoundedOrDie(const std::string &value, const char *flag,
-                  unsigned long min, unsigned long max)
-{
-    bool numeric = !value.empty();
-    for (char c : value)
-        numeric = numeric && c >= '0' && c <= '9';
-    unsigned long parsed = 0;
-    if (numeric) {
-        try {
-            parsed = std::stoul(value);
-        } catch (const std::exception &) {
-            numeric = false; // out of unsigned long's range
-        }
-    }
-    if (!numeric || parsed < min || parsed > max) {
-        std::fprintf(stderr,
-                     "%s expects an integer between %lu and %lu, got "
-                     "'%s'\n",
-                     flag, min, max, value.c_str());
-        std::exit(2);
-    }
-    return parsed;
-}
-
 template <typename Parse>
 auto
 parseListOrDie(const std::string &value, const char *what, Parse parse)
 {
     std::vector<decltype(parse(std::string()))> out;
-    for (const std::string &item : splitCsv(value)) {
-        try {
-            out.push_back(parse(item));
-        } catch (...) {
-            std::fprintf(stderr, "bad %s value: %s\n", what,
-                         item.c_str());
-            usage(2);
-        }
-    }
+    for (const std::string &item : splitCsv(value))
+        out.push_back(parse(item));
     if (out.empty()) {
         std::fprintf(stderr, "empty %s list\n", what);
         usage(2);
@@ -175,87 +140,85 @@ parseCli(int argc, char **argv)
         auto val = [&](const char *prefix) {
             return arg.substr(std::string(prefix).size());
         };
-        try {
-            if (arg.rfind("--campaign=", 0) == 0) {
-                opt.campaignName = val("--campaign=");
-            } else if (arg.rfind("--spec=", 0) == 0) {
-                opt.specFile = val("--spec=");
-            } else if (arg.rfind("--out=", 0) == 0) {
-                opt.out = val("--out=");
-            } else if (arg.rfind("--jobs=", 0) == 0) {
-                opt.jobs = static_cast<unsigned>(parseBoundedOrDie(
-                    val("--jobs="), "--jobs", 1, 1024));
-            } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-                opt.timeoutMs = static_cast<long>(
-                    parseBoundedOrDie(val("--timeout-ms="),
-                                      "--timeout-ms", 0, 86'400'000));
-            } else if (arg.rfind("--retries=", 0) == 0) {
-                opt.retries = static_cast<int>(parseBoundedOrDie(
-                    val("--retries="), "--retries", 0, 100));
-            } else if (arg == "--verify-out") {
-                opt.verifyOut = true;
-            } else if (arg == "--dry-run") {
-                opt.dryRun = true;
-            } else if (arg == "--quiet") {
-                opt.quiet = true;
-            } else if (arg == "--list-campaigns") {
-                opt.listCampaigns = true;
-            } else if (arg.rfind("--engines=", 0) == 0) {
-                const std::string v = val("--engines=");
-                opt.matrix.engines =
-                    v == "all" ? engineNames() : splitCsv(v);
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--benches=", 0) == 0) {
-                const std::string v = val("--benches=");
-                opt.matrix.benches =
-                    v == "all" ? benchmarkNames() : splitCsv(v);
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--scales=", 0) == 0) {
-                opt.matrix.scales = parseListOrDie(
-                    val("--scales="), "scale",
-                    [](const std::string &s) { return std::stod(s); });
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--seeds=", 0) == 0) {
-                opt.matrix.seeds = parseListOrDie(
-                    val("--seeds="), "seed", [](const std::string &s) {
-                        return std::uint64_t{
-                            parseBoundedOrDie(s, "--seeds", 0, ULONG_MAX)};
-                    });
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--crash-at=", 0) == 0) {
-                opt.matrix.crashFractions = parseListOrDie(
-                    val("--crash-at="), "crash fraction",
-                    [](const std::string &s) { return std::stod(s); });
-                opt.matrixTouched = true;
-            } else if (arg == "--check") {
-                opt.matrix.check = true;
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--cores=", 0) == 0) {
-                opt.matrix.cores = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--cores="), "--cores", 1, 64));
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--ag-max-lines=", 0) == 0) {
-                opt.matrix.agMaxLines = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--ag-max-lines="),
-                                      "--ag-max-lines", 0, UINT_MAX));
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--agb-slice-lines=", 0) == 0) {
-                opt.matrix.agbSliceLines = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--agb-slice-lines="),
-                                      "--agb-slice-lines", 0, UINT_MAX));
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--name=", 0) == 0) {
-                opt.matrix.name = val("--name=");
-                opt.matrixTouched = true;
-            } else if (arg == "--help" || arg == "-h") {
-                usage(0);
-            } else {
-                std::fprintf(stderr, "unknown option: %s\n",
-                             arg.c_str());
-                usage(2);
-            }
-        } catch (const std::exception &) {
-            std::fprintf(stderr, "bad value in %s\n", arg.c_str());
+        if (arg.rfind("--campaign=", 0) == 0) {
+            opt.campaignName = val("--campaign=");
+        } else if (arg.rfind("--spec=", 0) == 0) {
+            opt.specFile = val("--spec=");
+        } else if (arg.rfind("--out=", 0) == 0) {
+            opt.out = val("--out=");
+        } else if (arg.rfind("--jobs=", 0) == 0) {
+            opt.jobs = static_cast<unsigned>(parseBoundedOrDie(
+                val("--jobs="), "--jobs", 1, 1024));
+        } else if (arg.rfind("--timeout-ms=", 0) == 0) {
+            opt.timeoutMs = static_cast<long>(
+                parseBoundedOrDie(val("--timeout-ms="),
+                                  "--timeout-ms", 0, 86'400'000));
+        } else if (arg.rfind("--retries=", 0) == 0) {
+            opt.retries = static_cast<int>(parseBoundedOrDie(
+                val("--retries="), "--retries", 0, 100));
+        } else if (arg == "--verify-out") {
+            opt.verifyOut = true;
+        } else if (arg == "--dry-run") {
+            opt.dryRun = true;
+        } else if (arg == "--quiet") {
+            opt.quiet = true;
+        } else if (arg == "--list-campaigns") {
+            opt.listCampaigns = true;
+        } else if (arg.rfind("--engines=", 0) == 0) {
+            const std::string v = val("--engines=");
+            opt.matrix.engines =
+                v == "all" ? engineNames() : splitCsv(v);
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--benches=", 0) == 0) {
+            const std::string v = val("--benches=");
+            opt.matrix.benches =
+                v == "all" ? benchmarkNames() : splitCsv(v);
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--scales=", 0) == 0) {
+            opt.matrix.scales = parseListOrDie(
+                val("--scales="), "scale", [](const std::string &s) {
+                    return parseFiniteOrDie(s, "--scales");
+                });
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--seeds=", 0) == 0) {
+            opt.matrix.seeds = parseListOrDie(
+                val("--seeds="), "seed", [](const std::string &s) {
+                    return parseBoundedOrDie(s, "--seeds", 0,
+                                             UINT64_MAX);
+                });
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--crash-at=", 0) == 0) {
+            opt.matrix.crashFractions = parseListOrDie(
+                val("--crash-at="), "crash fraction",
+                [](const std::string &s) {
+                    return parseFiniteOrDie(s, "--crash-at");
+                });
+            opt.matrixTouched = true;
+        } else if (arg == "--check") {
+            opt.matrix.check = true;
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--cores=", 0) == 0) {
+            opt.matrix.cores = static_cast<unsigned>(
+                parseBoundedOrDie(val("--cores="), "--cores", 1, 64));
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--ag-max-lines=", 0) == 0) {
+            opt.matrix.agMaxLines = static_cast<unsigned>(
+                parseBoundedOrDie(val("--ag-max-lines="),
+                                  "--ag-max-lines", 0, UINT_MAX));
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--agb-slice-lines=", 0) == 0) {
+            opt.matrix.agbSliceLines = static_cast<unsigned>(
+                parseBoundedOrDie(val("--agb-slice-lines="),
+                                  "--agb-slice-lines", 0, UINT_MAX));
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--name=", 0) == 0) {
+            opt.matrix.name = val("--name=");
+            opt.matrixTouched = true;
+        } else if (arg == "--help" || arg == "-h") {
+            usage(0);
+        } else {
+            std::fprintf(stderr, "unknown option: %s\n",
+                         arg.c_str());
             usage(2);
         }
     }

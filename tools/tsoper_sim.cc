@@ -51,7 +51,9 @@
  * docs/campaigns.md in sync):
  *   0  success (with --check / --crash-at: the audit passed)
  *   1  consistency audit failed
- *   2  usage error (unknown option or malformed value, including an
+ *   2  usage error (unknown option or malformed value, including a
+ *      number with trailing text, beyond its field's range or not
+ *      finite, e.g. --cores=8x, --cores=4294967297, --scale=inf; an
  *      unknown trace category or audit fault, a flight recorder over
  *      2^20 records, and a knob out of SystemConfig's ranges, e.g.
  *      --cores=65)
@@ -63,6 +65,8 @@
  *      simulated-cycle budget ran out)
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -77,7 +81,10 @@
 #include "workload/generators.hh"
 #include "workload/trace_io.hh"
 
+#include "cli_numbers.hh"
+
 using namespace tsoper;
+using namespace tsoper::cli;
 
 namespace
 {
@@ -132,66 +139,66 @@ parseCli(int argc, char **argv)
         auto val = [&](const char *prefix) -> std::string {
             return arg.substr(std::string(prefix).size());
         };
-        try {
-            if (arg.rfind("--engine=", 0) == 0)
-                opt.run.engine = val("--engine=");
-            else if (arg.rfind("--bench=", 0) == 0)
-                opt.run.bench = val("--bench=");
-            else if (arg.rfind("--trace-file=", 0) == 0)
-                opt.run.traceFile = val("--trace-file=");
-            else if (arg.rfind("--trace-categories=", 0) == 0)
-                opt.run.traceCategories = val("--trace-categories=");
-            else if (arg.rfind("--trace-out=", 0) == 0)
-                opt.run.traceOut = val("--trace-out=");
-            else if (arg == "--audit-persists")
-                opt.run.auditPersists = true;
-            else if (arg.rfind("--audit-fault=", 0) == 0)
-                opt.run.auditFault = val("--audit-fault=");
-            else if (arg.rfind("--flight-recorder=", 0) == 0)
-                opt.run.flightRecorder = static_cast<unsigned>(
-                    std::stoul(val("--flight-recorder=")));
-            else if (arg == "--list-debug-flags")
-                opt.listDebugFlags = true;
-            else if (arg.rfind("--save-trace=", 0) == 0)
-                opt.saveTrace = val("--save-trace=");
-            else if (arg.rfind("--stats-out=", 0) == 0)
-                opt.statsOut = val("--stats-out=");
-            else if (arg.rfind("--stats-json=", 0) == 0)
-                opt.statsJson = val("--stats-json=");
-            else if (arg.rfind("--max-cycles=", 0) == 0)
-                opt.run.maxCycles = std::stoull(val("--max-cycles="));
-            else if (arg.rfind("--scale=", 0) == 0)
-                opt.run.scale = std::stod(val("--scale="));
-            else if (arg.rfind("--seed=", 0) == 0)
-                opt.run.seed = std::stoull(val("--seed="));
-            else if (arg.rfind("--cores=", 0) == 0)
-                opt.run.cores = static_cast<unsigned>(
-                    std::stoul(val("--cores=")));
-            else if (arg.rfind("--ag-max-lines=", 0) == 0)
-                opt.run.agMaxLines = static_cast<unsigned>(
-                    std::stoul(val("--ag-max-lines=")));
-            else if (arg.rfind("--agb-slice-lines=", 0) == 0)
-                opt.run.agbSliceLines = static_cast<unsigned>(
-                    std::stoul(val("--agb-slice-lines=")));
-            else if (arg.rfind("--crash-at=", 0) == 0)
-                opt.run.crashAt = std::stod(val("--crash-at="));
-            else if (arg == "--check")
-                opt.run.check = true;
-            else if (arg == "--stats")
-                opt.stats = true;
-            else if (arg == "--describe")
-                opt.describe = true;
-            else if (arg == "--list-benchmarks")
-                opt.listBenchmarks = true;
-            else if (arg == "--help" || arg == "-h")
-                usage(0);
-            else {
-                std::fprintf(stderr, "unknown option: %s\n",
-                             arg.c_str());
-                usage(ExitUsage);
-            }
-        } catch (const std::exception &) {
-            std::fprintf(stderr, "malformed value in %s\n",
+        if (arg.rfind("--engine=", 0) == 0)
+            opt.run.engine = val("--engine=");
+        else if (arg.rfind("--bench=", 0) == 0)
+            opt.run.bench = val("--bench=");
+        else if (arg.rfind("--trace-file=", 0) == 0)
+            opt.run.traceFile = val("--trace-file=");
+        else if (arg.rfind("--trace-categories=", 0) == 0)
+            opt.run.traceCategories = val("--trace-categories=");
+        else if (arg.rfind("--trace-out=", 0) == 0)
+            opt.run.traceOut = val("--trace-out=");
+        else if (arg == "--audit-persists")
+            opt.run.auditPersists = true;
+        else if (arg.rfind("--audit-fault=", 0) == 0)
+            opt.run.auditFault = val("--audit-fault=");
+        else if (arg.rfind("--flight-recorder=", 0) == 0)
+            opt.run.flightRecorder = static_cast<unsigned>(
+                parseBoundedOrDie(val("--flight-recorder="),
+                                  "--flight-recorder", 0, UINT_MAX));
+        else if (arg == "--list-debug-flags")
+            opt.listDebugFlags = true;
+        else if (arg.rfind("--save-trace=", 0) == 0)
+            opt.saveTrace = val("--save-trace=");
+        else if (arg.rfind("--stats-out=", 0) == 0)
+            opt.statsOut = val("--stats-out=");
+        else if (arg.rfind("--stats-json=", 0) == 0)
+            opt.statsJson = val("--stats-json=");
+        else if (arg.rfind("--max-cycles=", 0) == 0)
+            opt.run.maxCycles = parseBoundedOrDie(
+                val("--max-cycles="), "--max-cycles", 0, UINT64_MAX);
+        else if (arg.rfind("--scale=", 0) == 0)
+            opt.run.scale = parseFiniteOrDie(val("--scale="), "--scale");
+        else if (arg.rfind("--seed=", 0) == 0)
+            opt.run.seed =
+                parseBoundedOrDie(val("--seed="), "--seed", 0, UINT64_MAX);
+        else if (arg.rfind("--cores=", 0) == 0)
+            opt.run.cores = static_cast<unsigned>(parseBoundedOrDie(
+                val("--cores="), "--cores", 0, UINT_MAX));
+        else if (arg.rfind("--ag-max-lines=", 0) == 0)
+            opt.run.agMaxLines = static_cast<unsigned>(
+                parseBoundedOrDie(val("--ag-max-lines="),
+                                  "--ag-max-lines", 0, UINT_MAX));
+        else if (arg.rfind("--agb-slice-lines=", 0) == 0)
+            opt.run.agbSliceLines = static_cast<unsigned>(
+                parseBoundedOrDie(val("--agb-slice-lines="),
+                                  "--agb-slice-lines", 0, UINT_MAX));
+        else if (arg.rfind("--crash-at=", 0) == 0)
+            opt.run.crashAt =
+                parseFiniteOrDie(val("--crash-at="), "--crash-at");
+        else if (arg == "--check")
+            opt.run.check = true;
+        else if (arg == "--stats")
+            opt.stats = true;
+        else if (arg == "--describe")
+            opt.describe = true;
+        else if (arg == "--list-benchmarks")
+            opt.listBenchmarks = true;
+        else if (arg == "--help" || arg == "-h")
+            usage(0);
+        else {
+            std::fprintf(stderr, "unknown option: %s\n",
                          arg.c_str());
             usage(ExitUsage);
         }
