@@ -11,8 +11,10 @@
  * audited against the recorded execution: it must be a downward-closed
  * cut of the store order under TSO — per-core program order, per-word
  * coherence order, reads-from dependencies, and atomic-group
- * atomicity.  For contrast, the same crash under HW-RP is audited
- * against the weaker SFR contract.
+ * atomicity.  For contrast, one HW-RP crash image is audited twice: it
+ * meets HW-RP's own SFR contract and is not a strict-TSO cut.
+ *
+ * Exits 1 if any verdict differs from the one the text announces.
  */
 
 #include <cstdio>
@@ -27,7 +29,16 @@ using namespace tsoper;
 namespace
 {
 
-void
+Cycle
+runLength(EngineKind engine, const Workload &w)
+{
+    System sys(makeConfig(engine), w);
+    return sys.run();
+}
+
+/** Crash @p engine at @p crashAt, audit under @p model; true if the
+ *  durable state is consistent. */
+bool
 auditCrash(EngineKind engine, PersistModel model, const Workload &w,
            Cycle crashAt)
 {
@@ -43,13 +54,15 @@ auditCrash(EngineKind engine, PersistModel model, const Workload &w,
         for (StoreId id : lw)
             words += (id != invalidStore) ? 1 : 0;
     }
-    std::printf("  %-7s crash@%-8llu durable-words=%-6zu required-"
-                "stores=%-6zu -> %s\n",
+    std::printf("  %-7s %-10s crash@%-8llu durable-words=%-6zu "
+                "required-stores=%-6zu -> %s\n",
                 toString(engine),
+                model == PersistModel::StrictTso ? "strict-TSO" : "SFR",
                 static_cast<unsigned long long>(crashAt), words,
                 res.requiredStores, res.ok ? "CONSISTENT" : "VIOLATION");
     if (!res.ok)
         std::printf("    detail: %s\n", res.detail.c_str());
+    return res.ok;
 }
 
 } // namespace
@@ -57,42 +70,48 @@ auditCrash(EngineKind engine, PersistModel model, const Workload &w,
 int
 main(int argc, char **argv)
 {
-    SystemConfig cfg = makeConfig(EngineKind::Tsoper);
-    const Workload w =
-        generateByName("canneal", cfg.numCores, 7, 0.08);
+    const unsigned cores = makeConfig(EngineKind::Tsoper).numCores;
+    const Workload w = generateByName("canneal", cores, 7, 0.08);
 
     // Learn the run length, then crash at several points.
-    Cycle full = 0;
-    {
-        System sys(cfg, w);
-        full = sys.run();
-    }
+    const Cycle full = runLength(EngineKind::Tsoper, w);
     std::printf("full run: %llu cycles\n\n",
                 static_cast<unsigned long long>(full));
 
     if (argc > 1) {
         const Cycle at = std::stoull(argv[1]);
-        auditCrash(EngineKind::Tsoper, PersistModel::StrictTso, w, at);
-        return 0;
+        const bool ok =
+            auditCrash(EngineKind::Tsoper, PersistModel::StrictTso, w, at);
+        return ok ? 0 : 1;
     }
 
+    bool asAnnounced = true;
     std::printf("strict TSO persistency (TSOPER) — any crash point "
                 "yields a legal TSO cut:\n");
     for (unsigned i = 1; i <= 6; ++i)
-        auditCrash(EngineKind::Tsoper, PersistModel::StrictTso, w,
-                   full * i / 7);
+        asAnnounced &= auditCrash(EngineKind::Tsoper,
+                                  PersistModel::StrictTso, w, full * i / 7);
 
     std::printf("\nnaive strict persistency (STW) — also correct, just "
                 "slow:\n");
-    auditCrash(EngineKind::Stw, PersistModel::StrictTso, w, full / 2);
+    asAnnounced &=
+        auditCrash(EngineKind::Stw, PersistModel::StrictTso, w, full / 2);
 
-    std::printf("\nrelaxed persistency (HW-RP) audited against its own "
-                "(weaker) SFR contract:\n");
-    auditCrash(EngineKind::HwRp, PersistModel::RelaxedSfr, w, full / 2);
+    // HW-RP orders a core's persists only across SFR boundaries, so a
+    // crash may find a later store of an SFR durable and an earlier
+    // one not: the SFR contract allows that image, strict TSO does
+    // not.  Radix (x0.08, seed 7) shows it 19/20 of the way through.
+    const Workload radix = generateByName("radix", cores, 7, 0.08);
+    const Cycle late = runLength(EngineKind::HwRp, radix) * 19 / 20;
+    std::printf("\nrelaxed persistency (HW-RP) on radix, audited against "
+                "its own (weaker)\nSFR contract:\n");
+    asAnnounced &= auditCrash(EngineKind::HwRp, PersistModel::RelaxedSfr,
+                              radix, late);
 
-    std::printf("\nrelaxed persistency audited against *strict TSO* — "
-                "showing what TSOPER\nguarantees and a relaxed model "
-                "does not (a violation here is expected):\n");
-    auditCrash(EngineKind::HwRp, PersistModel::StrictTso, w, full / 2);
-    return 0;
+    std::printf("\nthe same crash audited against *strict TSO* — showing "
+                "what TSOPER\nguarantees and a relaxed model does not (a "
+                "violation here is expected):\n");
+    asAnnounced &= !auditCrash(EngineKind::HwRp, PersistModel::StrictTso,
+                               radix, late);
+    return asAnnounced ? 0 : 1;
 }

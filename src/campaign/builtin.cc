@@ -90,8 +90,10 @@ builtinCampaigns()
             // mid-epoch crash can expose a torn epoch), and HW-RP
             // promises only SFR-granular persistency, so it gets the
             // relaxed audit.  crash-matrix-full adds all three: there
-            // 6 of 15 bsp and 9 of 15 bsp-slc cells fail, and all 15
-            // hwrp cells pass, 7 of them on an empty durable image.
+            // 6 of 15 bsp and 9 of 15 bsp-slc cells fail and all 15
+            // hwrp cells pass, but over all 21 benchmarks 4 of 105 hwrp
+            // cells fail the relaxed audit through unsynchronized
+            // reads-from edges (docs/campaigns.md, crash-matrix-full).
             BuiltinCampaign c;
             c.name = "crash-matrix";
             c.description =

@@ -1,5 +1,6 @@
 #include "campaign/run_request.hh"
 
+#include <cstdio>
 #include <exception>
 
 #include "core/recovery.hh"
@@ -74,6 +75,26 @@ RunRequest::toJson() const
 bool
 resolveConfig(const RunRequest &r, SystemConfig *cfg, std::string *err)
 {
+    // At x1000 the largest profile (9,000 ops per core) asks for 9 M
+    // ops per core: far past any sweep, and far inside the
+    // generator's 32-bit op count.  A crash cycle must fit a Cycle.
+    constexpr double maxScale = 1000.0;
+    constexpr double cycleLimit = 18446744073709551616.0; // 2^64
+    const auto reject = [err](const char *what, double got) {
+        if (err) {
+            char buf[160];
+            std::snprintf(buf, sizeof buf, "%s, got %g", what, got);
+            *err = buf;
+        }
+        return false;
+    };
+    if (!(r.scale > 0.0 && r.scale <= maxScale))
+        return reject("scale must be finite and in (0, 1000]", r.scale);
+    if (!(r.crashAt >= 0.0 && r.crashAt < cycleLimit))
+        return reject("crash-at must be 0 (no crash), a fraction in "
+                      "(0, 1] or a cycle in (1, 2^64)",
+                      r.crashAt);
+
     EngineKind engine;
     ProtocolKind protocol;
     if (!engineFromName(r.engine, &engine, &protocol)) {

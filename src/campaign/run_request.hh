@@ -41,14 +41,14 @@ struct RunRequest
     std::string engine = "tsoper"; ///< CLI spelling (see engineNames()).
     std::string bench = "ocean_cp";
     std::string traceFile;         ///< Drive from a trace file instead.
-    double scale = 1.0;
+    double scale = 1.0;            ///< In (0, 1000].
     std::uint64_t seed = 1;
     unsigned cores = 8;
     unsigned agMaxLines = 0;       ///< 0 = engine default.
     unsigned agbSliceLines = 0;    ///< 0 = engine default.
 
     /** 0 = run to completion; (0, 1] = crash at that fraction of the
-     *  full run (implies a prior timing run); > 1 = crash cycle. */
+     *  full run (implies a prior timing run); (1, 2^64) = crash cycle. */
     double crashAt = 0.0;
 
     /** Record stores and audit the durable state after the run (the
@@ -142,7 +142,8 @@ struct RunHooks
 
 /**
  * Resolve @p r into a validated SystemConfig.  Returns false (with a
- * message in @p err) for an unknown engine name or a knob outside
+ * message in @p err) for a scale or crash point outside the ranges
+ * documented on RunRequest, an unknown engine name or a knob outside
  * SystemConfig::check's ranges; benchmark resolution happens in runOne
  * since trace-driven requests have no profile.
  */

@@ -170,26 +170,27 @@ validateSpec(const CampaignSpec &spec)
         return "no scales listed";
     if (spec.seeds.empty())
         return "no seeds listed";
-    // The engine names and the shared knobs (cores, AG/AGB sizes),
-    // checked as runOne will check them.
+    // The engine names, the scales and the shared knobs (cores, AG/AGB
+    // sizes), checked as runOne will check them.
+    RunRequest probe;
+    probe.cores = spec.cores;
+    probe.agMaxLines = spec.agMaxLines;
+    probe.agbSliceLines = spec.agbSliceLines;
+    SystemConfig cfg;
+    std::string err;
     for (const std::string &e : spec.engines) {
-        RunRequest probe;
         probe.engine = e;
-        probe.cores = spec.cores;
-        probe.agMaxLines = spec.agMaxLines;
-        probe.agbSliceLines = spec.agbSliceLines;
-        SystemConfig cfg;
-        std::string err;
         if (!resolveConfig(probe, &cfg, &err))
             return err;
     }
     for (const std::string &b : spec.benches)
         if (!findProfile(b))
             return "unknown benchmark: " + b;
-    for (double s : spec.scales)
-        if (!(s > 0.0 && std::isfinite(s)))
-            return "scale must be positive and finite, got " +
-                   formatDouble(s);
+    for (double s : spec.scales) {
+        probe.scale = s;
+        if (!resolveConfig(probe, &cfg, &err))
+            return err;
+    }
     for (double f : spec.crashFractions)
         if (!(f > 0.0 && f <= 1.0))
             return "crash fraction must be in (0, 1], got " +

@@ -535,28 +535,4 @@ MesiProtocol::lineWords(CoreId core, LineAddr line) const
     return words_[n->words];
 }
 
-void
-MesiProtocol::flushLine(CoreId core, LineAddr line, Cycle earliest,
-                        FlushDone done)
-{
-    // LLC exclusion: the write into the LLC must wait for the pending
-    // NVM persist of the line's previous version (Definition 2).
-    const Cycle start = std::max({earliest, eq_.now(),
-                                  llc_.persistPendingUntil(line)});
-    eq_.schedule(start, [this, core, line, done = std::move(done)]() mutable {
-        Node *n = findNode(core, line);
-        if (!n || n->st != St::M) {
-            done(eq_.now(), false);
-            return;
-        }
-        const Cycle at =
-            bus_.arrival(bus_.coreNode(core), bus_.bankNode(bankOf(line)),
-                        lineBytes + cfg_.ctrlMsgBytes, eq_.now());
-        llc_.install(line, words_[n->words], true, eq_.now());
-        coherenceWb_.inc();
-        n->st = St::E;
-        done(at, true);
-    });
-}
-
 } // namespace tsoper

@@ -51,26 +51,11 @@ class MesiProtocol : public CoherenceProtocol
 
     // --- BSP engine API -----------------------------------------------
 
-    /** Flush completion: the cycle, and whether a write happened. */
-    using FlushDone = InlineFunction<void(Cycle, bool), 40>;
-
     /** Is (core, line) in state M? */
     bool isModified(CoreId core, LineAddr line) const;
 
     /** Version contents of (core, line); the node must exist. */
     const LineWords &lineWords(CoreId core, LineAddr line) const;
-
-    /**
-     * Epoch flush: write (core, line)'s version through to the LLC,
-     * starting no earlier than @p earliest and honouring LLC exclusion
-     * (Definition 2: the LLC accepts a newer version only after the
-     * older version's NVM persist completed).  The line downgrades to
-     * E.  @p done receives the completion cycle and whether a write
-     * actually happened (false if the line was no longer modified —
-     * e.g. a remote request already forced it to the LLC).
-     */
-    void flushLine(CoreId core, LineAddr line, Cycle earliest,
-                   FlushDone done);
 
   private:
     enum class St { I, S, E, M };

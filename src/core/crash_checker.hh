@@ -17,8 +17,14 @@
  *
  *  RelaxedSfr — HW-RP's weaker contract: program order is only
  *  enforced across SFR boundaries (stores within an SFR are unordered);
- *  same-word order and reads-from (through synchronization, assuming
- *  DRF) still apply.
+ *  same-word order and reads-from still apply.  The contract assumes a
+ *  data-race-free program, where synchronization orders every read
+ *  after the write it reads, but the check applies every recorded
+ *  reads-from edge, synchronized or not.  HW-RP carries persist order
+ *  across cores only through its lock and barrier clocks, and the
+ *  synthetic profiles race, so a racy edge can require a store HW-RP
+ *  had no reason to persist yet: hwrp/fft x0.05 seed 3 crashed at 0.9
+ *  fails this check (test_golden_stats pins the verdict).
  *
  * Atomic-group atomicity violations are caught by the same check: a
  * torn AG leaves some program-order (or rf) predecessor of a durable

@@ -25,8 +25,6 @@ class StwEngine : public TsoperEngine
     bool coreStalled(CoreId core) const override;
     void addStallWaiter(InlineCallback resume) override;
 
-    bool stalled() const { return stalled_; }
-
   protected:
     void onFroze(CoreId core, const AtomicGroup &ag, FreezeReason why,
                  Cycle now) override;

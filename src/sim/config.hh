@@ -129,13 +129,6 @@ struct SystemConfig
     /** Throw (fatal) with check()'s message if it fails. */
     void validate() const;
 
-    /** Total AGB capacity in cachelines across all slices. */
-    unsigned
-    agbTotalLines() const
-    {
-        return agbSliceLines * (agbDistributed ? nvmRanks : 1);
-    }
-
     /** Print a Table-I-style description of the configuration. */
     void describe(std::ostream &os) const;
 };

@@ -121,37 +121,6 @@ class TimeSeries
     std::vector<std::pair<Cycle, double>> points_;
 };
 
-/**
- * Accumulates a time-weighted average of a piecewise-constant value,
- * e.g. "average sharing-list length over the run".
- */
-class WeightedAverage
-{
-  public:
-    /** Record that the tracked value was @p value from the last update
-     *  until @p now. */
-    void
-    update(Cycle now, double value)
-    {
-        if (now > last_) {
-            weighted_ += value * static_cast<double>(now - last_);
-            span_ += static_cast<double>(now - last_);
-        }
-        last_ = now;
-    }
-
-    double
-    average() const
-    {
-        return span_ > 0 ? weighted_ / span_ : 0.0;
-    }
-
-  private:
-    Cycle last_ = 0;
-    double weighted_ = 0.0;
-    double span_ = 0.0;
-};
-
 /** Name-indexed store of all statistics for one simulated system. */
 class StatsRegistry
 {

@@ -421,6 +421,29 @@ TEST(RunOne, UnknownEngineAndBenchAreBadRequests)
     EXPECT_EQ(res.status, RunStatus::BadRequest);
     EXPECT_NE(res.detail.find("flight-recorder depth"), std::string::npos)
         << res.detail;
+
+    // A scale the generator cannot honour, or a crash point that is
+    // neither a fraction nor a cycle, is rejected before any workload
+    // is built.
+    for (double scale : {-1.0, 0.0, 1e9}) {
+        r = RunRequest{};
+        r.scale = scale;
+        res = runOne(r);
+        EXPECT_EQ(res.status, RunStatus::BadRequest) << scale;
+        EXPECT_EQ(res.detail.rfind("scale must be finite and in "
+                                   "(0, 1000], got ",
+                                   0),
+                  0u)
+            << res.detail;
+        EXPECT_TRUE(res.stats.isNull());
+    }
+    r = RunRequest{};
+    r.crashAt = -0.5;
+    res = runOne(r);
+    EXPECT_EQ(res.status, RunStatus::BadRequest);
+    EXPECT_EQ(res.detail, "crash-at must be 0 (no crash), a fraction in "
+                          "(0, 1] or a cycle in (1, 2^64), got -0.5");
+    EXPECT_TRUE(res.stats.isNull());
 }
 
 TEST(RunOne, TinyAuditedRunProducesStats)

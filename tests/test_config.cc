@@ -99,15 +99,6 @@ TEST(Config, LlcLatencyMayEqualHopLatency)
     EXPECT_TRUE(sys.allFinished());
 }
 
-TEST(Config, AgbTotalLines)
-{
-    SystemConfig cfg;
-    cfg.agbDistributed = true;
-    EXPECT_EQ(cfg.agbTotalLines(), cfg.agbSliceLines * cfg.nvmRanks);
-    cfg.agbDistributed = false;
-    EXPECT_EQ(cfg.agbTotalLines(), cfg.agbSliceLines);
-}
-
 TEST(Config, DescribeMentionsKeyParameters)
 {
     std::ostringstream os;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Golden fixed-seed stats: every engine on two profiles, plus five
+ * Golden fixed-seed stats: every engine on two profiles, plus six
  * audited crash cells, must reproduce a committed table of stats
  * digests byte for byte.  ShapeRegression.StatsJsonByteIdenticalFor-
  * FixedSeed only compares two runs of the same binary; this table pins
@@ -15,9 +15,11 @@
  * is 0.  Crash cells also pin the crash checker's verdict: a digest of
  * the run status, the recovery summary and the detail (the first
  * violation the checker names), so a change to how the checker reads
- * the store log cannot move a verdict unnoticed.  Two crash cells
- * cover the checker's failing path (bsp/dedup names a word-chain
- * violation) and HW-RP's relaxed SFR contract.
+ * the store log cannot move a verdict unnoticed.  bsp/dedup covers the
+ * strict audit's failing path (it names a word-chain violation),
+ * hwrp/radix the relaxed SFR audit passing and hwrp/fft crash@0.9 it
+ * failing: an unsynchronized reads-from edge, which the relaxed audit
+ * applies, requires a store HW-RP has not persisted.
  *
  * Re-baselining on purpose: a mismatch prints the cell's new row in
  * the table's own syntax; paste it over the old one.
@@ -77,6 +79,7 @@ const GoldenRow kGolden[] = {
     {"bsp-slc-agb", "radix", 0.5, 0xf9dd52b82d8caecfull, 196073, 0, 0x07a8801bce275ba7ull},
     {"bsp", "dedup", 0.25, 0xc42a1d8d0b33463aull, 50582, 0, 0xed7186f8a39eb431ull},
     {"hwrp", "radix", 0.5, 0x5d6bc24deeed608dull, 181394, 0, 0xb9b442b5e31a7c1dull},
+    {"hwrp", "fft", 0.9, 0x943a7301aa855692ull, 125210, 0, 0xc00c7194e6fa7109ull},
 };
 // clang-format on
 

@@ -110,47 +110,6 @@ TEST_F(MesiFixture, UpgradeInvalidatesOtherSharers)
     EXPECT_GT(stats.get("mesi.misses"), missesBefore);
 }
 
-TEST_F(MesiFixture, FlushLineWritesThroughAndDowngrades)
-{
-    store(0, kAddr, makeStoreId(0, 0));
-    bool flushed = false;
-    Cycle at = 0;
-    mesi.flushLine(0, kLine, eq.now(), [&](Cycle when, bool did) {
-        flushed = did;
-        at = when;
-    });
-    eq.runUntil([&] { return at != 0; });
-    EXPECT_TRUE(flushed);
-    EXPECT_FALSE(mesi.isModified(0, kLine)); // M -> E.
-    EXPECT_EQ(llc.lookup(kLine)[wordOf(kAddr)], makeStoreId(0, 0));
-}
-
-TEST_F(MesiFixture, FlushLineHonoursLlcExclusion)
-{
-    store(0, kAddr, makeStoreId(0, 0));
-    llc.install(kLine, zeroLine(), false, 0);
-    llc.setPersistPending(kLine, 5000); // Older version persisting.
-    Cycle at = 0;
-    mesi.flushLine(0, kLine, eq.now(), [&](Cycle when, bool) {
-        at = when;
-    });
-    eq.runUntil([&] { return at != 0; });
-    EXPECT_GE(at, 5000u);
-}
-
-TEST_F(MesiFixture, FlushOfNonModifiedLineIsNoop)
-{
-    load(0, kAddr);
-    bool did = true;
-    bool fired = false;
-    mesi.flushLine(0, kLine, eq.now(), [&](Cycle, bool d) {
-        did = d;
-        fired = true;
-    });
-    eq.runUntil([&] { return fired; });
-    EXPECT_FALSE(did);
-}
-
 TEST_F(MesiFixture, ValuesFlowThroughLlcWhenNoOwner)
 {
     store(0, kAddr, makeStoreId(0, 0));

@@ -67,14 +67,6 @@ TEST(Histogram, EmptyIsSafe)
     EXPECT_DOUBLE_EQ(h.cumulativeAt(5), 0.0);
 }
 
-TEST(WeightedAverage, TimeWeighting)
-{
-    WeightedAverage w;
-    w.update(10, 2.0); // value 2.0 held for cycles [0, 10)
-    w.update(20, 4.0); // value 4.0 held for cycles [10, 20)
-    EXPECT_DOUBLE_EQ(w.average(), 3.0);
-}
-
 TEST(StatsRegistry, CountersByName)
 {
     StatsRegistry reg;

@@ -16,13 +16,13 @@
  *             stw|tsoper>                       (default tsoper)
  *   --bench=<name>         workload profile     (default ocean_cp)
  *   --trace-file=<file>    drive from a trace file instead
- *   --scale=<f>            workload scale       (default 1.0)
+ *   --scale=<f>            workload scale, in (0, 1000] (default 1.0)
  *   --seed=<n>             workload seed        (default 1)
  *   --cores=<n>            core count           (default 8)
  *   --ag-max-lines=<n>     atomic group cap
  *   --agb-slice-lines=<n>  AGB slice capacity
- *   --crash-at=<c|f>       crash at cycle c (>1) or fraction f of the
- *                          run (0<f<=1); implies a prior timing run
+ *   --crash-at=<c|f>       crash at cycle c (1<c<2^64) or fraction f of
+ *                          the run (0<f<=1); implies a prior timing run
  *   --check                audit the durable state (strict TSO, or the
  *                          SFR contract for --engine=hwrp)
  *   --stats                dump all statistics
@@ -55,7 +55,9 @@
  *      number with trailing text, beyond its field's range or not
  *      finite, e.g. --cores=8x, --cores=4294967297, --scale=inf; an
  *      unknown trace category or audit fault, a flight recorder over
- *      2^20 records, and a knob out of SystemConfig's ranges, e.g.
+ *      2^20 records, a scale outside (0, 1000] or a crash point that
+ *      is neither 0, a fraction nor a cycle, e.g. --scale=1e9 or
+ *      --crash-at=-0.5, and a knob out of SystemConfig's ranges, e.g.
  *      --cores=65)
  *   3  unknown --engine
  *   4  unknown --bench
