@@ -164,70 +164,4 @@ writeReportFile(const CampaignReport &report, const std::string &path,
     return true;
 }
 
-bool
-verifyReportFile(const std::string &path, bool requireAllOk,
-                 std::string *err)
-{
-    std::ifstream is(path);
-    if (!is) {
-        if (err)
-            *err = "cannot open: " + path;
-        return false;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-
-    Json doc;
-    std::string parseErr;
-    if (!Json::parse(buf.str(), &doc, &parseErr)) {
-        if (err)
-            *err = path + ": " + parseErr;
-        return false;
-    }
-    const Json *totals = doc.find("totals");
-    const Json *cellArr = doc.find("cells");
-    if (!totals || !totals->isObject() || !cellArr ||
-        !cellArr->isArray()) {
-        if (err)
-            *err = path + ": missing totals/cells";
-        return false;
-    }
-    const Json *cellTotal = totals->find("cells");
-    if (!cellTotal || !cellTotal->isNumber() ||
-        cellTotal->asUint() != cellArr->size()) {
-        if (err)
-            *err = path + ": totals.cells disagrees with cell list";
-        return false;
-    }
-    std::size_t ok = 0;
-    for (std::size_t i = 0; i < cellArr->size(); ++i) {
-        const Json &cell = cellArr->at(i);
-        const Json *status = cell.find("status");
-        if (!status || !status->isString()) {
-            if (err)
-                *err = path + ": cell " + std::to_string(i) +
-                       " has no status";
-            return false;
-        }
-        if (status->asString() == toString(RunStatus::Ok))
-            ++ok;
-        else if (requireAllOk) {
-            const Json *id = cell.find("id");
-            if (err)
-                *err = path + ": cell " +
-                       (id && id->isString() ? id->asString()
-                                             : std::to_string(i)) +
-                       " is " + status->asString();
-            return false;
-        }
-    }
-    const Json *okTotal = totals->find(toString(RunStatus::Ok));
-    if (!okTotal || !okTotal->isNumber() || okTotal->asUint() != ok) {
-        if (err)
-            *err = path + ": totals.ok disagrees with cell statuses";
-        return false;
-    }
-    return true;
-}
-
 } // namespace tsoper::campaign

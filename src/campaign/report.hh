@@ -73,14 +73,6 @@ Json canonicalReportJson(const CampaignReport &report);
 bool writeReportFile(const CampaignReport &report,
                      const std::string &path, std::string *err);
 
-/**
- * Re-read a report artifact and verify it: parses as JSON, totals
- * match the cell list, and (when @p requireAllOk) no cell failed.
- * Used by `tsoper_campaign --verify-out` and the campaign_smoke test.
- */
-bool verifyReportFile(const std::string &path, bool requireAllOk,
-                      std::string *err);
-
 } // namespace tsoper::campaign
 
 #endif // TSOPER_CAMPAIGN_REPORT_HH

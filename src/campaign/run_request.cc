@@ -9,7 +9,6 @@
 #include "sim/trace_sink.hh"
 #include "sim/watchdog.hh"
 #include "workload/generators.hh"
-#include "workload/trace_io.hh"
 
 namespace tsoper::campaign
 {
@@ -47,8 +46,6 @@ RunRequest::toJson() const
         .set("scale", Json(scale))
         .set("seed", Json(seed))
         .set("cores", Json(cores));
-    if (!traceFile.empty())
-        j.set("trace", Json(traceFile));
     if (agMaxLines)
         j.set("ag_max_lines", Json(agMaxLines));
     if (agbSliceLines)
@@ -75,10 +72,7 @@ RunRequest::toJson() const
 bool
 resolveConfig(const RunRequest &r, SystemConfig *cfg, std::string *err)
 {
-    // At x1000 the largest profile (9,000 ops per core) asks for 9 M
-    // ops per core: far past any sweep, and far inside the
-    // generator's 32-bit op count.  A crash cycle must fit a Cycle.
-    constexpr double maxScale = 1000.0;
+    // A crash cycle must fit a Cycle.
     constexpr double cycleLimit = 18446744073709551616.0; // 2^64
     const auto reject = [err](const char *what, double got) {
         if (err) {
@@ -88,7 +82,8 @@ resolveConfig(const RunRequest &r, SystemConfig *cfg, std::string *err)
         }
         return false;
     };
-    if (!(r.scale > 0.0 && r.scale <= maxScale))
+    static_assert(maxScale == 1000.0, "the message names the bound");
+    if (!validScale(r.scale))
         return reject("scale must be finite and in (0, 1000]", r.scale);
     if (!(r.crashAt >= 0.0 && r.crashAt < cycleLimit))
         return reject("crash-at must be 0 (no crash), a fraction in "
@@ -182,29 +177,23 @@ runOne(const RunRequest &r, const RunHooks &hooks)
     if (!topt.check(&res.detail))
         return res; // BadRequest: bad trace category, fault or depth
 
-    if (r.traceFile.empty() && !findProfile(r.bench)) {
+    const Profile *profile = findProfile(r.bench);
+    if (!profile) {
         res.detail = "unknown benchmark: " + r.bench;
         return res;
     }
 
-    Workload w;
     try {
-        w = r.traceFile.empty()
-                ? generateByName(r.bench, cfg.numCores, r.seed, r.scale)
-                : loadWorkloadFile(r.traceFile);
-    } catch (const std::exception &e) {
-        res.detail = e.what(); // BadRequest: workload did not build
-        return res;
-    }
-    std::string error;
-    if (!validateWorkload(w, &error)) {
-        res.detail = "invalid workload: " + error;
-        return res;
-    }
-    res.ops = w.totalOps();
-    res.stores = w.totalStores();
+        const Workload w =
+            generate(*profile, cfg.numCores, r.seed, r.scale);
+        std::string error;
+        if (!validateWorkload(w, &error)) {
+            res.detail = "invalid workload: " + error;
+            return res; // BadRequest
+        }
+        res.ops = w.totalOps();
+        res.stores = w.totalStores();
 
-    try {
         const PersistModel model = cfg.engine == EngineKind::HwRp
                                        ? PersistModel::RelaxedSfr
                                        : PersistModel::StrictTso;

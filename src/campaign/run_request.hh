@@ -40,8 +40,7 @@ struct RunRequest
 
     std::string engine = "tsoper"; ///< CLI spelling (see engineNames()).
     std::string bench = "ocean_cp";
-    std::string traceFile;         ///< Drive from a trace file instead.
-    double scale = 1.0;            ///< In (0, 1000].
+    double scale = 1.0;            ///< In (0, 1000]: validScale().
     std::uint64_t seed = 1;
     unsigned cores = 8;
     unsigned agMaxLines = 0;       ///< 0 = engine default.
@@ -142,10 +141,10 @@ struct RunHooks
 
 /**
  * Resolve @p r into a validated SystemConfig.  Returns false (with a
- * message in @p err) for a scale or crash point outside the ranges
- * documented on RunRequest, an unknown engine name or a knob outside
- * SystemConfig::check's ranges; benchmark resolution happens in runOne
- * since trace-driven requests have no profile.
+ * message in @p err) for a scale outside validScale's range, a crash
+ * point outside the range documented on RunRequest, an unknown engine
+ * name or a knob outside SystemConfig::check's ranges.  The benchmark
+ * name is not part of the config: runOne and the CLI look it up.
  */
 bool resolveConfig(const RunRequest &r, SystemConfig *cfg,
                    std::string *err);

@@ -11,19 +11,8 @@
  * manifests — same spec, same list, always — which is what makes
  * campaign reports diffable across runs and machines.
  *
- * Specs come from three places: built-in campaigns (builtin.hh), CLI
- * matrix flags (tools/tsoper_campaign.cc), or a small text format:
- *
- *   # comment
- *   name            = nightly
- *   engines         = tsoper, stw        # or "all"
- *   benches         = radix, dedup      # or "all"
- *   scales          = 0.1, 0.5
- *   seeds           = 1, 2, 3
- *   crash-fractions = 0.25, 0.5, 0.75   # omit for plain runs
- *   check           = true
- *   cores           = 8
- *   timeout-ms      = 60000
+ * Specs come from two places: built-in campaigns (builtin.hh) and the
+ * CLI's matrix flags (tools/tsoper_campaign.cc).
  */
 
 #ifndef TSOPER_CAMPAIGN_SPEC_HH
@@ -67,35 +56,12 @@ struct CampaignSpec
 std::vector<RunRequest> expand(const CampaignSpec &spec);
 
 /**
- * Check @p spec names only known engines/benchmarks, positive finite
- * scales, crash fractions in (0, 1], and knobs resolveConfig accepts
+ * Check @p spec names only known engines/benchmarks, scales in
+ * (0, 1000], crash fractions in (0, 1], and knobs resolveConfig accepts
  * for every engine.  Returns an empty string when valid, else the
  * first problem.
  */
 std::string validateSpec(const CampaignSpec &spec);
-
-/**
- * Strict number syntax for spec values and both CLIs' flags: decimal
- * digits only (no sign, space or suffix), at most @p max.
- */
-bool parseUint(const std::string &s, std::uint64_t max, std::uint64_t *out);
-
-/** A number spanning all of @p s (std::from_chars) that is finite. */
-bool parseFiniteDouble(const std::string &s, double *out);
-
-/**
- * Parse the key = value text format above into @p out (starting from
- * a default-constructed spec).  Numbers are decimal digits only, each
- * within its field's range.  Returns false with a message in @p err
- * (including the line number) on malformed input.  Does not validate
- * names — call validateSpec() after.
- */
-bool parseSpecText(const std::string &text, CampaignSpec *out,
-                   std::string *err);
-
-/** parseSpecText over the contents of @p path. */
-bool loadSpecFile(const std::string &path, CampaignSpec *out,
-                  std::string *err);
 
 } // namespace tsoper::campaign
 

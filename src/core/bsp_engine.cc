@@ -284,7 +284,6 @@ BspEngine::issueNvmWrites(const EpochPtr &e, Cycle now)
         trace::instant(trace::Event::PersistIssue, e->core, ready, line,
                        e->uid);
         lineNvmReady_[line] = completion;
-        llc_.setPersistPending(line, completion);
         eq_.schedule(completion, [this, e, line] {
             trace::instant(trace::Event::PersistCommit, e->core,
                            eq_.now(), line, e->uid);

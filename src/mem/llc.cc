@@ -89,20 +89,6 @@ Llc::merge(LineAddr line, const LineWords &words, bool dirty, Cycle now)
     install(line, words, dirty, now);
 }
 
-Cycle
-Llc::persistPendingUntil(LineAddr line) const
-{
-    const Way *w = find(line);
-    return w ? w->persistPendingUntil : 0;
-}
-
-void
-Llc::setPersistPending(LineAddr line, Cycle until)
-{
-    if (Way *w = find(line))
-        w->persistPendingUntil = std::max(w->persistPendingUntil, until);
-}
-
 void
 Llc::pinForAgb(LineAddr line)
 {

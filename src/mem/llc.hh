@@ -5,9 +5,9 @@
  * The LLC is a functional backing store between the private caches and
  * NVM: writebacks install versions here; private-cache misses with no
  * remote valid copy are served from here; capacity evictions of dirty
- * lines write to NVM.  For BSP it additionally models *LLC exclusion*
- * (Definition 2 of the paper): a line with a persist pending to NVM
- * cannot accept a newer version until that persist completes.
+ * lines write to NVM.  BSP's *LLC exclusion* (Definition 2 of the
+ * paper) is enforced by its engine, which holds each line's pending
+ * NVM persist (core/bsp_engine.hh).
  */
 
 #ifndef TSOPER_MEM_LLC_HH
@@ -57,13 +57,6 @@ class Llc
     void merge(LineAddr line, const LineWords &words, bool dirty,
                Cycle now);
 
-    // --- BSP LLC exclusion ------------------------------------------
-    /** Cycle until which @p line 's current LLC version must persist
-     *  before a newer version may be installed (0 if none pending). */
-    Cycle persistPendingUntil(LineAddr line) const;
-
-    void setPersistPending(LineAddr line, Cycle until);
-
     // --- AGB inclusion (§II-B future optimization, implemented) ------
     /**
      * Pin @p line while a version of it sits in the AGB awaiting its
@@ -81,7 +74,6 @@ class Llc
     /** A resident line's state, kept in its way. */
     struct Way
     {
-        Cycle persistPendingUntil = 0;
         LinePool::Slot words = 0; ///< Contents, in words_.
         unsigned agbPins = 0;
         bool dirty = false;

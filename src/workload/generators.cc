@@ -98,6 +98,8 @@ class TraceBuilder
     std::uint64_t memOps_ = 0;
 };
 
+/** Memory ops per core at @p scale (generate() checked it), at least
+ *  200. */
 unsigned
 scaledOps(const Profile &p, double scale)
 {
@@ -375,6 +377,9 @@ Workload
 generate(const Profile &p, unsigned numCores, std::uint64_t seed,
          double scale)
 {
+    if (!validScale(scale))
+        tsoper_fatal("scale must be finite and in (0, ", maxScale,
+                     "], got ", scale);
     Workload w;
     w.name = p.name;
     w.perCore.resize(numCores);

@@ -51,7 +51,24 @@ struct Profile
     unsigned burstMax = 8;       ///< Sequential run length.
 };
 
-/** Generate the multi-core workload for @p profile. */
+/**
+ * Largest workload scale.  At x1000 the largest profile (9,000 ops per
+ * core) asks for 9 M ops per core: far past any sweep, and far inside
+ * the generator's 32-bit op count.
+ */
+constexpr double maxScale = 1000.0;
+
+/** @p scale is finite and in (0, maxScale]. */
+constexpr bool
+validScale(double scale)
+{
+    return scale > 0.0 && scale <= maxScale;
+}
+
+/**
+ * Generate the multi-core workload for @p profile; fatal unless
+ * validScale(@p scale).
+ */
 Workload generate(const Profile &profile, unsigned numCores,
                   std::uint64_t seed, double scale = 1.0);
 
@@ -69,7 +86,8 @@ std::vector<std::string> benchmarkNames();
 
 /**
  * Convenience: generate a named benchmark.  @p scale multiplies
- * opsPerCore (benches use < 1.0 for quick sweeps, 1.0 for full runs).
+ * opsPerCore (benches use < 1.0 for quick sweeps, 1.0 for full runs);
+ * fatal for an unknown name or an invalid scale.
  */
 Workload generateByName(const std::string &name, unsigned numCores,
                         std::uint64_t seed, double scale = 1.0);

@@ -101,16 +101,6 @@ TEST(Llc, CleanEvictionSkipsNvm)
     EXPECT_EQ(f.stats.get("nvm.writes_issued"), 0u);
 }
 
-TEST(Llc, PersistPendingTracksMax)
-{
-    LlcFixture f;
-    f.llc.install(3, zeroLine(), false, 0);
-    EXPECT_EQ(f.llc.persistPendingUntil(3), 0u);
-    f.llc.setPersistPending(3, 500);
-    f.llc.setPersistPending(3, 300); // Must not regress.
-    EXPECT_EQ(f.llc.persistPendingUntil(3), 500u);
-}
-
 TEST(Llc, PinBeforeInstallTakesEffectAtInstall)
 {
     LlcFixture f;

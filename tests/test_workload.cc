@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "workload/generators.hh"
@@ -132,4 +133,19 @@ TEST(WorkloadScale, ScaleGrowsTraces)
     const Workload small = generateByName("fft", 4, 1, 0.1);
     const Workload large = generateByName("fft", 4, 1, 0.5);
     EXPECT_GT(large.totalOps(), small.totalOps());
+}
+
+TEST(Workload, ScaleOutsideRangeIsFatal)
+{
+    // generate() checks the scale itself: a direct call with a scale
+    // resolveConfig would refuse is fatal, not an op count cast from a
+    // negative, huge or NaN product.
+    for (double scale : {-1.0, 0.0, 1e9,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+        EXPECT_FALSE(validScale(scale)) << scale;
+        EXPECT_THROW(generateByName("fft", 4, 1, scale), std::runtime_error)
+            << scale;
+    }
+    EXPECT_TRUE(validScale(maxScale));
 }

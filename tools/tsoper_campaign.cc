@@ -4,7 +4,6 @@
  *
  *   tsoper_campaign --campaign=crash-matrix --jobs=8
  *   tsoper_campaign --campaign=fig11 --out=fig11.json
- *   tsoper_campaign --spec=nightly.spec --jobs=4 --verify-out
  *   tsoper_campaign --engines=tsoper,stw --benches=radix,dedup \
  *                   --scales=0.1 --seeds=1,2 --crash-at=0.5 --check
  *   tsoper_campaign --list-campaigns
@@ -18,10 +17,9 @@
  *
  * Options:
  *   --campaign=<name>      built-in campaign (see --list-campaigns)
- *   --spec=<file>          campaign spec file (docs/campaigns.md)
- *   --engines=a,b|all      matrix flags, used when neither --campaign
- *   --benches=a,b|all      nor --spec is given; defaults mirror
- *   --scales=f,...         CampaignSpec's defaults
+ *   --engines=a,b|all      matrix flags, used when --campaign is not
+ *   --benches=a,b|all      given; defaults mirror CampaignSpec's
+ *   --scales=f,...         defaults
  *   --seeds=n,...
  *   --crash-at=f,...       crash fractions in (0,1]
  *   --check                audit durable state per cell
@@ -33,15 +31,13 @@
  *   --retries=<n>          re-runs of a timed-out cell (default:
  *                          spec's, 1)
  *   --out=<file>           report path      (default: BENCH_campaign.json)
- *   --verify-out           re-read the report and fail unless it
- *                          parses and has no failed cells
  *   --dry-run              print the expanded manifests and exit
  *   --quiet                suppress per-cell progress lines
  *   --list-campaigns       print built-in campaigns and exit
  *
  * Exit codes:
- *   0  every cell ok            3  invalid spec / unknown campaign
- *   1  some cells not ok        4  report I/O or verify failure
+ *   0  every cell ok            3  unknown or invalid campaign
+ *   1  some cells not ok        4  report I/O failure
  *   2  usage error
  */
 
@@ -70,12 +66,10 @@ namespace
 struct CliOptions
 {
     std::string campaignName;
-    std::string specFile;
     std::string out = "BENCH_campaign.json";
     unsigned jobs = 0;
     long timeoutMs = -1; ///< -1 = take the spec's value.
     int retries = -1;
-    bool verifyOut = false;
     bool dryRun = false;
     bool quiet = false;
     bool listCampaigns = false;
@@ -87,11 +81,10 @@ struct CliOptions
 usage(int code)
 {
     std::printf(
-        "usage: tsoper_campaign (--campaign=NAME | --spec=FILE | matrix "
-        "flags)\n"
+        "usage: tsoper_campaign (--campaign=NAME | matrix flags)\n"
         "                       [--jobs=N] [--timeout-ms=N] [--retries=N]\n"
-        "                       [--out=FILE] [--verify-out] [--dry-run]\n"
-        "                       [--quiet] [--list-campaigns]\n"
+        "                       [--out=FILE] [--dry-run] [--quiet]\n"
+        "                       [--list-campaigns]\n"
         "matrix flags: --engines=a,b|all --benches=a,b|all --scales=f,..\n"
         "              --seeds=n,.. --crash-at=f,.. --check --cores=N\n"
         "              --ag-max-lines=N --agb-slice-lines=N --name=S\n");
@@ -142,8 +135,6 @@ parseCli(int argc, char **argv)
         };
         if (arg.rfind("--campaign=", 0) == 0) {
             opt.campaignName = val("--campaign=");
-        } else if (arg.rfind("--spec=", 0) == 0) {
-            opt.specFile = val("--spec=");
         } else if (arg.rfind("--out=", 0) == 0) {
             opt.out = val("--out=");
         } else if (arg.rfind("--jobs=", 0) == 0) {
@@ -156,8 +147,6 @@ parseCli(int argc, char **argv)
         } else if (arg.rfind("--retries=", 0) == 0) {
             opt.retries = static_cast<int>(parseBoundedOrDie(
                 val("--retries="), "--retries", 0, 100));
-        } else if (arg == "--verify-out") {
-            opt.verifyOut = true;
         } else if (arg == "--dry-run") {
             opt.dryRun = true;
         } else if (arg == "--quiet") {
@@ -239,13 +228,10 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const int sources = (opt.campaignName.empty() ? 0 : 1) +
-                        (opt.specFile.empty() ? 0 : 1) +
-                        (opt.matrixTouched ? 1 : 0);
-    if (sources != 1) {
+    const bool named = !opt.campaignName.empty();
+    if (named == opt.matrixTouched) {
         std::fprintf(stderr,
-                     "pick exactly one of --campaign, --spec, or "
-                     "matrix flags\n");
+                     "pick exactly one of --campaign or matrix flags\n");
         usage(2);
     }
 
@@ -260,12 +246,6 @@ main(int argc, char **argv)
             return 3;
         }
         spec = builtin->spec;
-    } else if (!opt.specFile.empty()) {
-        std::string err;
-        if (!loadSpecFile(opt.specFile, &spec, &err)) {
-            std::fprintf(stderr, "%s\n", err.c_str());
-            return 3;
-        }
     } else {
         spec = opt.matrix;
     }
@@ -321,12 +301,5 @@ main(int argc, char **argv)
     std::printf("%s\nreport written to %s (%.0f ms wall)\n",
                 report.summary().c_str(), opt.out.c_str(),
                 report.wallMs);
-
-    if (opt.verifyOut &&
-        !verifyReportFile(opt.out, /*requireAllOk=*/true, &err)) {
-        std::fprintf(stderr, "report verification failed: %s\n",
-                     err.c_str());
-        return 4;
-    }
     return report.allOk() ? 0 : 1;
 }

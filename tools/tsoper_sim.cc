@@ -7,15 +7,13 @@
  * cell execute identical code paths (src/campaign/run_request.cc).
  *
  *   tsoper_sim --engine=tsoper --bench=ocean_cp --scale=0.5 --stats
- *   tsoper_sim --engine=stw --trace-file=my.trace --crash-at=0.5 --check
+ *   tsoper_sim --engine=stw --bench=dedup --crash-at=0.5 --check
  *   tsoper_sim --list-benchmarks
- *   tsoper_sim --engine=tsoper --bench=radix --save-trace=radix.trace
  *
  * Options:
  *   --engine=<baseline|baseline-mesi|hwrp|bsp|bsp-slc|bsp-slc-agb|
  *             stw|tsoper>                       (default tsoper)
  *   --bench=<name>         workload profile     (default ocean_cp)
- *   --trace-file=<file>    drive from a trace file instead
  *   --scale=<f>            workload scale, in (0, 1000] (default 1.0)
  *   --seed=<n>             workload seed        (default 1)
  *   --cores=<n>            core count           (default 8)
@@ -29,7 +27,6 @@
  *   --stats-out=<file>     write statistics to a file (text table)
  *   --stats-json=<file>    write statistics to a file (JSON; schema in
  *                          docs/campaigns.md)
- *   --save-trace=<file>    save the generated workload and exit
  *   --describe             print the configuration and exit
  *   --list-benchmarks      print available profiles and exit
  *   --max-cycles=<n>       simulated-cycle budget (default 4e9)
@@ -61,7 +58,7 @@
  *      --cores=65)
  *   3  unknown --engine
  *   4  unknown --bench
- *   5  invalid workload (bad trace file or failed validation)
+ *   5  invalid workload (failed validation)
  *   6  simulation error (internal panic/fatal, e.g. deadlock)
  *   7  hung (the progress watchdog proved a livelock, or the
  *      simulated-cycle budget ran out)
@@ -81,7 +78,6 @@
 #include "sim/stats_json.hh"
 #include "sim/trace_sink.hh"
 #include "workload/generators.hh"
-#include "workload/trace_io.hh"
 
 #include "cli_numbers.hh"
 
@@ -106,7 +102,6 @@ enum ExitCode
 struct CliOptions
 {
     campaign::RunRequest run;
-    std::string saveTrace;
     std::string statsOut;
     std::string statsJson;
     bool stats = false;
@@ -118,7 +113,7 @@ struct CliOptions
 [[noreturn]] void
 usage(int code)
 {
-    std::printf("usage: tsoper_sim [--engine=E] [--bench=B|--trace-file=F] "
+    std::printf("usage: tsoper_sim [--engine=E] [--bench=B] "
                 "[--scale=F] [--seed=N]\n"
                 "                  [--cores=N] [--crash-at=C] "
                 "[--check] [--stats] [--stats-out=F]\n"
@@ -127,8 +122,7 @@ usage(int code)
                 "[--audit-persists]\n"
                 "                  [--audit-fault=reorder] "
                 "[--flight-recorder=N] [--list-debug-flags]\n"
-                "                  [--save-trace=F] [--describe] "
-                "[--list-benchmarks]\n");
+                "                  [--describe] [--list-benchmarks]\n");
     std::exit(code);
 }
 
@@ -145,8 +139,6 @@ parseCli(int argc, char **argv)
             opt.run.engine = val("--engine=");
         else if (arg.rfind("--bench=", 0) == 0)
             opt.run.bench = val("--bench=");
-        else if (arg.rfind("--trace-file=", 0) == 0)
-            opt.run.traceFile = val("--trace-file=");
         else if (arg.rfind("--trace-categories=", 0) == 0)
             opt.run.traceCategories = val("--trace-categories=");
         else if (arg.rfind("--trace-out=", 0) == 0)
@@ -161,8 +153,6 @@ parseCli(int argc, char **argv)
                                   "--flight-recorder", 0, UINT_MAX));
         else if (arg == "--list-debug-flags")
             opt.listDebugFlags = true;
-        else if (arg.rfind("--save-trace=", 0) == 0)
-            opt.saveTrace = val("--save-trace=");
         else if (arg.rfind("--stats-out=", 0) == 0)
             opt.statsOut = val("--stats-out=");
         else if (arg.rfind("--stats-json=", 0) == 0)
@@ -245,9 +235,8 @@ main(int argc, char **argv)
         return ExitUsage;
     }
 
-    // Resolve the config up front: --describe and --save-trace need it
-    // before any run.  An unknown engine exits 3, a knob out of range
-    // is a usage error.
+    // Resolve the config up front: --describe needs it before any run.
+    // An unknown engine exits 3, a knob out of range is a usage error.
     SystemConfig cfg;
     if (!campaign::resolveConfig(opt.run, &cfg, &err)) {
         std::fprintf(stderr, "%s\n", err.c_str());
@@ -257,7 +246,7 @@ main(int argc, char **argv)
                    ? ExitUsage
                    : ExitUnknownEngine;
     }
-    if (opt.run.traceFile.empty() && !findProfile(opt.run.bench)) {
+    if (!findProfile(opt.run.bench)) {
         std::fprintf(stderr, "unknown benchmark: %s\n",
                      opt.run.bench.c_str());
         return ExitUnknownBench;
@@ -266,23 +255,6 @@ main(int argc, char **argv)
     if (opt.describe) {
         cfg.describe(std::cout);
         return ExitOk;
-    }
-
-    if (!opt.saveTrace.empty()) {
-        try {
-            const Workload w =
-                opt.run.traceFile.empty()
-                    ? generateByName(opt.run.bench, cfg.numCores,
-                                     opt.run.seed, opt.run.scale)
-                    : loadWorkloadFile(opt.run.traceFile);
-            saveWorkloadFile(w, opt.saveTrace);
-            std::printf("saved %zu-op workload to %s\n", w.totalOps(),
-                        opt.saveTrace.c_str());
-            return ExitOk;
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            return ExitInvalidWorkload;
-        }
     }
 
     // Capture the stats dumps inside the hook (the System is only
@@ -323,9 +295,7 @@ main(int argc, char **argv)
     }
 
     std::printf("engine=%s workload=%s ops=%llu stores=%llu cores=%u\n",
-                toString(cfg.engine),
-                opt.run.traceFile.empty() ? opt.run.bench.c_str()
-                                          : opt.run.traceFile.c_str(),
+                toString(cfg.engine), opt.run.bench.c_str(),
                 static_cast<unsigned long long>(res.ops),
                 static_cast<unsigned long long>(res.stores),
                 cfg.numCores);
