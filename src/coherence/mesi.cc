@@ -15,7 +15,7 @@ MesiProtocol::MesiProtocol(const SystemConfig &cfg, EventQueue &eq,
     : cfg_(cfg), eq_(eq), bus_(eq, mesh), llc_(llc), nvm_(nvm),
       serializer_(eq), capacity_(cfg.dirEntriesPerBank, cfg.llcBanks,
                                  cfg.dirEvictBufferEntries, stats),
-      txns_(stats), mshr_(eq, cfg.numCores, cfg.mshrEntries, stats),
+      txns_(stats),
       banks_(cfg.llcBanks),
       hits_(stats.counter("mesi.hits")),
       misses_(stats.counter("mesi.misses")),
@@ -73,32 +73,16 @@ MesiProtocol::load(CoreId core, Addr addr, LoadDone done)
                        });
         return;
     }
-    bool holdsMshr = false;
-    if (!mshr_.admit(core, line, &holdsMshr)) {
-        mshr_.defer(core,
-                    [this, core, addr, done = std::move(done)]() mutable {
-                        load(core, addr, std::move(done));
-                    });
-        return;
-    }
     misses_.inc();
     submitTxn(core, line,
-              [this, core, holdsMshr, addr,
-               done = std::move(done)](Cycle t) mutable {
-                  return loadTxn(core, addr, std::move(done), holdsMshr, t);
+              [this, core, addr, done = std::move(done)](Cycle t) mutable {
+                  return loadTxn(core, addr, std::move(done), t);
               },
               eq_.now() + cfg_.privLatency);
 }
 
 void
 MesiProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
-{
-    issueStore(core, addr, store, std::move(done), false);
-}
-
-void
-MesiProtocol::issueStore(CoreId core, Addr addr, StoreId store,
-                         StoreDone done, bool holdsMshr)
 {
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line);
@@ -109,24 +93,16 @@ MesiProtocol::issueStore(CoreId core, Addr addr, StoreId store,
         words_[n->words][wordOf(addr)] = store;
         hooks_->onStoreCommitted(core, line, eq_.now());
         logStore(core, addr, store);
-        eq_.scheduleIn(cfg_.privLatency, [this, core, holdsMshr, line,
-                                          done = std::move(done)]() mutable {
-            mshr_.complete(core, line, holdsMshr, done, eq_.now());
-        });
-        return;
-    }
-    if (!holdsMshr && !mshr_.admit(core, line, &holdsMshr)) {
-        mshr_.defer(core, [this, core, addr, store,
-                           done = std::move(done)]() mutable {
-            issueStore(core, addr, store, std::move(done), false);
-        });
+        eq_.scheduleIn(cfg_.privLatency,
+                       [this, done = std::move(done)]() mutable {
+                           done(eq_.now());
+                       });
         return;
     }
     submitTxn(core, line,
-              [this, core, holdsMshr, addr, store,
+              [this, core, addr, store,
                done = std::move(done)](Cycle t) mutable {
-                  return storeTxn(core, addr, store, std::move(done),
-                                  holdsMshr, t);
+                  return storeTxn(core, addr, store, std::move(done), t);
               },
               eq_.now() + cfg_.privLatency);
 }
@@ -143,14 +119,13 @@ MesiProtocol::submitTxn(CoreId core, LineAddr line,
 }
 
 std::optional<Cycle>
-MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
-                      Cycle t)
+MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
 {
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line); n && n->st != St::I) {
         // Raced: an earlier queued transaction already fetched it.
         const StoreId value = words_[n->words][wordOf(addr)];
-        mshr_.complete(core, line, holdsMshr, done, t + dirLatency_, value);
+        done(t + dirLatency_, value);
         return t + dirLatency_;
     }
     allocateEntry(line, t);
@@ -180,12 +155,12 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
         const StoreId value = words[wordOf(addr)];
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(o),
                   cfg_.ctrlMsgBytes, t,
-                  [this, o, core, holdsMshr, wasM, line, value, floor,
+                  [this, o, core, wasM, line, value, floor,
                    done = std::move(done)]() mutable {
                       const Cycle ready = std::max(eq_.now(), floor);
                       // The data reply leaves first (critical path)...
-                      const Cycle dataAt = mshr_.reply(
-                          bus_, bus_.coreNode(o), core, line, holdsMshr,
+                      const Cycle dataAt = bus_.reply(
+                          bus_.coreNode(o), core,
                           lineBytes + cfg_.ctrlMsgBytes, ready,
                           std::move(done), value);
                       if (wasM) {
@@ -209,10 +184,10 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
             capacity_.setPinned(line, true);
             const StoreId value = words[wordOf(addr)];
             eq_.schedule(llc_.access(line, t),
-                         [this, core, holdsMshr, line, value,
+                         [this, core, line, value,
                           done = std::move(done)]() mutable {
-                const Cycle dataAt = mshr_.reply(
-                    bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
+                const Cycle dataAt = bus_.reply(
+                    bus_.bankNode(bankOf(line)), core,
                     lineBytes + cfg_.ctrlMsgBytes, eq_.now(), std::move(done),
                     value);
                 finishTxn(core, line, dataAt);
@@ -231,11 +206,11 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
         const StoreId value = words[wordOf(addr)];
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(s),
                   cfg_.ctrlMsgBytes, t,
-                  [this, s, core, holdsMshr, line, value, floor,
+                  [this, s, core, line, value, floor,
                    done = std::move(done)]() mutable {
                       const Cycle ready = std::max(eq_.now(), floor);
-                      const Cycle dataAt = mshr_.reply(
-                          bus_, bus_.coreNode(s), core, line, holdsMshr,
+                      const Cycle dataAt = bus_.reply(
+                          bus_.coreNode(s), core,
                           lineBytes + cfg_.ctrlMsgBytes, ready,
                           std::move(done), value);
                       finishTxn(core, line, dataAt);
@@ -250,12 +225,11 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
     fillNode(core, line, St::E, words, t);
     capacity_.setPinned(line, true);
     const StoreId value = words[wordOf(addr)];
-    eq_.schedule(llc_.access(line, t), [this, core, holdsMshr, line, value,
+    eq_.schedule(llc_.access(line, t), [this, core, line, value,
                                         done = std::move(done)]() mutable {
-        const Cycle dataAt = mshr_.reply(
-            bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
-            lineBytes + cfg_.ctrlMsgBytes, nvm_.read(line, eq_.now()),
-            std::move(done), value);
+        const Cycle dataAt = bus_.reply(
+            bus_.bankNode(bankOf(line)), core, lineBytes + cfg_.ctrlMsgBytes,
+            nvm_.read(line, eq_.now()), std::move(done), value);
         finishTxn(core, line, dataAt);
     });
     return std::nullopt;
@@ -263,16 +237,15 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
 
 std::optional<Cycle>
 MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
-                       StoreDone done, bool holdsMshr, Cycle t)
+                       StoreDone done, Cycle t)
 {
     const LineAddr line = lineOf(addr);
     // The store gate may have closed while the request was in flight:
     // re-check it at the serialization instant.
     if (!hooks_->storeMayCommit(core, line)) {
-        hooks_->addStoreWaiter(core, line, [this, core, holdsMshr, addr,
-                                            store,
+        hooks_->addStoreWaiter(core, line, [this, core, addr, store,
                                             done = std::move(done)]() mutable {
-            issueStore(core, addr, store, std::move(done), holdsMshr);
+            this->store(core, addr, store, std::move(done));
         });
         return t + dirLatency_;
     }
@@ -283,7 +256,7 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         words_[n->words][wordOf(addr)] = store;
         hooks_->onStoreCommitted(core, line, t);
         logStore(core, addr, store);
-        mshr_.complete(core, line, holdsMshr, done, t + dirLatency_);
+        done(t + dirLatency_);
         return t + dirLatency_;
     }
     allocateEntry(line, t);
@@ -309,11 +282,11 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         capacity_.setPinned(line, true);
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(o),
                   cfg_.ctrlMsgBytes, t,
-                  [this, o, core, holdsMshr, line, floor,
+                  [this, o, core, line, floor,
                    done = std::move(done)]() mutable {
                       const Cycle ready = std::max(eq_.now(), floor);
-                      const Cycle dataAt = mshr_.reply(
-                          bus_, bus_.coreNode(o), core, line, holdsMshr,
+                      const Cycle dataAt = bus_.reply(
+                          bus_.coreNode(o), core,
                           lineBytes + cfg_.ctrlMsgBytes, ready,
                           std::move(done));
                       finishTxn(core, line, dataAt);
@@ -328,9 +301,8 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         const unsigned numInv = std::popcount(e.sharers & ~bit(core));
         const TxnTable::Id id = txns_.begin(
             line, core, numInv + 1,
-            [this, core, holdsMshr, line,
-             done = std::move(done)](Cycle readyAt) mutable {
-                mshr_.complete(core, line, holdsMshr, done, readyAt);
+            [this, core, line, done = std::move(done)](Cycle readyAt) mutable {
+                done(readyAt);
                 finishTxn(core, line, readyAt);
             });
         sendInvalidations(line, core, t, id);
@@ -359,9 +331,8 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         const unsigned numInv = std::popcount(e.sharers & ~bit(core));
         const TxnTable::Id id = txns_.begin(
             line, core, numInv + 1,
-            [this, core, holdsMshr, line,
-             done = std::move(done)](Cycle readyAt) mutable {
-                mshr_.complete(core, line, holdsMshr, done, readyAt);
+            [this, core, line, done = std::move(done)](Cycle readyAt) mutable {
+                done(readyAt);
                 finishTxn(core, line, readyAt);
             });
         sendInvalidations(line, core, t, id);
@@ -389,12 +360,11 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
     hooks_->onStoreCommitted(core, line, t);
     logStore(core, addr, store);
     capacity_.setPinned(line, true);
-    eq_.schedule(llc_.access(line, t), [this, core, holdsMshr, line,
+    eq_.schedule(llc_.access(line, t), [this, core, line,
                                         done = std::move(done)]() mutable {
-        const Cycle dataAt = mshr_.reply(
-            bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
-            lineBytes + cfg_.ctrlMsgBytes, nvm_.read(line, eq_.now()),
-            std::move(done));
+        const Cycle dataAt = bus_.reply(
+            bus_.bankNode(bankOf(line)), core, lineBytes + cfg_.ctrlMsgBytes,
+            nvm_.read(line, eq_.now()), std::move(done));
         finishTxn(core, line, dataAt);
     });
     return std::nullopt;

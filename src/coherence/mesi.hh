@@ -88,21 +88,15 @@ class MesiProtocol : public CoherenceProtocol
     void submitTxn(CoreId core, LineAddr line, LineSerializer::Body body,
                    Cycle departAt);
 
-    /** store() for a request that may already hold an MSHR register
-     *  (@p holdsMshr: a parked retry of the primary miss, which frees
-     *  the register right before its completion runs). */
-    void issueStore(CoreId core, Addr addr, StoreId store, StoreDone done,
-                    bool holdsMshr);
-
     /** Transaction bodies (run at directory dispatch).  nullopt means
      *  the body deferred: the line is held until the last timing leg
      *  lands and finishTxn frees it.  Memory fills charge the LLC bank
      *  at dispatch and send their data leg at its completion cycle
      *  (after an NVM read on an LLC miss). */
     std::optional<Cycle> loadTxn(CoreId core, Addr addr, LoadDone done,
-                                 bool holdsMshr, Cycle t);
+                                 Cycle t);
     std::optional<Cycle> storeTxn(CoreId core, Addr addr, StoreId store,
-                                  StoreDone done, bool holdsMshr, Cycle t);
+                                  StoreDone done, Cycle t);
 
     /** Retire a deferred transaction whose data reached @p core at
      *  @p at: final dataReadyAt, unpin the directory entry and free the
@@ -141,7 +135,6 @@ class MesiProtocol : public CoherenceProtocol
     LineSerializer serializer_;
     DirectoryCapacity<Entry> capacity_;
     TxnTable txns_;
-    Mshr mshr_;
     unsigned banks_;
     Cycle dirLatency_ = 6;
 

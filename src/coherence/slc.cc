@@ -14,7 +14,6 @@ SlcProtocol::SlcProtocol(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh,
     : cfg_(cfg), eq_(eq), bus_(eq, mesh), llc_(llc), nvm_(nvm),
       serializer_(eq), capacity_(cfg.dirEntriesPerBank, cfg.llcBanks,
                                  cfg.dirEvictBufferEntries, stats),
-      mshr_(eq, cfg.numCores, cfg.mshrEntries, stats),
       banks_(cfg.llcBanks),
       hits_(stats.counter("slc.hits")),
       misses_(stats.counter("slc.misses")),
@@ -70,46 +69,28 @@ SlcProtocol::entry(LineAddr line)
 void
 SlcProtocol::load(CoreId core, Addr addr, LoadDone done)
 {
-    issueLoad(core, addr, std::move(done), false);
-}
-
-void
-SlcProtocol::issueLoad(CoreId core, Addr addr, LoadDone done, bool holdsMshr)
-{
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line); n && n->valid) {
         hits_.inc();
         if (!n->evicted)
             caches_[static_cast<unsigned>(core)].array.touch(n);
         const StoreId value = words_[n->words][wordOf(addr)];
-        eq_.scheduleIn(cfg_.privLatency, [this, core, holdsMshr, line, value,
-                                          done = std::move(done)]() mutable {
-            mshr_.complete(core, line, holdsMshr, done, eq_.now(), value);
-        });
-        return;
-    }
-    if (!holdsMshr && !mshr_.admit(core, line, &holdsMshr)) {
-        mshr_.defer(core, retryLoad(core, addr, std::move(done), false));
+        eq_.scheduleIn(cfg_.privLatency,
+                       [this, value, done = std::move(done)]() mutable {
+                           done(eq_.now(), value);
+                       });
         return;
     }
     misses_.inc();
     submitTxn(core, line,
-              [this, core, holdsMshr, addr,
-               done = std::move(done)](Cycle t) mutable {
-                  return loadTxn(core, addr, std::move(done), holdsMshr, t);
+              [this, core, addr, done = std::move(done)](Cycle t) mutable {
+                  return loadTxn(core, addr, std::move(done), t);
               },
               eq_.now() + cfg_.privLatency);
 }
 
 void
 SlcProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
-{
-    issueStore(core, addr, store, std::move(done), false);
-}
-
-void
-SlcProtocol::issueStore(CoreId core, Addr addr, StoreId store,
-                        StoreDone done, bool holdsMshr)
 {
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line);
@@ -123,41 +104,34 @@ SlcProtocol::issueStore(CoreId core, Addr addr, StoreId store,
         n->dirty = true;
         hooks_->onStoreCommitted(core, line, eq_.now());
         logStore(core, addr, store);
-        eq_.scheduleIn(cfg_.privLatency, [this, core, holdsMshr, line,
-                                          done = std::move(done)]() mutable {
-            mshr_.complete(core, line, holdsMshr, done, eq_.now());
-        });
-        return;
-    }
-    if (!holdsMshr && !mshr_.admit(core, line, &holdsMshr)) {
-        mshr_.defer(core, retryStore(core, addr, store, std::move(done),
-                                     false));
+        eq_.scheduleIn(cfg_.privLatency,
+                       [this, done = std::move(done)]() mutable {
+                           done(eq_.now());
+                       });
         return;
     }
     submitTxn(core, line,
-              [this, core, holdsMshr, addr, store,
+              [this, core, addr, store,
                done = std::move(done)](Cycle t) mutable {
-                  return storeTxn(core, addr, store, std::move(done),
-                                  holdsMshr, t);
+                  return storeTxn(core, addr, store, std::move(done), t);
               },
               eq_.now() + cfg_.privLatency);
 }
 
 InlineCallback
-SlcProtocol::retryLoad(CoreId core, Addr addr, LoadDone done, bool holdsMshr)
+SlcProtocol::retryLoad(CoreId core, Addr addr, LoadDone done)
 {
-    return [this, core, holdsMshr, addr, done = std::move(done)]() mutable {
-        issueLoad(core, addr, std::move(done), holdsMshr);
+    return [this, core, addr, done = std::move(done)]() mutable {
+        load(core, addr, std::move(done));
     };
 }
 
 InlineCallback
 SlcProtocol::retryStore(CoreId core, Addr addr, StoreId store,
-                        StoreDone done, bool holdsMshr)
+                        StoreDone done)
 {
-    return [this, core, holdsMshr, addr, store,
-            done = std::move(done)]() mutable {
-        issueStore(core, addr, store, std::move(done), holdsMshr);
+    return [this, core, addr, store, done = std::move(done)]() mutable {
+        this->store(core, addr, store, std::move(done));
     };
 }
 
@@ -201,26 +175,24 @@ SlcProtocol::ownNodeBlocks(CoreId core, LineAddr line, Cycle t,
 // --------------------------------------------------------------------
 
 std::optional<Cycle>
-SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
-                     Cycle t)
+SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
 {
     const LineAddr line = lineOf(addr);
     if (capacity_.inEvictBuffer(line)) {
-        zombieWaiters_[line].push_back(
-            retryLoad(core, addr, std::move(done), holdsMshr));
+        zombieWaiters_[line].push_back(retryLoad(core, addr, std::move(done)));
         return t + dirLatency_;
     }
     if (Node *n = findNode(core, line); n && n->valid) {
         // Raced with our own eviction-buffer revival or a queued
         // upgrade: serve as a hit.
         const StoreId value = words_[n->words][wordOf(addr)];
-        mshr_.complete(core, line, holdsMshr, done, t + dirLatency_, value);
+        done(t + dirLatency_, value);
         return t + dirLatency_;
     }
     bool relinked = false;
     if (ownNodeBlocks(core, line, t, &relinked)) {
         nodeWaiters_[waiterKey(core, line)].push_back(
-            retryLoad(core, addr, std::move(done), holdsMshr));
+            retryLoad(core, addr, std::move(done)));
         return t + dirLatency_;
     }
 
@@ -253,13 +225,13 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
         const StoreId value = words[wordOf(addr)];
         const Cycle freeNoEarlier = t + dirLatency_;
         const Cycle bankAt = llc_.access(line, t);
-        eq_.schedule(bankAt, [this, core, holdsMshr, fromNvm, line, value,
+        eq_.schedule(bankAt, [this, core, fromNvm, line, value,
                               freeNoEarlier,
                               done = std::move(done)]() mutable {
             const Cycle atBank =
                 fromNvm ? nvm_.read(line, eq_.now()) : eq_.now();
-            const Cycle dataAt = mshr_.reply(
-                bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
+            const Cycle dataAt = bus_.reply(
+                bus_.bankNode(bankOf(line)), core,
                 lineBytes + cfg_.ctrlMsgBytes, atBank, std::move(done), value);
             if (Node *n = findNode(core, line))
                 n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
@@ -297,11 +269,10 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
     const StoreId value = words[wordOf(addr)];
     bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(h),
               cfg_.ctrlMsgBytes, t,
-              [this, h, core, holdsMshr, line, value, floor,
+              [this, h, core, line, value, floor,
                done = std::move(done)]() mutable {
-                  const Cycle dataAt = mshr_.reply(
-                      bus_, bus_.coreNode(h), core, line, holdsMshr,
-                      lineBytes + cfg_.ctrlMsgBytes,
+                  const Cycle dataAt = bus_.reply(
+                      bus_.coreNode(h), core, lineBytes + cfg_.ctrlMsgBytes,
                       std::max(eq_.now(), floor), std::move(done), value);
                   if (Node *n = findNode(core, line))
                       n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
@@ -312,25 +283,24 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool holdsMshr,
 
 std::optional<Cycle>
 SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
-                      bool holdsMshr, Cycle t)
+                      Cycle t)
 {
     const LineAddr line = lineOf(addr);
     if (capacity_.inEvictBuffer(line)) {
         zombieWaiters_[line].push_back(
-            retryStore(core, addr, store, std::move(done), holdsMshr));
+            retryStore(core, addr, store, std::move(done)));
         return t + dirLatency_;
     }
     // The line may have joined a frozen group while this request was in
     // flight: re-check the store gate at the serialization instant.
     if (!hooks_->storeMayCommit(core, line)) {
-        hooks_->addStoreWaiter(
-            core, line,
-            retryStore(core, addr, store, std::move(done), holdsMshr));
+        hooks_->addStoreWaiter(core, line,
+                               retryStore(core, addr, store, std::move(done)));
         return t + dirLatency_;
     }
     if (ownNodeBlocks(core, line, t)) {
         nodeWaiters_[waiterKey(core, line)].push_back(
-            retryStore(core, addr, store, std::move(done), holdsMshr));
+            retryStore(core, addr, store, std::move(done)));
         return t + dirLatency_;
     }
     // (A spliced stale clean member needs no onNodeRelinked here: the
@@ -372,9 +342,9 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
         }
         // Permission grant travels as a message; the SB drains when it
         // lands (write permission already held functionally — OBS 3).
-        const Cycle permissionAt = mshr_.reply(
-            bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
-            cfg_.ctrlMsgBytes, t, std::move(done));
+        const Cycle permissionAt =
+            bus_.reply(bus_.bankNode(bankOf(line)), core, cfg_.ctrlMsgBytes,
+                       t, std::move(done));
         n->dataReadyAt = std::max(n->dataReadyAt, permissionAt);
     } else {
         misses_.inc();
@@ -394,13 +364,12 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
             capacity_.setPinned(line, true);
             const Cycle freeNoEarlier = t + dirLatency_;
             const Cycle bankAt = llc_.access(line, t);
-            eq_.schedule(bankAt, [this, core, holdsMshr, fromNvm, line,
-                                  freeNoEarlier,
+            eq_.schedule(bankAt, [this, core, fromNvm, line, freeNoEarlier,
                                   done = std::move(done)]() mutable {
                 const Cycle atBank =
                     fromNvm ? nvm_.read(line, eq_.now()) : eq_.now();
-                const Cycle dataAt = mshr_.reply(
-                    bus_, bus_.bankNode(bankOf(line)), core, line, holdsMshr,
+                const Cycle dataAt = bus_.reply(
+                    bus_.bankNode(bankOf(line)), core,
                     lineBytes + cfg_.ctrlMsgBytes, atBank, std::move(done));
                 if (Node *p = findNode(core, line))
                     p->dataReadyAt = std::max(p->dataReadyAt, dataAt);
@@ -431,11 +400,11 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
                         t);
             bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(h),
                       cfg_.ctrlMsgBytes, t,
-                      [this, h, core, holdsMshr, line, floor,
+                      [this, h, core, line, floor,
                        done = std::move(done)]() mutable {
                           const Cycle ready = std::max(eq_.now(), floor);
-                          const Cycle dataAt = mshr_.reply(
-                              bus_, bus_.coreNode(h), core, line, holdsMshr,
+                          const Cycle dataAt = bus_.reply(
+                              bus_.coreNode(h), core,
                               lineBytes + cfg_.ctrlMsgBytes, ready,
                               std::move(done));
                           if (Node *p = findNode(core, line))

@@ -38,7 +38,6 @@
 
 #include "coherence/directory.hh"
 #include "coherence/protocol.hh"
-#include "coherence/txn.hh"
 #include "mem/cache_array.hh"
 #include "mem/llc.hh"
 #include "mem/nvm.hh"
@@ -153,18 +152,10 @@ class SlcProtocol : public CoherenceProtocol
         return static_cast<unsigned>(line) & (banks_ - 1);
     }
 
-    /** load()/store() for a request that may already hold an MSHR
-     *  register (@p holdsMshr: a parked retry of the primary miss, which
-     *  frees the register right before its completion runs). */
-    void issueLoad(CoreId core, Addr addr, LoadDone done, bool holdsMshr);
-    void issueStore(CoreId core, Addr addr, StoreId store, StoreDone done,
-                    bool holdsMshr);
-
     /** The access, re-issued later by whoever parks it. */
-    InlineCallback retryLoad(CoreId core, Addr addr, LoadDone done,
-                             bool holdsMshr);
+    InlineCallback retryLoad(CoreId core, Addr addr, LoadDone done);
     InlineCallback retryStore(CoreId core, Addr addr, StoreId store,
-                              StoreDone done, bool holdsMshr);
+                              StoreDone done);
 
     /** Dispatch a miss/upgrade transaction to the directory. */
     void submitTxn(CoreId core, LineAddr line, LineSerializer::Body body,
@@ -174,9 +165,9 @@ class SlcProtocol : public CoherenceProtocol
      *  the body deferred: a memory fill holds the line until the LLC
      *  pipe reply frees it via LineSerializer::releaseAt. */
     std::optional<Cycle> loadTxn(CoreId core, Addr addr, LoadDone done,
-                                 bool holdsMshr, Cycle t);
+                                 Cycle t);
     std::optional<Cycle> storeTxn(CoreId core, Addr addr, StoreId store,
-                                  StoreDone done, bool holdsMshr, Cycle t);
+                                  StoreDone done, Cycle t);
 
     /**
      * A transaction whose core's own node is invalid: true if the node
@@ -250,7 +241,6 @@ class SlcProtocol : public CoherenceProtocol
     Nvm &nvm_;
     LineSerializer serializer_;
     DirectoryCapacity<Entry> capacity_;
-    Mshr mshr_;
     unsigned banks_;
     Cycle dirLatency_ = 6;
 

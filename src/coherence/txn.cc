@@ -52,77 +52,4 @@ TxnTable::legDone(Id id, Cycle at)
     fire(readyAt);
 }
 
-Mshr::Mshr(EventQueue &eq, unsigned cores, unsigned entriesPerCore,
-           StatsRegistry &stats)
-    : eq_(eq), entriesPerCore_(entriesPerCore), cores_(cores),
-      fullStalls_(stats.counter("mshr.full_stalls")),
-      occupancy_(stats.histogram("mshr.occupancy"))
-{
-    tsoper_assert(entriesPerCore >= 1, "a core needs at least one MSHR");
-    for (PerCore &pc : cores_)
-        pc.lines.reserve(entriesPerCore);
-}
-
-bool
-Mshr::has(CoreId core, LineAddr line) const
-{
-    const auto &lines = cores_[static_cast<unsigned>(core)].lines;
-    return std::find(lines.begin(), lines.end(), line) != lines.end();
-}
-
-bool
-Mshr::full(CoreId core) const
-{
-    return cores_[static_cast<unsigned>(core)].lines.size() >=
-           entriesPerCore_;
-}
-
-bool
-Mshr::admit(CoreId core, LineAddr line, bool *claimed)
-{
-    if (has(core, line))
-        return true; // Secondary miss / retry of the in-flight primary.
-    if (full(core))
-        return false;
-    enter(core, line);
-    *claimed = true;
-    return true;
-}
-
-void
-Mshr::enter(CoreId core, LineAddr line)
-{
-    PerCore &pc = cores_[static_cast<unsigned>(core)];
-    tsoper_assert(pc.lines.size() < entriesPerCore_, "MSHR overflow");
-    tsoper_assert(!has(core, line), "duplicate MSHR entry for line ", line);
-    pc.lines.push_back(line);
-    occupancy_.add(pc.lines.size());
-}
-
-void
-Mshr::leave(CoreId core, LineAddr line)
-{
-    PerCore &pc = cores_[static_cast<unsigned>(core)];
-    const auto it = std::find(pc.lines.begin(), pc.lines.end(), line);
-    tsoper_assert(it != pc.lines.end(), "MSHR leave without enter: line ",
-                  line);
-    *it = pc.lines.back();
-    pc.lines.pop_back();
-    if (!pc.retries.empty())
-        eq_.scheduleIn(0, pc.retries.pop());
-}
-
-void
-Mshr::defer(CoreId core, InlineCallback retry)
-{
-    fullStalls_.inc();
-    cores_[static_cast<unsigned>(core)].retries.push(std::move(retry));
-}
-
-std::size_t
-Mshr::inFlight(CoreId core) const
-{
-    return cores_[static_cast<unsigned>(core)].lines.size();
-}
-
 } // namespace tsoper

@@ -248,41 +248,29 @@ void
 Cpu::execLockAcq(const TraceOp &op)
 {
     // Locked RMW: drain the store buffer first (x86 semantics), then
-    // check HW-RP backpressure, then queue on the lock.  The SFR
-    // boundary closes the pre-acquire region; the RMW store belongs to
-    // the critical section's region (flushed at the release boundary).
+    // queue on the lock.  The SFR boundary closes the pre-acquire
+    // region; the RMW store belongs to the critical section's region
+    // (flushed at the release boundary).
     whenSbEmpty([this, &op] {
         syncBoundary();
-        if (!engine_.syncMayProceed(id_)) {
-            // SB stays empty while blocked (nothing issues meanwhile).
-            engine_.addSyncWaiter(id_,
-                                  [this, &op] { execLockAcqGranted(op); });
-            return;
-        }
-        execLockAcqGranted(op);
+        auto rmw = [this, &op] {
+            lockAcquires_.inc();
+            trace::instant(trace::Event::SyncOp, id_, eq_.now(), op.arg,
+                           static_cast<unsigned>(
+                               PersistEngine::SyncEvent::LockAcquire));
+            engine_.onSyncEvent(id_, eq_.now(),
+                                PersistEngine::SyncEvent::LockAcquire,
+                                op.arg);
+            proto_.load(id_, op.addr, [this, &op](Cycle at, StoreId value) {
+                if (log_)
+                    log_->loadObserved(id_, op.addr, value);
+                (void)at;
+                issueDirectStore(op.addr, [this] { advanceAt(eq_.now()); });
+            });
+        };
+        if (sync_.acquire(op.arg, id_, rmw))
+            rmw();
     });
-}
-
-void
-Cpu::execLockAcqGranted(const TraceOp &op)
-{
-    auto rmw = [this, &op] {
-        lockAcquires_.inc();
-        trace::instant(trace::Event::SyncOp, id_, eq_.now(), op.arg,
-                       static_cast<unsigned>(
-                           PersistEngine::SyncEvent::LockAcquire));
-        engine_.onSyncEvent(id_, eq_.now(),
-                            PersistEngine::SyncEvent::LockAcquire,
-                            op.arg);
-        proto_.load(id_, op.addr, [this, &op](Cycle at, StoreId value) {
-            if (log_)
-                log_->loadObserved(id_, op.addr, value);
-            (void)at;
-            issueDirectStore(op.addr, [this] { advanceAt(eq_.now()); });
-        });
-    };
-    if (sync_.acquire(op.arg, id_, rmw))
-        rmw();
 }
 
 void
@@ -292,10 +280,6 @@ Cpu::execLockRel(const TraceOp &op)
     // commits *before* the SFR boundary fires, so it persists with the
     // batch the next acquirer orders behind.
     whenSbEmpty([this, &op] {
-        if (!engine_.syncMayProceed(id_)) {
-            engine_.addSyncWaiter(id_, [this, &op] { execLockRel(op); });
-            return;
-        }
         issueDirectStore(op.addr, [this, &op] {
             syncBoundary();
             engine_.onSyncEvent(id_, eq_.now(),
@@ -314,10 +298,6 @@ Cpu::execBarrier(const TraceOp &op)
     // so the flag (and everything before it) persists with the
     // pre-barrier batch that post-barrier regions order behind.
     whenSbEmpty([this, &op] {
-        if (!engine_.syncMayProceed(id_)) {
-            engine_.addSyncWaiter(id_, [this, &op] { execBarrier(op); });
-            return;
-        }
         issueDirectStore(op.addr, [this, &op] {
             barriers_.inc();
             trace::instant(trace::Event::SyncOp, id_, eq_.now(), op.arg,

@@ -13,9 +13,8 @@
  * dependencies thread through locks and barriers exactly as TSOPER
  * requires.
  *
- * The persistency engine gates progress at three points: global stalls
- * (STW), store-buffer drain (frozen-AG / closed-epoch lines), and sync
- * completion (HW-RP persist-queue backpressure).
+ * The persistency engine gates progress at two points: global stalls
+ * (STW) and store-buffer drain (frozen-AG / closed-epoch lines).
  */
 
 #ifndef TSOPER_CORE_CPU_HH
@@ -114,7 +113,6 @@ class Cpu
     void execLoad(const TraceOp &op);
     void execStore(const TraceOp &op);
     void execLockAcq(const TraceOp &op);
-    void execLockAcqGranted(const TraceOp &op);
     void execLockRel(const TraceOp &op);
     void execBarrier(const TraceOp &op);
 

@@ -12,11 +12,4 @@ PersistEngine::addStallWaiter(InlineCallback resume)
     tsoper_panic("addStallWaiter on an engine that never stalls cores");
 }
 
-void
-PersistEngine::addSyncWaiter(CoreId core, InlineCallback retry)
-{
-    (void)core; (void)retry;
-    tsoper_panic("addSyncWaiter on an engine that never blocks syncs");
-}
-
 } // namespace tsoper

@@ -5,9 +5,9 @@
  * A PersistEngine realizes one of the paper's evaluated persistency
  * mechanisms on top of a coherence protocol.  It receives protocol
  * events through the ProtocolHooks base (called at serialization
- * instants), gates the cores' store buffers and sync operations, and
- * owns the machinery that moves versions into the persistent domain
- * (AGB and/or NVM).
+ * instants), gates the cores and their store buffers, and owns the
+ * machinery that moves versions into the persistent domain (AGB and/or
+ * NVM).
  *
  * Implementations: NoPersistEngine (baseline), TsoperEngine, StwEngine,
  * BspEngine (covering BSP, BSP+SLC, BSP+SLC+AGB), HwRpEngine.
@@ -43,16 +43,6 @@ class PersistEngine : public ProtocolHooks
 
     /** Register @p resume to run when the world-stop ends. */
     virtual void addStallWaiter(InlineCallback resume);
-
-    /** May @p core complete a sync operation (HW-RP queue backpressure)? */
-    virtual bool
-    syncMayProceed(CoreId core)
-    {
-        (void)core;
-        return true;
-    }
-
-    virtual void addSyncWaiter(CoreId core, InlineCallback retry);
 
     /** @p core executed a synchronization operation (SFR boundary). */
     virtual void

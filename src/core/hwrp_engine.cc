@@ -23,7 +23,6 @@ HwRpEngine::HwRpEngine(const SystemConfig &cfg, EventQueue &eq,
       batchSeq_(cfg.numCores, 1), spontSeq_(cfg.numCores, 0),
       lastBatchTag_(cfg.numCores, 0), batchAudit_(cfg.numCores),
       wpqPortBusy_(cfg.nvmRanks, 0), wpqCompletions_(cfg.nvmRanks),
-      outstanding_(cfg.numCores, 0), syncWaiters_(cfg.numCores),
       persistWb_(stats.counter("traffic.persist_wb")),
       spontaneous_(stats.counter("hwrp.spontaneous_persists")),
       sfrCount_(stats.counter("hwrp.sfrs")),
@@ -69,14 +68,13 @@ HwRpEngine::persistLine(CoreId core, LineAddr line, const LineWords &words,
         entry = std::max(entry, hist.front());
     wpqPortBusy_[r] = entry + 2;
     persistWb_.inc();
-    const auto c = static_cast<unsigned>(core);
-    ++outstanding_[c];
-    ++outstandingTotal_;
+    ++outstanding_;
     if (trace::on(trace::Category::Persist)) {
         trace::instant(trace::Event::PersistIssue, core, eq_.now(), line,
                        auditTag);
         if (batched) {
-            BatchAudit &ba = batchAudit_[c][auditTag];
+            BatchAudit &ba =
+                batchAudit_[static_cast<unsigned>(core)][auditTag];
             ++ba.pending;
             ++ba.lines;
             ba.maxEntry = std::max(ba.maxEntry, entry);
@@ -93,7 +91,7 @@ HwRpEngine::persistLine(CoreId core, LineAddr line, const LineWords &words,
     });
     const Cycle completion =
         nvm_.write(line, words, entry,
-                   [this, core, line](Cycle) { lineDone(core, line); });
+                   [this, line](Cycle) { lineDone(line); });
     hist.push_back(completion);
     if (hist.size() > cfg_.wpqEntriesPerMc)
         hist.pop_front();
@@ -232,37 +230,17 @@ HwRpEngine::finishBatch(CoreId core, std::uint64_t tag)
 }
 
 void
-HwRpEngine::lineDone(CoreId core, LineAddr line)
+HwRpEngine::lineDone(LineAddr line)
 {
-    const auto c = static_cast<unsigned>(core);
-    tsoper_assert(outstanding_[c] > 0);
-    --outstanding_[c];
-    --outstandingTotal_;
+    tsoper_assert(outstanding_ > 0);
+    --outstanding_;
     auto it = wpqPendingCount_.find(line);
     if (it != wpqPendingCount_.end() && --it->second == 0) {
         wpqPendingCount_.erase(it);
         wpqContents_.erase(line);
     }
-    if (outstanding_[c] <= cfg_.hwrpQueueEntries) {
-        for (auto &w : syncWaiters_[c])
-            eq_.scheduleIn(0, std::move(w));
-        syncWaiters_[c].clear();
-    }
-    if (draining_ && drainDone_ && outstandingTotal_ == 0)
+    if (draining_ && drainDone_ && outstanding_ == 0)
         eq_.scheduleIn(0, std::move(drainDone_));
-}
-
-bool
-HwRpEngine::syncMayProceed(CoreId core)
-{
-    return outstanding_[static_cast<unsigned>(core)] <=
-           cfg_.hwrpQueueEntries;
-}
-
-void
-HwRpEngine::addSyncWaiter(CoreId core, InlineCallback retry)
-{
-    syncWaiters_[static_cast<unsigned>(core)].push_back(std::move(retry));
 }
 
 void
@@ -272,14 +250,14 @@ HwRpEngine::drain(InlineCallback done)
     drainDone_ = std::move(done);
     for (unsigned c = 0; c < cfg_.numCores; ++c)
         flushSfr(static_cast<CoreId>(c), eq_.now());
-    if (outstandingTotal_ == 0 && drainDone_)
+    if (outstanding_ == 0 && drainDone_)
         eq_.scheduleIn(0, std::move(drainDone_));
 }
 
 bool
 HwRpEngine::quiescent() const
 {
-    return outstandingTotal_ == 0;
+    return outstanding_ == 0;
 }
 
 std::unordered_map<LineAddr, LineWords>

@@ -10,7 +10,8 @@
  *    lines are queued for persist; the next region's persists are
  *    ordered after them (persist order across synchronization);
  *  - evictions of dirty lines are spontaneous persists;
- *  - the core stalls at a sync only if its persist queue is full.
+ *  - the core never stalls at a sync: the persist queue is unbounded
+ *    (DESIGN.md §6), and only the WPQ below it has a depth.
  *
  * Durability model: like every system in the paper (§II, "buffered
  * persists are considered committed to NVM even in the event of a
@@ -59,15 +60,13 @@ class HwRpEngine : public PersistEngine
     void onSync(CoreId core, Cycle now) override;
     void onSyncEvent(CoreId core, Cycle now, SyncEvent event,
                      unsigned id) override;
-    bool syncMayProceed(CoreId core) override;
-    void addSyncWaiter(CoreId core, InlineCallback retry) override;
     void drain(InlineCallback done) override;
     bool quiescent() const override;
     std::unordered_map<LineAddr, LineWords> crashOverlay() const override;
 
   private:
     void flushSfr(CoreId core, Cycle now);
-    void lineDone(CoreId core, LineAddr line);
+    void lineDone(LineAddr line);
 
     /**
      * Enqueue one line into its rank's WPQ, no earlier than
@@ -123,9 +122,7 @@ class HwRpEngine : public PersistEngine
     /** Durable-at-entry lines whose NVM write has not completed. */
     std::unordered_map<LineAddr, LineWords> wpqContents_;
     std::unordered_map<LineAddr, unsigned> wpqPendingCount_;
-    std::vector<unsigned> outstanding_;  ///< Queued persist lines.
-    std::vector<std::vector<InlineCallback>> syncWaiters_;
-    unsigned outstandingTotal_ = 0;
+    unsigned outstanding_ = 0; ///< Queued persist lines, all cores.
     bool draining_ = false;
     InlineCallback drainDone_;
 

@@ -64,6 +64,19 @@ class MessageBus
         return send(src, dst, bytes, eq_.now(), std::forward<F>(fn));
     }
 
+    /** send() of a request's reply leg to @p core: its arrival runs
+     *  @p done(arrival cycle, @p value...).  @return the arrival cycle. */
+    template <typename Done, typename... Value>
+    Cycle
+    reply(int src, CoreId core, unsigned bytes, Cycle depart, Done done,
+          Value... value)
+    {
+        return send(src, coreNode(core), bytes, depart,
+                    [this, value..., done = std::move(done)]() mutable {
+                        done(eq_.now(), value...);
+                    });
+    }
+
     /**
      * Routed leg without its own event: returns the delivery cycle of
      * @p bytes from @p src to @p dst departing at @p depart, updating
@@ -81,15 +94,12 @@ class MessageBus
     int coreNode(CoreId core) const { return mesh_.coreNode(core); }
     int bankNode(unsigned bank) const { return mesh_.bankNode(bank); }
     int mcNode(unsigned mc) const { return mesh_.mcNode(mc); }
-    unsigned nodes() const { return mesh_.nodes(); }
 
     Cycle
     idealLatency(int src, int dst, unsigned bytes) const
     {
         return mesh_.idealLatency(src, dst, bytes);
     }
-
-    Mesh &mesh() { return mesh_; }
 
   private:
     EventQueue &eq_;

@@ -116,8 +116,6 @@ SystemConfig::check(std::string *err) const
         return fail(toString(engine), " requires the SLC protocol");
     if (engine == EngineKind::Bsp && protocol != ProtocolKind::Mesi)
         return fail("BSP persists through the LLC on MESI");
-    if (mshrEntries == 0)
-        return fail("a core needs at least one MSHR entry");
     return true;
 }
 

@@ -61,10 +61,6 @@ struct SystemConfig
     unsigned privSets = 1024;   ///< 512 KiB, 8-way, 64 B lines.
     unsigned privWays = 8;
     Cycle privLatency = 4;      ///< Hit latency, cycles.
-    /** Miss-status holding registers per core: distinct lines a core
-     *  may have missing in flight; further misses to new lines stall
-     *  and retry as registers free (mshr.full_stalls counts them). */
-    unsigned mshrEntries = 8;
 
     // --- Shared LLC ------------------------------------------------
     unsigned llcBanks = 8;
@@ -106,12 +102,11 @@ struct SystemConfig
     unsigned bspEpochStores = 10000;  ///< BSP epoch length (§V-B).
 
     // --- HW-RP --------------------------------------------------------
-    /** Per-core persist queue depth.  The paper gives HW-RP every
-     *  advantage (§V "Systems"); a deep buffer keeps cores from
-     *  stalling on persist backpressure. */
-    unsigned hwrpQueueEntries = 512;
     /** Per-memory-controller write-pending-queue depth (WPQ [37]):
-     *  entries are durable on arrival and drain to NVM behind. */
+     *  entries are durable on arrival and drain to NVM behind.  The
+     *  per-core persist queue above it is unbounded: the paper gives
+     *  HW-RP every advantage (§V "Systems"), so no core stalls on
+     *  persist backpressure. */
     unsigned wpqEntriesPerMc = 64;
 
     // --- Mode selection ------------------------------------------------

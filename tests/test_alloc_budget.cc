@@ -111,7 +111,7 @@ PrintTo(const BudgetCell &c, std::ostream *os)
 }
 
 /// Measured bytes statsToJson allocates for tsoper/radix + 10%.
-constexpr std::uint64_t kStatsJsonMaxBytes = 112648;
+constexpr std::uint64_t kStatsJsonMaxBytes = 110447;
 
 /// Allocations recording may add per committed store.  The log keeps
 /// flat per-core arrays, so what it adds is their growth, a few

@@ -2,21 +2,30 @@
  * @file
  * The decomposed directory transactions (coherence/txn.hh and the
  * multi-message state machines in slc.cc / mesi.cc): TxnTable leg
- * folding, MSHR tracking and full-stall retry, request races on a
- * single line (two writers, invalidation vs. directory eviction).
+ * folding, request races on a single line (two writers, invalidation
+ * vs. directory eviction), and the bound on each core's requests in
+ * flight that lets the protocols run without a miss limit.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <unordered_map>
+#include <vector>
+
 #include "coherence/mesi.hh"
 #include "coherence/slc.hh"
 #include "coherence/txn.hh"
+#include "core/cpu.hh"
+#include "core/engine.hh"
 #include "mem/llc.hh"
 #include "mem/nvm.hh"
 #include "noc/mesh.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
+#include "workload/generators.hh"
 
 using namespace tsoper;
 
@@ -65,32 +74,6 @@ TEST(TxnTable, CompletionMayOpenNewEntries)
     txns.legDone(id, 4);
     EXPECT_TRUE(innerFired);
     EXPECT_EQ(stats.get("dir.txn_allocs"), 2u);
-}
-
-// --- Mshr -------------------------------------------------------------
-
-TEST(Mshr, SecondaryMissMergesAndFullStallRetries)
-{
-    EventQueue eq;
-    StatsRegistry stats;
-    Mshr mshr(eq, /*cores=*/2, /*entriesPerCore=*/2, stats);
-
-    mshr.enter(0, 100);
-    mshr.enter(0, 200);
-    EXPECT_TRUE(mshr.has(0, 100)); // Secondary miss would pass through.
-    EXPECT_TRUE(mshr.full(0));
-    EXPECT_FALSE(mshr.full(1)); // Registers are per core.
-
-    bool retried = false;
-    mshr.defer(0, [&] { retried = true; });
-    EXPECT_EQ(stats.get("mshr.full_stalls"), 1u);
-    eq.run();
-    EXPECT_FALSE(retried); // Parked until a register frees.
-
-    mshr.leave(0, 100);
-    eq.run();
-    EXPECT_TRUE(retried);
-    EXPECT_EQ(mshr.inFlight(0), 1u);
 }
 
 // --- Protocol-level races --------------------------------------------
@@ -175,22 +158,18 @@ TYPED_TEST(RaceBothProtocols, WriterRacesReaderOnOneLine)
     EXPECT_EQ(seen, makeStoreId(0, 7));
 }
 
-TYPED_TEST(RaceBothProtocols, MshrFullStallsAndDrains)
+TYPED_TEST(RaceBothProtocols, ConcurrentMissesFromOneCoreComplete)
 {
-    SystemConfig tiny = this->cfg;
-    tiny.mshrEntries = 1;
-    TypeParam proto(tiny, this->eq, this->mesh, this->llc, this->nvm,
-                    this->stats);
-    // Three primary misses from one core with a single register: the
-    // second and third park in the MSHR FIFO and retry as it frees.
+    // The Cpu keeps one load in flight, but the protocol API takes
+    // concurrent misses from one core: tests and layer drives issue
+    // them.
     unsigned done = 0;
     for (unsigned i = 0; i < 3; ++i)
-        proto.load(0, kAddr + i * lineBytes, [&](Cycle, StoreId) {
+        this->proto.load(0, kAddr + i * lineBytes, [&](Cycle, StoreId) {
             ++done;
         });
     this->eq.runUntil([&] { return done == 3; });
-    ASSERT_EQ(done, 3u);
-    EXPECT_GE(this->stats.get("mshr.full_stalls"), 2u);
+    EXPECT_EQ(done, 3u);
 }
 
 TYPED_TEST(RaceBothProtocols, InvalidationRacesDirectoryEviction)
@@ -237,6 +216,122 @@ TYPED_TEST(RaceBothProtocols, InvalidationRacesDirectoryEviction)
     EXPECT_EQ(dload(3, kAddr), makeStoreId(1, 0));
     // And the storm's lines survived their evictions readably.
     EXPECT_EQ(dload(3, kAddr + 8 * lineBytes), makeStoreId(2, 1));
+}
+
+// --- Requests a core keeps in flight ---------------------------------
+
+/**
+ * Forwards every request to an inner protocol and records, per core,
+ * the most loads, stores and both that were ever awaiting completion.
+ * The callers' completions wait in side tables keyed by ticket: a
+ * completion cannot wrap another of its own type (docs/perf.md).
+ */
+class CountingProtocol : public CoherenceProtocol
+{
+  public:
+    CountingProtocol(CoherenceProtocol &inner, unsigned cores)
+        : inner_(inner), loads_(cores, 0), stores_(cores, 0)
+    {
+    }
+
+    void
+    load(CoreId core, Addr addr, LoadDone done) override
+    {
+        const std::uint64_t ticket = nextTicket_++;
+        loadDone_.emplace(ticket, std::move(done));
+        issued(core, loads_);
+        inner_.load(core, addr, [this, core, ticket](Cycle at, StoreId v) {
+            auto waiting = loadDone_.extract(ticket);
+            --loads_[static_cast<unsigned>(core)];
+            waiting.mapped()(at, v);
+        });
+    }
+
+    void
+    store(CoreId core, Addr addr, StoreId store, StoreDone done) override
+    {
+        const std::uint64_t ticket = nextTicket_++;
+        storeDone_.emplace(ticket, std::move(done));
+        issued(core, stores_);
+        inner_.store(core, addr, store, [this, core, ticket](Cycle at) {
+            auto waiting = storeDone_.extract(ticket);
+            --stores_[static_cast<unsigned>(core)];
+            waiting.mapped()(at);
+        });
+    }
+
+    unsigned maxLoads = 0;
+    unsigned maxStores = 0;
+    unsigned maxBoth = 0;
+
+  private:
+    void
+    issued(CoreId core, std::vector<unsigned> &kind)
+    {
+        const auto c = static_cast<unsigned>(core);
+        ++kind[c];
+        maxLoads = std::max(maxLoads, loads_[c]);
+        maxStores = std::max(maxStores, stores_[c]);
+        maxBoth = std::max(maxBoth, loads_[c] + stores_[c]);
+    }
+
+    CoherenceProtocol &inner_;
+    std::vector<unsigned> loads_;
+    std::vector<unsigned> stores_;
+    std::uint64_t nextTicket_ = 0;
+    std::unordered_map<std::uint64_t, LoadDone> loadDone_;
+    std::unordered_map<std::uint64_t, StoreDone> storeDone_;
+};
+
+template <typename Protocol> struct CoreRequests : public ::testing::Test
+{
+};
+TYPED_TEST_SUITE(CoreRequests, Protocols);
+
+TYPED_TEST(CoreRequests, AtMostOneLoadAndOneStoreInFlight)
+{
+    // An in-order core blocks on a load and drains its store buffer
+    // one store at a time; lock and barrier stores issue only once the
+    // buffer is empty.  So a core never has more than one load and one
+    // store in the memory system, and neither protocol bounds a core's
+    // misses.
+    std::uint64_t lockAcquires = 0, barriers = 0;
+    for (const char *bench : {"radix", "lu_ncb", "ocean_cp", "dedup"}) {
+        SystemConfig cfg;
+        EventQueue eq;
+        StatsRegistry stats;
+        Mesh mesh(cfg, stats);
+        Nvm nvm(cfg, eq, stats);
+        Llc llc(cfg, nvm, stats);
+        TypeParam inner(cfg, eq, mesh, llc, nvm, stats);
+        CountingProtocol proto(inner, cfg.numCores);
+        NoPersistEngine engine;
+        SyncCoordinator sync(cfg.numCores, eq);
+        const Workload w = generateByName(bench, cfg.numCores, 1, 0.05);
+        std::vector<std::unique_ptr<Cpu>> cpus;
+        for (unsigned c = 0; c < cfg.numCores; ++c) {
+            cpus.push_back(std::make_unique<Cpu>(static_cast<CoreId>(c),
+                                                 cfg, eq, proto, engine,
+                                                 sync, nullptr, stats));
+            cpus.back()->setTrace(&w.perCore[c]);
+            cpus.back()->start();
+        }
+        eq.run();
+        for (const auto &cpu : cpus)
+            ASSERT_TRUE(cpu->finished()) << bench;
+        const char *why = ": a core keeps more requests in flight than "
+                          "an in-order core; the protocols may need a "
+                          "miss limit (an MSHR file) again";
+        EXPECT_LE(proto.maxLoads, 1u) << bench << why;
+        EXPECT_LE(proto.maxStores, 1u) << bench << why;
+        EXPECT_EQ(proto.maxBoth, 2u)
+            << bench << ": no load overlapped a store drain";
+        lockAcquires += stats.get("cpu.lock_acquires");
+        barriers += stats.get("cpu.barriers");
+    }
+    // The direct lock and barrier stores ran too.
+    EXPECT_GT(lockAcquires, 0u);
+    EXPECT_GT(barriers, 0u);
 }
 
 } // namespace

@@ -352,7 +352,6 @@ TEST(EventQueue, LargestRealCaptureStillFits)
     {
         void *self;
         CoreId core;
-        bool holdsMshr;
         Addr addr;
         StoreId store;
         CoherenceProtocol::StoreDone done;
@@ -376,7 +375,7 @@ TEST(EventQueue, LargestRealCaptureStillFits)
     EventQueue eq;
     bool ran = false;
     RequestShape ev{&ran, 0,
-                    StoreBodyShape{&ran, 0, false, 0, 0,
+                    StoreBodyShape{&ran, 0, 0, 0,
                                    [&ran](Cycle) { ran = true; }}};
     eq.schedule(3, std::move(ev));
     eq.run();

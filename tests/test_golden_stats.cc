@@ -58,28 +58,28 @@ constexpr std::uint64_t kSeed = 3;
 
 // clang-format off
 const GoldenRow kGolden[] = {
-    {"baseline", "radix", 0, 0x07c90705679a677bull, 175669, 81960},
-    {"baseline", "ocean_cp", 0, 0x8896551649a0d541ull, 22074, 21426},
-    {"baseline-mesi", "radix", 0, 0x42cdc6e36d9de392ull, 178525, 81948},
-    {"baseline-mesi", "ocean_cp", 0, 0xdbf2c9e0e5342b0aull, 22376, 21768},
-    {"hwrp", "radix", 0, 0x84da1b365bad16aeull, 181394, 86583},
-    {"hwrp", "ocean_cp", 0, 0xdec001448d9d158full, 22218, 22270},
-    {"bsp", "radix", 0, 0x83d8f823d3561abcull, 192472, 108219},
-    {"bsp", "ocean_cp", 0, 0xb0bed23a810d56baull, 25121, 23274},
-    {"bsp-slc", "radix", 0, 0x3e0dd78d23f92f64ull, 191909, 108225},
-    {"bsp-slc", "ocean_cp", 0, 0x49d5d051e2688014ull, 21949, 22922},
-    {"bsp-slc-agb", "radix", 0, 0x1bc42a7c059de297ull, 196073, 100354},
-    {"bsp-slc-agb", "ocean_cp", 0, 0xc7ab8fdc90affe6cull, 22230, 22799},
-    {"stw", "radix", 0, 0xb55fbaea47239a55ull, 370249, 106231},
-    {"stw", "ocean_cp", 0, 0xdf69791e5b45e5aaull, 63368, 23618},
-    {"tsoper", "radix", 0, 0xbd622d4351bc1e62ull, 204440, 100434},
-    {"tsoper", "ocean_cp", 0, 0xaaaed1f3a6c31b27ull, 22591, 22685},
-    {"tsoper", "radix", 0.5, 0x25ac3f614d08971bull, 204440, 0, 0x4b5f2807217ba742ull},
-    {"stw", "radix", 0.5, 0xcb6e42cfa0f911a8ull, 370249, 0, 0xefc5e5a4c5c6a4b3ull},
-    {"bsp-slc-agb", "radix", 0.5, 0xf9dd52b82d8caecfull, 196073, 0, 0x07a8801bce275ba7ull},
-    {"bsp", "dedup", 0.25, 0xc42a1d8d0b33463aull, 50582, 0, 0xed7186f8a39eb431ull},
-    {"hwrp", "radix", 0.5, 0x5d6bc24deeed608dull, 181394, 0, 0xb9b442b5e31a7c1dull},
-    {"hwrp", "fft", 0.9, 0x943a7301aa855692ull, 125210, 0, 0xc00c7194e6fa7109ull},
+    {"baseline", "radix", 0, 0x65e2b89ae1dfc399ull, 175669, 81960},
+    {"baseline", "ocean_cp", 0, 0xcda3d58bc0112c58ull, 22074, 21426},
+    {"baseline-mesi", "radix", 0, 0x70764130ad8580eeull, 178525, 81948},
+    {"baseline-mesi", "ocean_cp", 0, 0x2f14e110ec335236ull, 22376, 21768},
+    {"hwrp", "radix", 0, 0xe1cc8aba3e28bf17ull, 181394, 86583},
+    {"hwrp", "ocean_cp", 0, 0xdf4a3b336c6d69faull, 22218, 22270},
+    {"bsp", "radix", 0, 0x013385e760d1ee37ull, 192472, 108219},
+    {"bsp", "ocean_cp", 0, 0xea6204e508c483d9ull, 25121, 23274},
+    {"bsp-slc", "radix", 0, 0xdd7ce2f72263ec4full, 191909, 108225},
+    {"bsp-slc", "ocean_cp", 0, 0xdb5ef9d514cfb293ull, 21949, 22922},
+    {"bsp-slc-agb", "radix", 0, 0x018db3f8fddefdeaull, 196073, 100354},
+    {"bsp-slc-agb", "ocean_cp", 0, 0xa5db006f7902a19full, 22230, 22799},
+    {"stw", "radix", 0, 0x48ede1ca8f6fb1ceull, 370249, 106231},
+    {"stw", "ocean_cp", 0, 0x7fac7a2f2ffa4a2aull, 63368, 23618},
+    {"tsoper", "radix", 0, 0x556efb054deb7c11ull, 204440, 100434},
+    {"tsoper", "ocean_cp", 0, 0x1e8904166d3a6c04ull, 22591, 22685},
+    {"tsoper", "radix", 0.5, 0xba2232320e950a64ull, 204440, 0, 0x4b5f2807217ba742ull},
+    {"stw", "radix", 0.5, 0x294e8bffb4c90db1ull, 370249, 0, 0xefc5e5a4c5c6a4b3ull},
+    {"bsp-slc-agb", "radix", 0.5, 0xb0ab253acaf83159ull, 196073, 0, 0x07a8801bce275ba7ull},
+    {"bsp", "dedup", 0.25, 0x9f428611fabeece7ull, 50582, 0, 0xed7186f8a39eb431ull},
+    {"hwrp", "radix", 0.5, 0xdb08780416497d52ull, 181394, 0, 0xb9b442b5e31a7c1dull},
+    {"hwrp", "fft", 0.9, 0xfdd50a37703b34e7ull, 125210, 0, 0xc00c7194e6fa7109ull},
 };
 // clang-format on
 

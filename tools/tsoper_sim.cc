@@ -54,12 +54,14 @@
  *      unknown trace category or audit fault, a flight recorder over
  *      2^20 records, a scale outside (0, 1000] or a crash point that
  *      is neither 0, a fraction nor a cycle, e.g. --scale=1e9 or
- *      --crash-at=-0.5, and a knob out of SystemConfig's ranges, e.g.
- *      --cores=65)
+ *      --crash-at=-0.5, a knob out of SystemConfig's ranges, e.g.
+ *      --cores=65, and a --stats-out or --stats-json path that cannot
+ *      be opened for writing)
  *   3  unknown --engine
  *   4  unknown --bench
  *   5  invalid workload (failed validation)
- *   6  simulation error (internal panic/fatal, e.g. deadlock)
+ *   6  simulation error (internal panic/fatal, e.g. deadlock), or a
+ *      --trace-out, --stats-out or --stats-json write that failed
  *   7  hung (the progress watchdog proved a livelock, or the
  *      simulated-cycle budget ran out)
  */
@@ -257,10 +259,29 @@ main(int argc, char **argv)
         return ExitOk;
     }
 
+    // Fail before the run, not after, if a stats path is unwritable.
+    // Append mode leaves an existing file intact.
+    for (const std::string *path : {&opt.statsOut, &opt.statsJson}) {
+        if (!path->empty() && !std::ofstream(*path, std::ios::app)) {
+            std::fprintf(stderr, "cannot open for writing: %s\n",
+                         path->c_str());
+            return ExitUsage;
+        }
+    }
+
     // Capture the stats dumps inside the hook (the System is only
     // alive there) but print them after the banner/result lines, in
     // the seed CLI's output order.
     std::string statsText;
+    std::string unwritten; // A stats file whose write failed.
+    const auto writeStats = [&](const std::string &path, auto write) {
+        if (path.empty())
+            return;
+        std::ofstream os(path);
+        write(os);
+        if (!os.flush())
+            unwritten = path;
+    };
     campaign::RunHooks hooks;
     hooks.onFinished = [&](System &sys) {
         if (opt.stats) {
@@ -268,17 +289,18 @@ main(int argc, char **argv)
             sys.stats().dump(os);
             statsText = os.str();
         }
-        if (!opt.statsOut.empty()) {
-            std::ofstream os(opt.statsOut);
-            sys.stats().dump(os);
-        }
-        if (!opt.statsJson.empty()) {
-            std::ofstream os(opt.statsJson);
+        writeStats(opt.statsOut,
+                   [&](std::ostream &os) { sys.stats().dump(os); });
+        writeStats(opt.statsJson, [&](std::ostream &os) {
             os << statsJsonText(sys.stats()) << "\n";
-        }
+        });
     };
 
     const campaign::RunResult res = campaign::runOne(opt.run, hooks);
+    if (!unwritten.empty()) {
+        std::fprintf(stderr, "cannot write %s\n", unwritten.c_str());
+        return ExitSimError;
+    }
 
     switch (res.status) {
       case campaign::RunStatus::BadRequest:
